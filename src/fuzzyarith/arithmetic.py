@@ -39,12 +39,20 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class RangeMethod:
-    """How to compute the range of a function over an interval.
+    """How to compute the range of a function over the levels of a family.
 
     ``analytic`` uses exact critical points and is only available for the
-    profile shapes defined below.  ``numeric`` samples the function on an
-    equispaced grid and sharpens every local extremum bracket with a
-    golden-section search until the bracket is narrower than refine_tol.
+    profile shapes defined below.  ``numeric`` evaluates the function at
+    ``samples`` equispaced points across the support (the widest level),
+    once for all levels, and sharpens every local minimum and maximum of
+    that scan with a golden-section search until its bracket is narrower
+    than ``refine_tol``.  Each level's range is then the extremes of the
+    values at its two endpoints and of the refined values that lie inside
+    it.  The cost is one scan, 2(K+1) endpoint evaluations and one
+    refinement per local extremum.  Extrema closer together than the scan
+    step, support width / (samples - 1), can be missed.  The reported ends
+    are values the function takes inside the level, and the levels are
+    exactly nested.
     """
 
     mode: str = "numeric"
@@ -156,33 +164,48 @@ class ReciprocalSum:
 # -- range search ---------------------------------------------------------------
 
 
-def _golden_min(g, a: float, b: float, tol: float) -> float:
-    """Smallest value of g found on [a, b] by golden-section bracketing."""
+def _values(g, xs: np.ndarray) -> np.ndarray:
+    """g at every point of xs.  The profiles above take arrays; any other
+    callable is only promised to take one float at a time."""
+    if isinstance(g, (Affine, Quadratic, ReciprocalSum)):
+        return np.asarray(g(xs), dtype=float)
+    return np.fromiter((g(float(x)) for x in xs), float, xs.size)
+
+
+def _golden_min(g, a: float, b: float, tol: float) -> tuple[float, float]:
+    """(x, g(x)) at the smallest value of g found on [a, b] by golden-section
+    bracketing.
+
+    The best interior point seen is always kept as one of c, d, so the
+    answer is the best of the two ends and the final c, d.
+    """
+    found = [(g(a), a), (g(b), b)]
     h = b - a
-    best = min(g(a), g(b))
     if h <= tol:
-        return min(best, g(0.5 * (a + b)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = g(c)
-    yd = g(d)
-    best = min(best, yc, yd)
-    steps = max(1, math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    for _ in range(steps):
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = g(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = g(d)
-        best = min(best, yc, yd)
-    return float(best)
+        m = 0.5 * (a + b)
+        found.append((g(m), m))
+    else:
+        c = a + _INV_PHI2 * h
+        d = a + _INV_PHI * h
+        yc = g(c)
+        yd = g(d)
+        steps = max(1, math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+        for _ in range(steps):
+            h *= _INV_PHI
+            if yc < yd:
+                b, d, yd = d, c, yc
+                c = a + _INV_PHI2 * h
+                yc = g(c)
+            else:
+                a, c, yc = c, d, yd
+                d = a + _INV_PHI * h
+                yd = g(d)
+        found += [(yc, c), (yd, d)]
+    y, x = min(found)
+    return x, float(y)
 
 
-def _local_min_indices(ys: np.ndarray) -> list[int]:
+def _local_min_indices(ys: np.ndarray) -> np.ndarray:
     """Sample indices worth refining, plateau runs collapsed to one entry.
 
     Boundary samples count as local minima too: an interior extremum less
@@ -204,9 +227,48 @@ def _local_min_indices(ys: np.ndarray) -> list[int]:
     gmin = int(np.argmin(ys))
     if gmin not in idx:
         idx = np.append(idx, gmin)
-    if idx.size > 32:
-        idx = idx[np.argsort(ys[idx])[:32]]
-    return [int(i) for i in idx]
+    return idx
+
+
+def _refined_minima(g, xs: np.ndarray, ys: np.ndarray, tol: float):
+    """Arguments and values of g at every local minimum of the scan ys =
+    g(xs), each refined within its two neighbouring sample gaps."""
+    last = xs.size - 1
+    found = [_golden_min(g, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)]), tol)
+             for i in _local_min_indices(ys)]
+    return np.array(found).T
+
+
+def _range_levels(g, los: np.ndarray, his: np.ndarray,
+                  method: RangeMethod) -> tuple[np.ndarray, np.ndarray]:
+    """Range of g over every level [los[i], his[i]] of a nested family.
+
+    One scan of the support [los[0], his[0]] finds the local extrema of g,
+    each refined once.  The levels holding a point x form a prefix 0..j(x)
+    of the family, so each refined value is folded into slot j(x) together
+    with the values at the level's endpoints, and a reverse running min/max
+    hands every level the extremes over itself and the levels inside it.
+    Every reported value is taken by g inside its level, and the result is
+    exactly nested.  Time and memory are O(samples + K).
+    """
+    at_lo = _values(g, los)
+    at_hi = _values(g, his)
+    lows = np.minimum(at_lo, at_hi)
+    highs = np.maximum(at_lo, at_hi)
+    if his[0] > los[0]:
+        xs = np.linspace(los[0], his[0], method.samples)
+        ys = _values(g, xs)
+        neg = lambda x: -g(x)
+        neg_his = -his
+        for slot, fold, h, hs, sign in ((lows, np.minimum, g, ys, 1.0),
+                                        (highs, np.maximum, neg, -ys, -1.0)):
+            x, v = _refined_minima(h, xs, hs, method.refine_tol)
+            # every x lies on the support, so j >= 0
+            j = np.minimum(np.searchsorted(los, x, side="right"),
+                           np.searchsorted(neg_his, -x, side="right")) - 1
+            fold.at(slot, j, sign * v)
+    return (np.minimum.accumulate(lows[::-1])[::-1],
+            np.maximum.accumulate(highs[::-1])[::-1])
 
 
 def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> Interval:
@@ -216,6 +278,12 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
     object carrying exact bounds (Affine, Quadratic, ReciprocalSum) is ranged
     analytically and anything else numerically; an explicit analytic request
     on a plain callable is an error.
+
+    The numeric range is the one-level case of the correlated engine (see
+    RangeMethod): a scan of iv with ``method.samples`` points, one
+    golden-section refinement per local extremum of the scan, and the
+    values at the two ends, so its resolution is iv.width / (samples - 1).
+    Both ends of the result are values g takes on iv.
     """
     analytic = getattr(g, "bounds_on", None)
     if method is None:
@@ -226,24 +294,8 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
                 "analytic range requested but the function has no closed-form "
                 "critical points; use a numeric RangeMethod")
         return analytic(iv)
-
-    if iv.width == 0.0:
-        v = float(g(iv.lo))
-        return Interval(v, v)
-    xs = np.linspace(iv.lo, iv.hi, method.samples)
-    ys = np.array([float(g(float(x))) for x in xs])
-    lo_val = float(ys.min())
-    hi_val = float(ys.max())
-    tol = method.refine_tol
-    last = method.samples - 1
-    for i in _local_min_indices(ys):
-        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)])
-        lo_val = min(lo_val, _golden_min(g, a, b, tol))
-    neg = lambda x: -g(x)
-    for i in _local_min_indices(-ys):
-        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)])
-        hi_val = max(hi_val, -_golden_min(neg, a, b, tol))
-    return Interval(lo_val, hi_val)
+    lo, hi = _range_levels(g, np.array([iv.lo]), np.array([iv.hi]), method)
+    return Interval(float(lo[0]), float(hi[0]))
 
 
 # -- standard (non-interactive) operations --------------------------------------
@@ -309,14 +361,7 @@ def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
         g = lambda x: x + f(x)
     else:
         g = lambda x: x * f(x)
-    n = a.k + 1
-    lows = np.empty(n)
-    highs = np.empty(n)
-    for i in range(n):
-        iv = range_over_interval(g, a.level(i), method)
-        lows[i] = iv.lo
-        highs[i] = iv.hi
-    return FuzzyNumber(lows, highs)
+    return FuzzyNumber(*_range_levels(g, a.los, a.his, method))
 
 
 def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,

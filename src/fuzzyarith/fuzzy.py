@@ -78,8 +78,11 @@ class FuzzyNumber:
             mid = 0.5 * (los[crossed] + his[crossed])
             los[crossed] = mid
             his[crossed] = mid
-        if np.any(np.diff(los) < 0) or np.any(np.diff(his) > 0) or np.any(los > his):
-            raise ValueError("levels are not nested")
+            # A midpoint can fall below an earlier lower end (or above an
+            # earlier upper end); widening the outer levels to it keeps
+            # every level ordered and the family nested.
+            los = np.minimum.accumulate(los[::-1])[::-1]
+            his = np.maximum.accumulate(his[::-1])[::-1]
 
         los.flags.writeable = False
         his.flags.writeable = False

@@ -33,3 +33,16 @@ def dense_range(g, lo, hi, n=200_001):
     xs = np.linspace(lo, hi, n)
     ys = np.asarray(g(xs), dtype=float)
     return float(ys.min()), float(ys.max())
+
+
+def assert_levels_match_scan(res, a, g, n=2001):
+    """Each level of res is the range of g over the matching level of a: it
+    contains a dense scan of n points and exceeds the scan by at most the
+    scan's largest step between neighbouring values."""
+    for i in range(a.k + 1):
+        ys = np.asarray(g(np.linspace(a.los[i], a.his[i], n)), dtype=float)
+        lo, hi = ys.min(), ys.max()
+        step = np.abs(np.diff(ys)).max()
+        tol = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+        assert lo - step - tol <= res.los[i] <= lo + tol, i
+        assert hi - tol <= res.his[i] <= hi + step + tol, i

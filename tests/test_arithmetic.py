@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyarith import (
     CLOSED_FORM_KINDS,
@@ -28,7 +32,7 @@ from fuzzyarith import (
     triangular,
 )
 
-from helpers import dense_range, random_shape, random_sign_definite
+from helpers import assert_levels_match_scan, dense_range, random_shape, random_sign_definite
 
 
 def test_range_method_validation():
@@ -225,6 +229,94 @@ def test_correlated_ops_custom_match_dense_scan(rng):
             want = dense_range(lambda x: x * x**3, lo, hi, n=20001)
             assert p.level(i).lo == pytest.approx(want[0], abs=1e-7)
             assert p.level(i).hi == pytest.approx(want[1], abs=1e-7)
+
+
+@pytest.mark.parametrize("fn, g", [
+    (lambda x: x**3 + x, lambda x: x * (x**3 + x)),
+    (math.atan, lambda x: x * np.arctan(x)),
+], ids=["cubic", "atan"])
+def test_correlated_product_minimum_at_core_is_nested(fn, g):
+    # the minimum sits at the core, where a per-level search used to
+    # return lower ends that wiggled past the nest repair
+    a = triangular(-2.0, 0.0, 1.0)
+    p = correlated_product(a, custom(fn, "increasing"))
+    assert p.is_nested
+    for i in range(a.k + 1):
+        want = dense_range(g, a.los[i], a.his[i], n=20001)
+        assert p.los[i] == pytest.approx(want[0], abs=1e-7)
+        assert p.his[i] == pytest.approx(want[1], abs=1e-7)
+
+
+def test_correlated_sum_keeps_every_extremum_of_the_support():
+    # x + f(x) = 0.001 x sin(40 x) has about 127 local extrema on [0, 10];
+    # the narrow levels near the core need the small ones near x = 1
+    f = custom(lambda x: -x + 0.001 * x * math.sin(40.0 * x), "decreasing")
+    a = triangular(0.0, 1.0, 10.0)
+    s = correlated_sum(a, f)
+    assert s.is_nested
+    for i in range(a.k + 1):
+        want = dense_range(lambda x: 0.001 * x * np.sin(40.0 * x), a.los[i], a.his[i], n=50001)
+        assert s.los[i] == pytest.approx(want[0], abs=1e-6)
+        assert s.his[i] == pytest.approx(want[1], abs=1e-6)
+
+
+# Strictly monotone pieces for random compositions: name, function, and
+# whether it may be applied to the current image [lo, hi].  The limits keep
+# every piece strictly monotone in floating point (exp of a very negative
+# image plus an offset, or atan of a huge one, would round to a constant).
+_PIECES = {
+    "exp": (np.exp, lambda lo, hi: -10.0 <= lo and hi <= 3.0),
+    "log": (np.log, lambda lo, hi: lo > 0.05),
+    "cubic": (lambda x: x**3 + x, lambda lo, hi: max(-lo, hi) <= 5.0),
+    "atan": (np.arctan, lambda lo, hi: max(-lo, hi) <= 50.0),
+}
+
+
+@st.composite
+def monotone_compositions(draw):
+    """A triangular operand and a strictly monotone composition defined on
+    its support, with the composition's direction."""
+    left = draw(st.floats(-3.0, 3.0))
+    gaps = draw(st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0)))
+    a = triangular(left, left + gaps[0], left + gaps[0] + gaps[1], grid=20)
+    fns, lo, hi, increasing = [], a.los[0], a.his[0], True
+    for name in draw(st.lists(st.sampled_from(["affine", *_PIECES]), min_size=1, max_size=4)):
+        if name == "affine":
+            c = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            d = draw(st.floats(-3.0, 3.0))
+            fn = lambda x, c=c, d=d: c * x + d
+            increasing = increasing == (c > 0)
+        else:
+            fn, allowed = _PIECES[name]
+            if not allowed(lo, hi):
+                continue
+        fns.append(fn)
+        lo, hi = sorted((fn(lo), fn(hi)))
+
+    def f(x):
+        for fn in fns:
+            x = fn(x)
+        return x
+
+    return a, f, "increasing" if increasing else "decreasing"
+
+
+@settings(max_examples=30, deadline=None)
+@given(monotone_compositions())
+def test_numeric_engine_on_random_monotone_compositions(case):
+    a, fn, direction = case
+    f = custom(fn, direction)
+    b = induced_number(a, f)
+    for op, std, g in (
+        (correlated_sum, standard_sum(a, b), lambda x: x + fn(x)),
+        (correlated_product, standard_product(a, b), lambda x: x * fn(x)),
+    ):
+        res = op(a, f)
+        assert res.is_nested
+        tol = 1e-9 * (1.0 + np.maximum(np.abs(std.los), np.abs(std.his)))
+        assert np.all(res.los >= std.los - tol)
+        assert np.all(res.his <= std.his + tol)
+        assert_levels_match_scan(res, a, g)
 
 
 def test_correlated_numeric_matches_analytic(rng):

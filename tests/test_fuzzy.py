@@ -122,6 +122,13 @@ def test_constructor_repairs_tiny_violations():
     assert a.los[2] >= a.los[1]
 
 
+def test_constructor_repairs_crossing_below_an_earlier_lower_end():
+    # the crossed core's midpoint 5e-14 lies below the level before it
+    a = from_levels([[0.0, 1.0], [1e-13, 0.5], [1e-13, 0.0]])
+    assert a.is_nested
+    assert a.los[1] == a.los[2] == a.his[2] == 5e-14
+
+
 def test_constructor_rejects_crossed_endpoints():
     with pytest.raises(ValueError):
         FuzzyNumber(np.array([0.0, 2.0]), np.array([3.0, 1.0]))
