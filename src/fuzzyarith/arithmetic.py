@@ -41,18 +41,19 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 class RangeMethod:
     """How to compute the range of a function over the levels of a family.
 
-    ``analytic`` uses exact critical points and is only available for the
-    profile shapes defined below.  ``numeric`` evaluates the function at
-    ``samples`` equispaced points across the support (the widest level),
-    once for all levels, and sharpens every local minimum and maximum of
-    that scan with a golden-section search until its bracket is narrower
-    than ``refine_tol``.  Each level's range is then the extremes of the
-    values at its two endpoints and of the refined values that lie inside
-    it.  The cost is one scan, 2(K+1) endpoint evaluations and one
-    refinement per local extremum.  Extrema closer together than the scan
-    step, support width / (samples - 1), can be missed.  The reported ends
-    are values the function takes inside the level, and the levels are
-    exactly nested.
+    Both modes run one engine: each level's range comes from the values
+    at its two endpoints and from the function's interior extrema.
+    ``analytic`` takes the extrema the profile shapes below state, with
+    no scan; ``samples`` and ``refine_tol`` are then unused.  ``numeric``
+    evaluates the function at ``samples`` equispaced points across the
+    support (the widest level), once for all levels, and sharpens every
+    local minimum and maximum of that scan with a golden-section search
+    until its bracket is narrower than ``refine_tol``.  The cost is one
+    scan, 2(K+1) endpoint evaluations and one refinement per local
+    extremum.  Extrema closer together than the scan step, support
+    width / (samples - 1), can be missed.  The reported ends are values
+    the function takes inside the level, and the levels are exactly
+    nested.
     """
 
     mode: str = "numeric"
@@ -71,7 +72,9 @@ class RangeMethod:
 _ANALYTIC = RangeMethod(mode="analytic")
 
 
-# -- profile shapes with exact ranges ------------------------------------------
+# -- profile shapes with stated extrema -----------------------------------------
+# Each takes arrays, and extrema() returns its interior minima and maxima
+# as two tuples of (x, g(x)) pairs.
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,8 @@ class Affine:
     def __call__(self, x):
         return self.c1 * x + self.c0
 
-    def bounds_arrays(self, los, his):
-        a = self.c1 * los + self.c0
-        b = self.c1 * his + self.c0
-        return (a, b) if self.c1 >= 0 else (b, a)
-
-    def bounds_on(self, iv: Interval) -> Interval:
-        a, b = self(iv.lo), self(iv.hi)
-        return Interval(a, b) if self.c1 >= 0 else Interval(b, a)
+    def extrema(self):
+        return (), ()
 
 
 @dataclass(frozen=True)
@@ -104,26 +101,12 @@ class Quadratic:
     def __call__(self, x):
         return self.a * x * x + self.b * x
 
-    def bounds_arrays(self, los, his):
-        v1 = self(los)
-        v2 = self(his)
-        lo = np.minimum(v1, v2)
-        hi = np.maximum(v1, v2)
+    def extrema(self):
         if self.a == 0.0:
-            return lo, hi
+            return (), ()
         xv = -self.b / (2.0 * self.a)
-        inside = (los <= xv) & (xv <= his)
-        if inside.any():
-            vv = self(xv)
-            if self.a > 0:
-                lo = np.where(inside, vv, lo)
-            else:
-                hi = np.where(inside, vv, hi)
-        return lo, hi
-
-    def bounds_on(self, iv: Interval) -> Interval:
-        lo, hi = self.bounds_arrays(np.array([iv.lo]), np.array([iv.hi]))
-        return Interval(float(lo[0]), float(hi[0]))
+        vertex = ((xv, self(xv)),)
+        return (vertex, ()) if self.a > 0 else ((), vertex)
 
 
 @dataclass(frozen=True)
@@ -141,24 +124,11 @@ class ReciprocalSum:
     def __call__(self, x):
         return x + self.q / x + self.r
 
-    def bounds_arrays(self, los, his):
-        v1 = self(los)
-        v2 = self(his)
-        lo = np.minimum(v1, v2)
-        hi = np.maximum(v1, v2)
-        if self.q > 0:
-            s = math.sqrt(self.q)
-            pos = (los <= s) & (s <= his)
-            neg = (los <= -s) & (-s <= his)
-            if pos.any():
-                lo = np.where(pos, 2.0 * s + self.r, lo)
-            if neg.any():
-                hi = np.where(neg, -2.0 * s + self.r, hi)
-        return lo, hi
-
-    def bounds_on(self, iv: Interval) -> Interval:
-        lo, hi = self.bounds_arrays(np.array([iv.lo]), np.array([iv.hi]))
-        return Interval(float(lo[0]), float(hi[0]))
+    def extrema(self):
+        if self.q <= 0:
+            return (), ()
+        s = math.sqrt(self.q)
+        return ((s, 2.0 * s + self.r),), ((-s, -2.0 * s + self.r),)
 
 
 # -- range search ---------------------------------------------------------------
@@ -167,7 +137,7 @@ class ReciprocalSum:
 def _values(g, xs: np.ndarray) -> np.ndarray:
     """g at every point of xs.  The profiles above take arrays; any other
     callable is only promised to take one float at a time."""
-    if isinstance(g, (Affine, Quadratic, ReciprocalSum)):
+    if hasattr(g, "extrema"):
         return np.asarray(g(xs), dtype=float)
     return np.fromiter((g(float(x)) for x in xs), float, xs.size)
 
@@ -239,22 +209,42 @@ def _refined_minima(g, xs: np.ndarray, ys: np.ndarray, tol: float):
     return np.array(found).T
 
 
+def _resolve(g, method: RangeMethod | None) -> RangeMethod:
+    """The method that ranges g: analytic by default when g states its
+    extrema, numeric otherwise."""
+    stated = hasattr(g, "extrema")
+    if method is None:
+        return _ANALYTIC if stated else RangeMethod()
+    if method.mode == "analytic" and not stated:
+        raise ValueError(
+            "analytic range requested but the function states no extrema; "
+            "use a numeric RangeMethod")
+    return method
+
+
 def _range_levels(g, los: np.ndarray, his: np.ndarray,
                   method: RangeMethod) -> tuple[np.ndarray, np.ndarray]:
     """Range of g over every level [los[i], his[i]] of a nested family.
 
-    One scan of the support [los[0], his[0]] finds the local extrema of g,
-    each refined once.  The levels holding a point x form a prefix 0..j(x)
-    of the family, so each refined value is folded into slot j(x) together
-    with the values at the level's endpoints, and a reverse running min/max
-    hands every level the extremes over itself and the levels inside it.
-    Every reported value is taken by g inside its level, and the result is
-    exactly nested.  Time and memory are O(samples + K).
+    Each level starts from the extremes of g at its two endpoints.  In
+    analytic mode g states its interior extrema; a stated value is exact,
+    so it replaces that end on every level holding its argument (a prefix
+    of the family).  In numeric mode one scan of the support
+    [los[0], his[0]] finds the local extrema of g, each refined once; each
+    refined value is folded into the last level j(x) holding it, and a
+    reverse running min/max hands every level the extremes over itself
+    and the levels inside it.  Every reported value is taken by g inside
+    its level.  Time and memory are O(samples + K).
     """
     at_lo = _values(g, los)
     at_hi = _values(g, his)
     lows = np.minimum(at_lo, at_hi)
     highs = np.maximum(at_lo, at_hi)
+    if method.mode == "analytic":
+        for slot, stated in zip((lows, highs), g.extrema()):
+            for x, v in stated:
+                slot[(los <= x) & (x <= his)] = v
+        return lows, highs
     if his[0] > los[0]:
         xs = np.linspace(los[0], his[0], method.samples)
         ys = _values(g, xs)
@@ -275,26 +265,17 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
     """Closure of {g(x) : x in iv} as an interval.
 
     ``g`` is any real function of one variable.  With method=None a profile
-    object carrying exact bounds (Affine, Quadratic, ReciprocalSum) is ranged
-    analytically and anything else numerically; an explicit analytic request
-    on a plain callable is an error.
+    that states its extrema (Affine, Quadratic, ReciprocalSum) is ranged
+    analytically and anything else numerically; an explicit analytic
+    request on a plain callable is an error.
 
-    The numeric range is the one-level case of the correlated engine (see
-    RangeMethod): a scan of iv with ``method.samples`` points, one
-    golden-section refinement per local extremum of the scan, and the
-    values at the two ends, so its resolution is iv.width / (samples - 1).
-    Both ends of the result are values g takes on iv.
+    This is the one-level case of the correlated engine (see RangeMethod):
+    the values at the two ends plus the stated extrema inside iv, or plus
+    the refined extrema of a ``method.samples``-point scan of iv, whose
+    resolution is iv.width / (samples - 1).  Both ends of the result are
+    values g takes on iv.
     """
-    analytic = getattr(g, "bounds_on", None)
-    if method is None:
-        method = _ANALYTIC if analytic is not None else RangeMethod()
-    if method.mode == "analytic":
-        if analytic is None:
-            raise ValueError(
-                "analytic range requested but the function has no closed-form "
-                "critical points; use a numeric RangeMethod")
-        return analytic(iv)
-    lo, hi = _range_levels(g, np.array([iv.lo]), np.array([iv.hi]), method)
+    lo, hi = _range_levels(g, np.array([iv.lo]), np.array([iv.hi]), _resolve(g, method))
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -346,21 +327,10 @@ def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
     f.require_on(a.support)
     _validate_custom(f, a.support)
-    profile = _profile(f, op)
-    if method is None:
-        method = _ANALYTIC if profile is not None else RangeMethod()
-    if method.mode == "analytic":
-        if profile is None:
-            raise ValueError(
-                "analytic range is unavailable for custom correlation functions")
-        lo, hi = profile.bounds_arrays(a.los, a.his)
-        return FuzzyNumber(lo, hi)
-    if profile is not None:
-        g = profile
-    elif op == "sum":
-        g = lambda x: x + f(x)
-    else:
-        g = lambda x: x * f(x)
+    g = _profile(f, op)
+    method = _resolve(g, method)
+    if g is None:
+        g = (lambda x: x + f(x)) if op == "sum" else (lambda x: x * f(x))
     return FuzzyNumber(*_range_levels(g, a.los, a.his, method))
 
 

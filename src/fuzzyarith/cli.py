@@ -27,6 +27,8 @@ import re
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arithmetic import (closed_form, correlated_product, correlated_sum,
                          standard_product, standard_sum)
 from .correlation import (CorrelationFunction, hyperbolic, identity,
@@ -233,7 +235,10 @@ def _make_correlation(node: CorrelationSpec) -> CorrelationFunction:
 
 
 def evaluate(node: Node, grid: AlphaGrid) -> FuzzyNumber:
-    """Evaluate a tree to a fuzzy number on the given grid."""
+    """Evaluate a tree to a fuzzy number on the given grid.
+
+    An error raised while applying an operator is prefixed with its name.
+    """
     if isinstance(node, FuzzyLiteral):
         return _make_fuzzy(node, grid)
     if isinstance(node, CorrelationSpec):
@@ -241,13 +246,16 @@ def evaluate(node: Node, grid: AlphaGrid) -> FuzzyNumber:
     a = _make_fuzzy(node.operands[0], grid)
     if node.name in ("std_sum", "std_prod"):
         b = _make_fuzzy(node.operands[1], grid)
-        return standard_sum(a, b) if node.name == "std_sum" else standard_product(a, b)
-    f = _make_correlation(node.operands[1])
-    if node.name == "corr_sum":
-        return correlated_sum(a, f)
-    if node.name == "corr_prod":
-        return correlated_product(a, f)
-    return induced_number(a, f)
+        op = standard_sum if node.name == "std_sum" else standard_product
+    else:
+        b = _make_correlation(node.operands[1])
+        op = {"corr_sum": correlated_sum, "corr_prod": correlated_product,
+              "induced": induced_number}[node.name]
+    try:
+        return op(a, b)
+    except ValueError as e:
+        e.args = (f"{node.name}: {e}",)
+        raise
 
 
 # -- commands ----------------------------------------------------------------------
@@ -397,11 +405,14 @@ def main(argv=None) -> int:
         print(f"fuzzyarith: {e}", file=sys.stderr)
         return 1
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_table(args)
+        # Overflow and invalid operations surface as the non-finite level
+        # errors below, not as raw numpy warnings.
+        with np.errstate(all="ignore"):
+            if args.command == "eval":
+                return _cmd_eval(args)
+            if args.command == "check":
+                return _cmd_check(args)
+            return _cmd_table(args)
     except DomainError as e:
         print(f"fuzzyarith: domain error: {e}", file=sys.stderr)
         return 2

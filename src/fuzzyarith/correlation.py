@@ -192,14 +192,21 @@ def check_monotone(f: CorrelationFunction, iv: Interval,
 
     Returns the detected direction.  Raises MonotonicityError when the
     sampled values are not strictly ordered, and DomainError when the
-    interval leaves the function's domain.
+    interval leaves the function's domain or a sampled value is not finite.
     """
     if samples < 3:
         raise ValueError(f"monotonicity check needs at least 3 samples, got {samples}")
     f.require_on(iv)
     if iv.width == 0.0:
         return f.direction
-    ys = f.values(np.linspace(iv.lo, iv.hi, samples))
+    xs = np.linspace(iv.lo, iv.hi, samples)
+    ys = f.values(xs)
+    bad = ~np.isfinite(ys)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"{f!r} gives {ys[i]} at x = {xs[i]:.12g}, the first non-finite "
+            f"sample on [{iv.lo:g}, {iv.hi:g}]")
     d = np.diff(ys)
     if np.all(d > 0):
         return INCREASING

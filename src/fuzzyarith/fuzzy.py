@@ -64,7 +64,9 @@ class FuzzyNumber:
         if los.size < 2:
             raise ValueError("need at least two levels (grid size K >= 1)")
         if not (np.isfinite(los).all() and np.isfinite(his).all()):
-            raise ValueError("level endpoints must be finite")
+            i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
+            raise ValueError(f"level endpoints must be finite; the level at alpha "
+                             f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
         if np.any(los > his + NEST_TOL):
             raise ValueError("level lower endpoint exceeds upper endpoint")
         if np.any(np.diff(los) < -NEST_TOL) or np.any(np.diff(his) > NEST_TOL):

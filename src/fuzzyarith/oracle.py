@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, RangeMethod, LevelResult,
+from .arithmetic import (BINARY_OPS, RangeMethod, LevelResult, _profile, _resolve,
                          correlated_product, correlated_sum)
 from .correlation import CorrelationFunction, _validate_custom
 from .fuzzy import AlphaGrid, FuzzyNumber
@@ -215,8 +215,7 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
         delta = _auto_delta(joint)
     approx = levels_from_membership(extend(joint, op), a.grid, delta)
 
-    method_name = "numeric" if (method is not None and method.mode == "numeric") else (
-        "analytic" if _has_analytic(f) else "numeric")
+    method_name = _resolve(_profile(f, op), method).mode
     alphas = a.grid.alphas()
     rows = []
     for i, alpha in enumerate(alphas):
@@ -234,7 +233,3 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     minkowski = _minkowski_sum_reading(a, f) if op == "sum" else None
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, levels=rows, minkowski=minkowski)
-
-
-def _has_analytic(f: CorrelationFunction) -> bool:
-    return f.linear_coeffs is not None or f.hyperbolic_coeffs is not None

@@ -49,28 +49,28 @@ def test_range_method_validation():
 def test_affine_profile_bounds():
     g = Affine(3.0, 1.0)
     assert g(2.0) == 7.0
-    assert g.bounds_on(Interval(1.0, 3.0)) == Interval(4.0, 10.0)
-    assert Affine(-2.0, 0.0).bounds_on(Interval(1.0, 3.0)) == Interval(-6.0, -2.0)
-    assert Affine(0.0, 5.0).bounds_on(Interval(-9.0, 9.0)) == Interval(5.0, 5.0)
+    assert range_over_interval(g, Interval(1.0, 3.0)) == Interval(4.0, 10.0)
+    assert range_over_interval(Affine(-2.0, 0.0), Interval(1.0, 3.0)) == Interval(-6.0, -2.0)
+    assert range_over_interval(Affine(0.0, 5.0), Interval(-9.0, 9.0)) == Interval(5.0, 5.0)
 
 
 def test_quadratic_profile_bounds_interior_vertex():
     g = Quadratic(1.0, 0.0)  # x^2, vertex at 0
-    assert g.bounds_on(Interval(-2.0, 1.0)) == Interval(0.0, 4.0)
-    assert g.bounds_on(Interval(1.0, 3.0)) == Interval(1.0, 9.0)
+    assert range_over_interval(g, Interval(-2.0, 1.0)) == Interval(0.0, 4.0)
+    assert range_over_interval(g, Interval(1.0, 3.0)) == Interval(1.0, 9.0)
     down = Quadratic(-1.0, 2.0)  # -x^2 + 2x, peak at 1
-    assert down.bounds_on(Interval(0.0, 3.0)) == Interval(-3.0, 1.0)
+    assert range_over_interval(down, Interval(0.0, 3.0)) == Interval(-3.0, 1.0)
 
 
 def test_reciprocal_sum_profile_bounds():
     g = ReciprocalSum(4.0, 0.0)  # x + 4/x, local min at 2
-    got = g.bounds_on(Interval(1.0, 3.0))
+    got = range_over_interval(g, Interval(1.0, 3.0))
     assert got.approx_equal(Interval(4.0, 5.0), tol=1e-12)
     # negative side: local max at -2
-    got = g.bounds_on(Interval(-3.0, -1.0))
+    got = range_over_interval(g, Interval(-3.0, -1.0))
     assert got.approx_equal(Interval(-5.0, -4.0), tol=1e-12)
     # q < 0 keeps the map monotone on each side
-    got = ReciprocalSum(-4.0, 1.0).bounds_on(Interval(1.0, 2.0))
+    got = range_over_interval(ReciprocalSum(-4.0, 1.0), Interval(1.0, 2.0))
     assert got.approx_equal(Interval(-2.0, 1.0), tol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_profiles_match_dense_scan(rng):
         ]
         for g in profiles:
             want_lo, want_hi = dense_range(g, lo, hi, n=20001)
-            got = g.bounds_on(Interval(lo, hi))
+            got = range_over_interval(g, Interval(lo, hi))
             assert got.lo == pytest.approx(want_lo, abs=1e-6)
             assert got.hi == pytest.approx(want_hi, abs=1e-6)
 
@@ -317,6 +317,76 @@ def test_numeric_engine_on_random_monotone_compositions(case):
         assert np.all(res.los >= std.los - tol)
         assert np.all(res.his <= std.his + tol)
         assert_levels_match_scan(res, a, g)
+
+
+def _around(x, h, grid=30):
+    """Triangular number on [x - h, x + 2h] peaking at x + h/2: exactly the
+    levels with alpha <= 2/3 hold x."""
+    return triangular(x - h, x + 0.5 * h, x + 2.0 * h, grid=grid)
+
+
+def test_stated_extrema_replace_the_end_on_every_level_holding_them():
+    # In the families with h <= 3e-8 some endpoint values round past the
+    # stated value, so folding it in with a min or max would lose it.
+    for q, r, h in ((2.0, -3.0, 1.0), (5.0, 3.0, 1e-9), (-0.7, 1.3, 1.0), (-0.7, 1.3, 1e-10)):
+        xv = -r / (2.0 * q)
+        a = _around(xv, h)
+        res = correlated_product(a, linear(q, r))
+        held = (a.los <= xv) & (xv <= a.his)
+        assert 0 < held.sum() < a.k + 1
+        ends = res.los if q > 0 else res.his
+        assert np.all(ends[held] == Quadratic(q, r)(xv))
+    for q, r, h in ((4.0, 0.0, 0.5), (2.0, -1.5, 0.3), (2.0, 0.0, 3e-8)):
+        s = math.sqrt(q)
+        for x, value in ((s, 2.0 * s + r), (-s, -2.0 * s + r)):
+            a = _around(x, h)
+            res = correlated_sum(a, hyperbolic(q, r))
+            held = (a.los <= x) & (x <= a.his)
+            assert 0 < held.sum() < a.k + 1
+            ends = res.los if x > 0 else res.his
+            assert np.all(ends[held] == value)
+
+
+@st.composite
+def hugged_stationary_points(draw):
+    """A linear or hyperbolic correlation and a triangular operand whose
+    support lies within 1e-12 to 1 of the stationary point of x * f(x)
+    (the vertex -r/2q) or of x + f(x) (+-sqrt(q)), holding it or not."""
+    grid = draw(st.sampled_from([1, 7, 100]))
+    r = draw(st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        q = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        f, x0, reach = linear(q, r), -r / (2.0 * q), 1.0
+    else:
+        q = draw(st.floats(0.25, 100.0))
+        x0 = math.sqrt(q) * draw(st.sampled_from([-1.0, 1.0]))
+        f, reach = hyperbolic(q, r), 0.45 * abs(x0)  # keeps the support off zero
+    d1, d2 = (min(reach, 10.0 ** draw(st.floats(-12.0, 0.0))) for _ in range(2))
+    lo, hi = draw(st.sampled_from([(x0 - d1, x0 + d2),
+                                   (x0 - d1 - d2, x0 - d1),
+                                   (x0 + d1, x0 + d1 + d2)]))
+    peak = min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
+    return triangular(lo, peak, hi, grid=grid), f
+
+
+@settings(max_examples=40, deadline=None)
+@given(hugged_stationary_points())
+def test_stated_extrema_near_stationary_points(case):
+    a, f = case
+    b = induced_number(a, f)
+    for op, std, g in (
+        (correlated_sum, standard_sum(a, b), lambda x: x + f(x)),
+        (correlated_product, standard_product(a, b), lambda x: x * f(x)),
+    ):
+        res = op(a, f)
+        assert res.is_nested
+        tol = 1e-9 * (1.0 + np.maximum(np.abs(std.los), np.abs(std.his)))
+        assert np.all(res.los >= std.los - tol)
+        assert np.all(res.his <= std.his + tol)
+        assert_levels_match_scan(res, a, g)
+        num = op(a, f, RangeMethod())
+        assert np.all(np.abs(res.los - num.los) <= tol)
+        assert np.all(np.abs(res.his - num.his) <= tol)
 
 
 def test_correlated_numeric_matches_analytic(rng):

@@ -210,3 +210,16 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["alpha,lo,hi", "1,2,2"]
+
+
+def test_overflow_names_operator_and_level_without_numpy_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzyarith", "eval", "-e",
+         "std_prod(tri(1e200,1e200,1e200), tri(1e200,1e200,1e200))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "std_prod" in lines[0]
+    assert "alpha 0 " in lines[0]

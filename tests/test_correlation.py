@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fuzzyarith import (
     Interval,
     MonotonicityError,
     check_monotone,
+    correlated_sum,
     correlation_from_json,
     custom,
     hyperbolic,
@@ -91,6 +94,21 @@ def test_check_monotone_detects_direction():
         check_monotone(custom(lambda x: x**2, "increasing"), Interval(-1.0, 1.0))
     with pytest.raises(ValueError):
         check_monotone(identity(), Interval(0.0, 1.0), samples=2)
+
+
+def test_check_monotone_names_nan_value_and_first_sample():
+    # samples on [1, 3] are 1 + i/128; the first one above 2.5 is 2.5078125
+    f = custom(lambda x: float("nan") if x > 2.5 else x, "increasing")
+    with pytest.raises(DomainError, match=r"nan at x = 2\.5078125\b"):
+        check_monotone(f, Interval(1.0, 3.0))
+    with pytest.raises(DomainError, match="non-finite"):
+        correlated_sum(triangular(1.0, 2.0, 3.0), f)
+
+
+def test_check_monotone_names_inf_value_and_first_sample():
+    f = custom(lambda x: -math.inf if x < -1.0 else -x, "decreasing")
+    with pytest.raises(DomainError, match=r"-inf at x = -2\b"):
+        check_monotone(f, Interval(-2.0, 2.0))
 
 
 def test_check_monotone_degenerate_interval():
