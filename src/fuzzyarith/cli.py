@@ -14,7 +14,8 @@ operators ``std_sum``, ``std_prod``, ``corr_sum``, ``corr_prod``,
 ``induced``.  Operator arguments must be literals or correlation specs,
 operators do not nest.
 
-Exit codes: 0 success, 1 parse or validation error, 2 domain error
+Exit codes: 0 success, 1 parse or validation error (including a ``--grid``
+above MAX_GRID_K or an ``--oracle-n`` above MAX_ORACLE_N), 2 domain error
 (a reciprocal shape over a support containing zero), 3 oracle tolerance
 exceeded in ``check``.
 """
@@ -25,6 +26,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,11 @@ from .errors import DomainError
 from .fuzzy import (DEFAULT_GRID_K, AlphaGrid, FuzzyNumber, crisp, triangular,
                     trapezoidal)
 from .oracle import DEFAULT_SAMPLES, oracle_check
+
+# Caps on --grid and --oracle-n, checked before any array is built: memory
+# grows as K + n; an oracle check at both caps peaks at about 210 MB RSS.
+MAX_GRID_K = 100_000
+MAX_ORACLE_N = 2_000_001
 
 
 class ParseError(ValueError):
@@ -226,12 +233,18 @@ def _make_fuzzy(node: FuzzyLiteral, grid: AlphaGrid) -> FuzzyNumber:
 
 
 def _make_correlation(node: CorrelationSpec) -> CorrelationFunction:
-    if node.family == "linear":
-        return linear(*node.args)
-    if node.family == "hyperbolic":
-        return hyperbolic(*node.args)
-    return {"identity": identity, "negation": negation,
-            "reciprocal": reciprocal}[node.family]()
+    return {"linear": linear, "hyperbolic": hyperbolic, "identity": identity,
+            "negation": negation, "reciprocal": reciprocal}[node.family](*node.args)
+
+
+@contextmanager
+def _named(operator: str):
+    """Prefix a ValueError raised inside with the operator's name."""
+    try:
+        yield
+    except ValueError as e:
+        e.args = (f"{operator}: {e}",)
+        raise
 
 
 def evaluate(node: Node, grid: AlphaGrid) -> FuzzyNumber:
@@ -251,11 +264,8 @@ def evaluate(node: Node, grid: AlphaGrid) -> FuzzyNumber:
         b = _make_correlation(node.operands[1])
         op = {"corr_sum": correlated_sum, "corr_prod": correlated_product,
               "induced": induced_number}[node.name]
-    try:
+    with _named(node.name):
         return op(a, b)
-    except ValueError as e:
-        e.args = (f"{node.name}: {e}",)
-        raise
 
 
 # -- commands ----------------------------------------------------------------------
@@ -339,19 +349,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _correlated_parts(node: Node, what: str):
+def _correlated_parts(args, what: str):
+    """Grid, operator name, op ("sum"/"product"), operand and correlation."""
+    grid = AlphaGrid(args.grid)
+    node = parse_expression(args.expr)
     if not isinstance(node, Operation) or node.name not in ("corr_sum", "corr_prod"):
         raise ValueError(f"{what} needs a corr_sum or corr_prod expression")
     op = "sum" if node.name == "corr_sum" else "product"
-    return node.operands[0], node.operands[1], op
+    return (grid, node.name, op, _make_fuzzy(node.operands[0], grid),
+            _make_correlation(node.operands[1]))
 
 
 def _cmd_check(args) -> int:
-    grid = AlphaGrid(args.grid)
-    lit, spec, op = _correlated_parts(parse_expression(args.expr), "check")
-    a = _make_fuzzy(lit, grid)
-    f = _make_correlation(spec)
-    report = oracle_check(a, f, op, n=args.oracle_n)
+    _, name, op, a, f = _correlated_parts(args, "check")
+    with _named(name):
+        report = oracle_check(a, f, op, n=args.oracle_n)
     body = report.to_json()
     for row in body["levels"]:
         print(json.dumps(row))
@@ -370,23 +382,17 @@ _CLOSED_FORM_FOR = {
 
 
 def _cmd_table(args) -> int:
-    grid = AlphaGrid(args.grid)
-    lit, spec, op = _correlated_parts(parse_expression(args.expr), "table")
-    a = _make_fuzzy(lit, grid)
-    f = _make_correlation(spec)
-    engine = correlated_sum(a, f) if op == "sum" else correlated_product(a, f)
+    grid, name, op, a, f = _correlated_parts(args, "table")
+    with _named(name):
+        engine = correlated_sum(a, f) if op == "sum" else correlated_product(a, f)
 
-    closed = None
-    qr = f.linear_coeffs
-    shape = "linear" if qr is not None else "hyperbolic"
-    if qr is None:
-        qr = f.hyperbolic_coeffs
-    kind = _CLOSED_FORM_FOR.get((shape, op))
-    if kind is not None:
-        closed = closed_form(kind, a, *qr)
+        shape, qr = (("linear", f.linear_coeffs) if f.linear_coeffs is not None
+                     else ("hyperbolic", f.hyperbolic_coeffs))
+        kind = _CLOSED_FORM_FOR.get((shape, op))
+        closed = closed_form(kind, a, *qr) if kind is not None else None
 
-    b = induced_number(a, f)
-    standard = standard_sum(a, b) if op == "sum" else standard_product(a, b)
+        b = induced_number(a, f)
+        standard = standard_sum(a, b) if op == "sum" else standard_product(a, b)
 
     alphas = _parse_alphas(args.alphas, grid)
     print("alpha\tengine\tclosed_form\tstandard")
@@ -405,6 +411,10 @@ def main(argv=None) -> int:
         print(f"fuzzyarith: {e}", file=sys.stderr)
         return 1
     try:
+        for flag, value, cap in (("--grid", args.grid, MAX_GRID_K),
+                                 ("--oracle-n", getattr(args, "oracle_n", 0), MAX_ORACLE_N)):
+            if value > cap:
+                raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
         # Overflow and invalid operations surface as the non-finite level
         # errors below, not as raw numpy warnings.
         with np.errstate(all="ignore"):

@@ -11,6 +11,7 @@ oracle usable as an independent check of the range engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +71,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction,
     sup = a.support
     f.require_on(sup)
     _validate_custom(f, sup)
-    if sup.width == 0.0:
-        xs = np.array([sup.lo])
-    else:
-        xs = np.linspace(sup.lo, sup.hi, n)
+    xs = np.array([sup.lo]) if sup.width == 0.0 else np.linspace(sup.lo, sup.hi, n)
     mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
     ys = f.values(xs)
     return JointDistribution(xs=xs, mu=mu, ys=ys)
@@ -90,11 +88,7 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     order = np.argsort(zs, kind="stable")
     zs = zs[order]
     mus = joint.mu[order]
-    starts = np.empty(zs.size, dtype=bool)
-    starts[0] = True
-    if zs.size > 1:
-        starts[1:] = np.diff(zs) > MERGE_WINDOW
-    first = np.flatnonzero(starts)
+    first = np.flatnonzero(np.concatenate(([True], np.diff(zs) > MERGE_WINDOW)))
     return SampledMembership(zs=zs[first], mus=np.maximum.reduceat(mus, first))
 
 
@@ -105,7 +99,8 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
     Level alpha collects the z samples with membership >= alpha - delta;
     delta absorbs the quantization of membership between neighbouring
     samples (default 1/(2K)).  The thresholds tighten with alpha, so the
-    reconstructed levels nest by construction.
+    levels nest, and with samples sorted by falling membership each level
+    set is a prefix: O(n log n + K) time and O(n + K) memory in all.
     """
     grid = AlphaGrid.coerce(grid if grid is not None else AlphaGrid())
     if delta is None:
@@ -117,47 +112,55 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    thresholds = grid.alphas() - delta
-    mask = s.mus[None, :] >= thresholds[:, None]
-    los = np.where(mask, s.zs[None, :], np.inf).min(axis=1)
-    his = np.where(mask, s.zs[None, :], -np.inf).max(axis=1)
-    if not np.isfinite(los).all():
+    order = np.argsort(-s.mus, kind="stable")
+    counts = np.searchsorted(-s.mus[order], -(grid.alphas() - delta), side="right")
+    if counts.min() == 0:
         raise ValueError("a level set came out empty; inconsistent membership input")
-    return FuzzyNumber(los, his)
+    zs = s.zs[order]
+    return FuzzyNumber(np.minimum.accumulate(zs)[counts - 1],
+                       np.maximum.accumulate(zs)[counts - 1])
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Engine-versus-oracle comparison across one full level family."""
+    """Engine-versus-oracle comparison across one full level family, as
+    arrays; ``levels`` and ``minkowski`` are built on first access."""
 
     op: str
     n: int
     tolerance: float
     max_hausdorff: float
     passed: bool
-    levels: list[LevelResult]
-    minkowski: list[Interval] | None = None
+    engine: FuzzyNumber
+    oracle: FuzzyNumber
+    hausdorff: np.ndarray
+    method: str
+    termwise: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _columns(self, *extra: np.ndarray) -> zip:
+        e, o = self.engine, self.oracle
+        cols = (e.grid.alphas(), e.los, e.his, o.los, o.his, self.hausdorff, *extra)
+        return zip(*(c.tolist() for c in cols))
+
+    @cached_property
+    def levels(self) -> list[LevelResult]:
+        subset = (self.engine.los >= self.oracle.los) & (self.engine.his <= self.oracle.his)
+        return [LevelResult(alpha=alpha, left=Interval(elo, ehi), right=Interval(olo, ohi),
+                            hausdorff=h, subset=sub, equal=h <= 0.0, method=self.method)
+                for alpha, elo, ehi, olo, ohi, h, sub in self._columns(subset)]
+
+    @cached_property
+    def minkowski(self) -> list[Interval] | None:
+        if self.termwise is None:
+            return None
+        return [Interval(lo, hi) for lo, hi in zip(*(t.tolist() for t in self.termwise))]
 
     def to_json(self) -> dict:
-        rows = []
-        for i, lr in enumerate(self.levels):
-            row = {
-                "alpha": lr.alpha,
-                "engine": [lr.left.lo, lr.left.hi],
-                "oracle": [lr.right.lo, lr.right.hi],
-                "hausdorff": lr.hausdorff,
-            }
-            if self.minkowski is not None:
-                row["minkowski"] = [self.minkowski[i].lo, self.minkowski[i].hi]
-            rows.append(row)
-        return {
-            "op": self.op,
-            "n": self.n,
-            "tolerance": self.tolerance,
-            "max_hausdorff": self.max_hausdorff,
-            "passed": self.passed,
-            "levels": rows,
-        }
+        extra = self.termwise or ()
+        rows = [{"alpha": r[0], "engine": list(r[1:3]), "oracle": list(r[3:5]), "hausdorff": r[5]}
+                | ({"minkowski": list(r[6:])} if extra else {}) for r in self._columns(*extra)]
+        return {"op": self.op, "n": self.n, "tolerance": self.tolerance,
+                "max_hausdorff": self.max_hausdorff, "passed": self.passed, "levels": rows}
 
 
 def _auto_delta(joint: JointDistribution) -> float:
@@ -175,8 +178,9 @@ def _auto_delta(joint: JointDistribution) -> float:
     return max(0.5 * quantum, short + MERGE_WINDOW, MERGE_WINDOW)
 
 
-def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> list[Interval] | None:
-    """The per-level interval sum [A]^alpha + q*{1/x} + r for reciprocal shapes.
+def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> tuple | None:
+    """The (lower, upper) ends of the level sums [A]^alpha + q*{1/x} + r for
+    reciprocal shapes.
 
     This is the value a termwise interval evaluation of x + q/x + r would
     give.  It can strictly contain the true correlated sum, which is why it
@@ -186,12 +190,8 @@ def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> list[Inter
     if qr is None:
         return None
     q, r = qr
-    out = []
-    for i in range(a.k + 1):
-        lv = a.level(i)
-        t1, t2 = q / lv.hi, q / lv.lo
-        out.append(Interval(lv.lo + min(t1, t2) + r, lv.hi + max(t1, t2) + r))
-    return out
+    t1, t2 = q / a.his, q / a.los
+    return a.los + np.minimum(t1, t2) + r, a.his + np.maximum(t1, t2) + r
 
 
 def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
@@ -214,22 +214,10 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     if delta is None:
         delta = _auto_delta(joint)
     approx = levels_from_membership(extend(joint, op), a.grid, delta)
-
-    method_name = _resolve(_profile(f, op), method).mode
-    alphas = a.grid.alphas()
-    rows = []
-    for i, alpha in enumerate(alphas):
-        li = engine.level(i)
-        ri = approx.level(i)
-        rows.append(LevelResult(
-            alpha=float(alpha), left=li, right=ri,
-            hausdorff=li.hausdorff(ri),
-            subset=ri.contains(li, 0.0),
-            equal=li.approx_equal(ri, 0.0),
-            method=method_name,
-        ))
-    max_h = max(r.hausdorff for r in rows)
+    h = np.maximum(np.abs(engine.los - approx.los), np.abs(engine.his - approx.his))
+    max_h = float(h.max())
     tolerance = 5.0 * a.support.width / n
-    minkowski = _minkowski_sum_reading(a, f) if op == "sum" else None
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
-                        passed=max_h <= tolerance, levels=rows, minkowski=minkowski)
+                        passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
+                        method=_resolve(_profile(f, op), method).mode,
+                        termwise=_minkowski_sum_reading(a, f) if op == "sum" else None)

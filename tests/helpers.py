@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fuzzyarith import FuzzyNumber, trapezoidal, triangular
+from fuzzyarith import AlphaGrid, FuzzyNumber, trapezoidal, triangular
 
 
 def random_shape(rng, lo=-10.0, hi=10.0, grid=100, min_gap=0.0):
@@ -46,3 +46,23 @@ def assert_levels_match_scan(res, a, g, n=2001):
         tol = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
         assert lo - step - tol <= res.los[i] <= lo + tol, i
         assert hi - tol <= res.his[i] <= hi + step + tol, i
+
+
+def dense_levels_from_membership(s, grid, delta):
+    """Level ends (los, his) rebuilt through a (K+1) x n membership mask, the
+    way ``levels_from_membership`` once did; raises its ValueErrors.
+    Reference only; memory grows as K * n."""
+    grid = AlphaGrid.coerce(grid)
+    if s.zs.size == 0:
+        raise ValueError("no samples to rebuild levels from")
+    top = float(s.mus.max())
+    if top < 1.0 - delta:
+        raise ValueError(
+            f"sampled membership peaks at {top:g}, below the level threshold "
+            f"{1.0 - delta:g}; sample more densely or widen delta")
+    mask = s.mus[None, :] >= (grid.alphas() - delta)[:, None]
+    los = np.where(mask, s.zs[None, :], np.inf).min(axis=1)
+    his = np.where(mask, s.zs[None, :], -np.inf).max(axis=1)
+    if not np.isfinite(los).all():
+        raise ValueError("a level set came out empty; inconsistent membership input")
+    return los, his

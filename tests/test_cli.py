@@ -1,10 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from fuzzyarith import cli
 from fuzzyarith.cli import (
+    MAX_GRID_K,
+    MAX_ORACLE_N,
     CorrelationSpec,
     FuzzyLiteral,
     Operation,
@@ -223,3 +230,74 @@ def test_overflow_names_operator_and_level_without_numpy_warnings():
     assert len(lines) == 1, proc.stderr
     assert "std_prod" in lines[0]
     assert "alpha 0 " in lines[0]
+
+
+@pytest.mark.parametrize("command", ["check", "table"])
+def test_domain_error_names_operator(command, capsys):
+    rc = main([command, "-e", "corr_sum(tri(-1,0,1), hyperbolic(4,0))"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "fuzzyarith: domain error: corr_sum: hyperbolic correlation is undefined "
+        "across zero, got interval [-1, 1]\n")
+
+
+class _Reached(ValueError):
+    pass
+
+
+def _stub(record):
+    def call(*args, **kwargs):
+        record.append((args, kwargs))
+        raise _Reached("stub reached")
+    return call
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "-e", "crisp(1)"],
+    ["table", "-e", "corr_sum(tri(1,2,3), identity)"],
+    ["check", "-e", "corr_sum(tri(1,2,3), identity)"],
+])
+def test_grid_cap_is_checked_before_any_array(argv, monkeypatch, capsys):
+    grids = []
+    monkeypatch.setattr(cli, "AlphaGrid", _stub(grids))
+    assert main(argv + ["--grid", str(MAX_GRID_K)]) == 1
+    assert grids == [((MAX_GRID_K,), {})]
+    assert capsys.readouterr().err == "fuzzyarith: stub reached\n"
+    assert main(argv + ["--grid", str(MAX_GRID_K + 1)]) == 1
+    assert grids == [((MAX_GRID_K,), {})]
+    assert capsys.readouterr().err == (
+        f"fuzzyarith: --grid {MAX_GRID_K + 1} exceeds the cap of {MAX_GRID_K}\n")
+
+
+def test_oracle_n_cap_is_checked_before_any_array(monkeypatch, capsys):
+    calls, grids = [], []
+    monkeypatch.setattr(cli, "oracle_check", _stub(calls))
+    argv = ["check", "-e", "corr_sum(tri(1,2,3), identity)", "--grid", "2", "--oracle-n"]
+    assert main(argv + [str(MAX_ORACLE_N)]) == 1
+    assert calls[0][1] == {"n": MAX_ORACLE_N}
+    assert capsys.readouterr().err == "fuzzyarith: corr_sum: stub reached\n"
+    monkeypatch.setattr(cli, "AlphaGrid", _stub(grids))
+    assert main(argv + [str(MAX_ORACLE_N + 1)]) == 1
+    assert grids == [] and len(calls) == 1
+    assert capsys.readouterr().err == (
+        f"fuzzyarith: --oracle-n {MAX_ORACLE_N + 1} exceeds the cap of {MAX_ORACLE_N}\n")
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("cls", sorted(GOLDEN["classes"]))
+def test_cli_output_matches_recorded_bytes(cls):
+    """Every recorded invocation prints the bytes recorded for it; a case
+    recorded without bytes keeps the exit code it was recorded with."""
+    for case in GOLDEN["classes"][cls]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(case["argv"])
+        if case["sha256"] is None:
+            assert rc == case["recorded_rc"], case["argv"]
+        else:
+            assert rc == case["rc"], case["argv"]
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == case["sha256"], \
+                case["argv"]

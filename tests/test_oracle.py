@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuzzyarith import (
+    AlphaGrid,
     DomainError,
     Interval,
     JointDistribution,
@@ -20,6 +25,8 @@ from fuzzyarith import (
     identity,
     triangular,
 )
+
+from helpers import dense_levels_from_membership
 
 
 def test_build_joint_enforces_sample_floor():
@@ -145,6 +152,77 @@ def test_levels_from_membership_rejects_empty_input():
     s = SampledMembership(zs=np.array([]), mus=np.array([]))
     with pytest.raises(ValueError):
         levels_from_membership(s)
+
+
+@st.composite
+def membership_samples(draw):
+    """Strictly increasing zs with memberships that tie, sit on rounded
+    plateaus, hit a level threshold exactly, or (rarely) are NaN."""
+    K = draw(st.sampled_from([1, 2, 3, 7, 10, 100]))
+    delta = draw(st.sampled_from([1e-12, 1.0 / (2 * K), 0.01, 0.0, 0.3]))
+    n = draw(st.integers(1, 40))
+    zs = np.sort(np.array(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n, unique=True))))
+    thresholds = AlphaGrid(K).alphas() - delta
+    mu = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        st.integers(0, K).map(lambda i: i / K),
+        st.integers(0, K).map(lambda i: float(thresholds[i])),
+        st.just(float("nan")) if draw(st.integers(0, 9)) == 0 else st.just(1.0))
+    mus = np.array(draw(st.lists(mu, min_size=n, max_size=n)))
+    return SampledMembership(zs=zs, mus=mus), K, delta
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_samples())
+@example((SampledMembership(zs=np.array([2.5]), mus=np.array([1.0])), 1, 1e-12))
+@example((SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([0.5, 0.5, 0.5])),
+          2, 0.5))
+@example((SampledMembership(zs=np.array([0.0, 1.0]), mus=np.array([float("nan"), 0.5])),
+          4, 0.125))
+@example((SampledMembership(zs=np.array([0.0, 1.0]), mus=np.array([0.2, 0.8])), 10, 0.01))
+def test_levels_from_membership_matches_dense_mask(case):
+    s, K, delta = case
+    got = _outcome(lambda: levels_from_membership(s, K, delta))
+    want = _outcome(lambda: dense_levels_from_membership(s, K, delta))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.los, want[0]) and np.array_equal(got.his, want[1])
+
+
+def test_oracle_check_memory_grows_with_n_plus_k():
+    # the (K+1) x n mask of a dense rebuild would need about 1.8 GB here
+    a = triangular(1.0, 2.0, 3.0, grid=1000)
+    n = 200_001
+    tracemalloc.start()
+    try:
+        oracle_check(a, hyperbolic(4.0), "sum", n=n).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n < peak < 64 * 2 ** 20  # the lower bound shows numpy is traced
+
+
+def test_oracle_report_rows_agree_with_arrays():
+    report = oracle_check(triangular(1.0, 2.0, 3.0, grid=20), hyperbolic(4.0), "sum", n=501)
+    rows = report.to_json()["levels"]
+    for row, lr, mk in zip(rows, report.levels, report.minkowski, strict=True):
+        assert row == {"alpha": lr.alpha, "engine": [lr.left.lo, lr.left.hi],
+                       "oracle": [lr.right.lo, lr.right.hi], "hausdorff": lr.hausdorff,
+                       "minkowski": [mk.lo, mk.hi]}
+        assert lr.hausdorff == lr.left.hausdorff(lr.right)
+        assert lr.subset == lr.right.contains(lr.left)
+        assert lr.equal == (lr.hausdorff == 0.0)
+    assert report.max_hausdorff == max(lr.hausdorff for lr in report.levels)
 
 
 def test_oracle_check_linear_sum_within_tolerance():
