@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, RangeMethod, LevelResult, _profile, _resolve,
+from .arithmetic import (BINARY_OPS, LevelComparison, RangeMethod, _profile, _resolve,
                          correlated_product, correlated_sum)
 from .correlation import CorrelationFunction, _validate_custom
 from .fuzzy import AlphaGrid, FuzzyNumber
@@ -124,7 +124,8 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
 @dataclass(frozen=True)
 class OracleReport:
     """Engine-versus-oracle comparison across one full level family, as
-    arrays; ``levels`` and ``minkowski`` are built on first access."""
+    arrays; ``levels`` (a LevelComparison of engine against oracle, with
+    no tolerance) and ``minkowski`` are built on first access."""
 
     op: str
     n: int
@@ -137,17 +138,11 @@ class OracleReport:
     method: str
     termwise: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _columns(self, *extra: np.ndarray) -> zip:
-        e, o = self.engine, self.oracle
-        cols = (e.grid.alphas(), e.los, e.his, o.los, o.his, self.hausdorff, *extra)
-        return zip(*(c.tolist() for c in cols))
-
     @cached_property
-    def levels(self) -> list[LevelResult]:
-        subset = (self.engine.los >= self.oracle.los) & (self.engine.his <= self.oracle.his)
-        return [LevelResult(alpha=alpha, left=Interval(elo, ehi), right=Interval(olo, ohi),
-                            hausdorff=h, subset=sub, equal=h <= 0.0, method=self.method)
-                for alpha, elo, ehi, olo, ohi, h, sub in self._columns(subset)]
+    def levels(self) -> LevelComparison:
+        e, o = self.engine, self.oracle
+        return LevelComparison(e, o, self.hausdorff, (e.los >= o.los) & (e.his <= o.his),
+                               self.hausdorff <= 0.0, self.method)
 
     @cached_property
     def minkowski(self) -> list[Interval] | None:
@@ -156,9 +151,11 @@ class OracleReport:
         return [Interval(lo, hi) for lo, hi in zip(*(t.tolist() for t in self.termwise))]
 
     def to_json(self) -> dict:
-        extra = self.termwise or ()
+        e, o, extra = self.engine, self.oracle, self.termwise or ()
+        cols = (e.grid.alphas(), e.los, e.his, o.los, o.his, self.hausdorff, *extra)
         rows = [{"alpha": r[0], "engine": list(r[1:3]), "oracle": list(r[3:5]), "hausdorff": r[5]}
-                | ({"minkowski": list(r[6:])} if extra else {}) for r in self._columns(*extra)]
+                | ({"minkowski": list(r[6:])} if extra else {})
+                for r in zip(*(c.tolist() for c in cols))]
         return {"op": self.op, "n": self.n, "tolerance": self.tolerance,
                 "max_hausdorff": self.max_hausdorff, "passed": self.passed, "levels": rows}
 

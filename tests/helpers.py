@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fuzzyarith import AlphaGrid, FuzzyNumber, trapezoidal, triangular
+from fuzzyarith import AlphaGrid, FuzzyNumber, LevelResult, trapezoidal, triangular
 
 
 def random_shape(rng, lo=-10.0, hi=10.0, grid=100, min_gap=0.0):
@@ -66,3 +66,24 @@ def dense_levels_from_membership(s, grid, delta):
     if not np.isfinite(los).all():
         raise ValueError("a level set came out empty; inconsistent membership input")
     return los, his
+
+
+def reference_compare_levels(x, y, tol=1e-9):
+    """The rows of ``compare_levels`` built one level at a time from
+    ``Interval`` methods, the way it once worked.  Reference only; one
+    Python object per level."""
+    if x.k != y.k:
+        raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
+    out = []
+    for i, alpha in enumerate(x.grid.alphas()):
+        li = x.level(i)
+        ri = y.level(i)
+        out.append(LevelResult(
+            alpha=float(alpha),
+            left=li,
+            right=ri,
+            hausdorff=li.hausdorff(ri),
+            subset=ri.contains(li, tol),
+            equal=li.approx_equal(ri, tol),
+        ))
+    return out

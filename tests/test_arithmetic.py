@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fuzzyarith import (
     CLOSED_FORM_KINDS,
     Affine,
     DomainError,
+    FuzzyNumber,
     Interval,
     Quadratic,
     RangeMethod,
@@ -32,7 +34,8 @@ from fuzzyarith import (
     triangular,
 )
 
-from helpers import assert_levels_match_scan, dense_range, random_shape, random_sign_definite
+from helpers import (assert_levels_match_scan, dense_range, random_shape, random_sign_definite,
+                     reference_compare_levels)
 
 
 def test_range_method_validation():
@@ -501,3 +504,104 @@ def test_self_comparison_distance_zero():
     rows = compare_levels(p, p)
     assert max(r.hausdorff for r in rows) == 0.0
     assert all(r.equal and r.subset for r in rows)
+
+
+def _row_key(r):
+    """Every field of a LevelResult with its Python type, floats by their
+    bits (so -0.0 and 0.0 differ)."""
+    fields = (r.alpha, r.left.lo, r.left.hi, r.right.lo, r.right.hi,
+              r.hausdorff, r.subset, r.equal, r.method)
+    return tuple((type(v), v.hex() if type(v) is float else v) for v in fields)
+
+
+_ENDS = st.sampled_from([-0.0, 0.0, -1.0, 0.5, 1.0, 2.25]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _family(draw, k):
+    pts = sorted(draw(st.lists(_ENDS, min_size=2 * (k + 1), max_size=2 * (k + 1))))
+    return FuzzyNumber(pts[:k + 1], pts[k + 1:][::-1])
+
+
+@st.composite
+def _compared_pair(draw):
+    k = draw(st.sampled_from([1, 2, 100]))
+    x = draw(_family(k))
+    kind = draw(st.sampled_from(["other", "same", "shifted", "crisp"]))
+    if kind == "other":
+        y = draw(_family(k))
+    elif kind == "same":
+        y = x
+    elif kind == "shifted":
+        d = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        y = FuzzyNumber(x.los - d, x.his + d)
+    else:
+        y = crisp(draw(_ENDS), grid=k)
+    if draw(st.booleans()):
+        x, y = y, x
+    which = draw(st.sampled_from(["zero", "fixed", "gap"]))
+    if which == "zero":
+        tol = 0.0
+    elif which == "fixed":
+        tol = draw(st.sampled_from([1e-9, 0.25, 0.5, 1.0]))
+    else:  # a tolerance some level's distance meets exactly
+        i = draw(st.integers(0, k))
+        tol = reference_compare_levels(x, y)[i].hausdorff
+    return x, y, tol
+
+
+@settings(max_examples=120, deadline=None)
+@given(_compared_pair())
+def test_compare_levels_matches_per_level_reference(pair):
+    x, y, tol = pair
+    got = compare_levels(x, y, tol)
+    want = reference_compare_levels(x, y, tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        assert _row_key(g) == _row_key(w)
+
+
+def test_compare_levels_reference_cases():
+    # levels exactly tol apart, tol = 0, -0.0 ends, crisp levels, and ends
+    # whose distance overflows to inf (without a numpy warning)
+    x = triangular(-1.0, 0.0, 1.0, grid=2)
+    y = FuzzyNumber(x.los - 0.5, x.his + 0.5)
+    z = crisp(-0.0, grid=2)
+    for a, b, tol in ((x, y, 0.5), (y, x, 0.5), (x, y, 0.0), (x, x, 0.0),
+                      (z, crisp(0.0, grid=2), 0.0), (z, x, 0.0), (x, z, 1.0),
+                      (crisp(1e308, grid=2), crisp(-1e308, grid=2), 0.0)):
+        rows = compare_levels(a, b, tol)
+        assert [_row_key(r) for r in rows] == [
+            _row_key(r) for r in reference_compare_levels(a, b, tol)]
+    assert [r.equal for r in compare_levels(x, y, 0.5)] == [True] * 3
+    assert not any(r.equal for r in compare_levels(x, y, 0.0))
+
+
+def test_level_comparison_is_a_lazy_sequence():
+    a = triangular(1.0, 2.0, 3.0, grid=10)
+    corr = correlated_sum(a, hyperbolic(4.0))
+    std = standard_sum(a, induced_number(a, hyperbolic(4.0)))
+    rows = compare_levels(corr, std)
+    want = reference_compare_levels(corr, std)
+    assert isinstance(rows, Sequence) and not isinstance(rows, list)
+    assert rows.left is corr and rows.right is std and rows.method is None
+    assert len(rows) == 11
+    assert "_rows" not in rows.__dict__  # len builds no rows
+    assert rows[0] == want[0] and rows[-1] == want[-1]
+    assert rows[0] is rows[0]
+    assert rows[2:5] == want[2:5] and rows[::-1] == want[::-1]
+    assert list(rows) == want and list(reversed(rows)) == want[::-1]
+    assert all(r.subset for r in rows)
+    assert max(r.hausdorff for r in rows) == float(rows.hausdorff.max())
+    assert rows.hausdorff.tolist() == [r.hausdorff for r in rows]
+    assert rows.subset.tolist() == [r.subset for r in rows]
+    assert rows.equal.tolist() == [r.equal for r in rows]
+    with pytest.raises(IndexError):
+        rows[11]
+
+
+@pytest.mark.parametrize("tol", [-1e-9, -math.inf, math.nan])
+def test_compare_levels_rejects_bad_tol(tol):
+    a = triangular(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        compare_levels(a, a, tol)
