@@ -8,8 +8,8 @@ built straight from the sup-min extension provides independent reference
 values for both.
 """
 
-from .arithmetic import (Affine, CLOSED_FORM_KINDS, LevelComparison, LevelResult,
-                         Quadratic, RangeMethod, ReciprocalSum, closed_form,
+from .arithmetic import (Affine, CLOSED_FORM_KINDS, LevelResult, Quadratic,
+                         RangeMethod, ReciprocalSum, closed_form,
                          compare_levels, correlated_product, correlated_sum,
                          range_over_interval, standard_product, standard_sum)
 from .correlation import (CorrelationFunction, check_monotone,
@@ -34,7 +34,6 @@ __all__ = [
     "FuzzyNumber",
     "Interval",
     "JointDistribution",
-    "LevelComparison",
     "LevelResult",
     "MonotonicityError",
     "OracleReport",

@@ -9,9 +9,7 @@ over the level, either from closed-form critical points or numerically.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -458,54 +456,32 @@ class LevelResult:
         return obj
 
 
-@dataclass(frozen=True, eq=False)
-class LevelComparison(Sequence):
-    """Levelwise comparison of two level families, held as arrays.
-
-    ``hausdorff``, ``subset`` and ``equal`` carry one entry per grid alpha
-    for the level of ``left`` against the level of ``right``.  Read as a
-    sequence it yields one ``LevelResult`` per level; those rows are built
-    once, on the first read of a row, and ``len`` builds none.
-    """
-
-    left: FuzzyNumber
-    right: FuzzyNumber
-    hausdorff: np.ndarray
-    subset: np.ndarray
-    equal: np.ndarray
-    method: str | None = None
-
-    @cached_property
-    def _rows(self) -> list[LevelResult]:
-        x, y = self.left, self.right
-        cols = (x.grid.alphas(), x.los, x.his, y.los, y.his,
-                self.hausdorff, self.subset, self.equal)
-        return [LevelResult(alpha=alpha, left=Interval(xlo, xhi), right=Interval(ylo, yhi),
-                            hausdorff=h, subset=sub, equal=eq, method=self.method)
-                for alpha, xlo, xhi, ylo, yhi, h, sub, eq in zip(*(c.tolist() for c in cols))]
-
-    def __len__(self) -> int:
-        return self.hausdorff.size
-
-    def __getitem__(self, i):
-        return self._rows[i]
-
-    def __iter__(self):
-        return iter(self._rows)
+def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: np.ndarray,
+                equal: np.ndarray, method: str | None = None) -> list[LevelResult]:
+    """One LevelResult per grid alpha, read from the level arrays of x and y
+    and the per-level comparison arrays as whole ``.tolist()`` columns."""
+    cols = (x.grid.alphas(), x.los, x.his, y.los, y.his, hausdorff, subset, equal)
+    # positional arguments: keywords slow the construction of every row
+    return [LevelResult(alpha, Interval(xlo, xhi), Interval(ylo, yhi), h, sub, eq, method)
+            for alpha, xlo, xhi, ylo, yhi, h, sub, eq in zip(*(c.tolist() for c in cols))]
 
 
-def compare_levels(x: FuzzyNumber, y: FuzzyNumber, tol: float = 1e-9) -> LevelComparison:
+def compare_levels(x: FuzzyNumber, y: FuzzyNumber,
+                   tol: float = 1e-9) -> list[LevelResult]:
     """Levelwise comparison of two fuzzy numbers on the same grid.
 
     Reports, per grid alpha, the Hausdorff distance between the levels,
     whether the level of x is contained in the level of y (within tol) and
-    whether the two are equal (within tol).  Every level is compared at
-    once; see LevelComparison.
+    whether the two are equal (within tol).  The three are computed for
+    every level at once, as arrays; only the rows are built per level.
+    A negative or NaN tol raises ValueError.
     """
     if x.k != y.k:
         raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol!r}")
+    # ends near the float limits give an inf distance or bound, as Python floats do
     with np.errstate(over="ignore"):
         h = np.maximum(np.abs(x.los - y.los), np.abs(x.his - y.his))
-    return LevelComparison(x, y, h, (x.los >= y.los - tol) & (x.his <= y.his + tol), h <= tol)
+        subset = (x.los >= y.los - tol) & (x.his <= y.his + tol)
+    return _level_rows(x, y, h, subset, h <= tol)

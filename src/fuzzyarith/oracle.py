@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, LevelComparison, RangeMethod, _profile, _resolve,
+from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _level_rows, _profile, _resolve,
                          correlated_product, correlated_sum)
 from .correlation import CorrelationFunction, _validate_custom
 from .fuzzy import AlphaGrid, FuzzyNumber
@@ -124,8 +124,8 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
 @dataclass(frozen=True)
 class OracleReport:
     """Engine-versus-oracle comparison across one full level family, as
-    arrays; ``levels`` (a LevelComparison of engine against oracle, with
-    no tolerance) and ``minkowski`` are built on first access."""
+    arrays; ``levels`` (the rows of compare_levels(engine, oracle, tol=0.0)
+    with the method attached) and ``minkowski`` are built on first access."""
 
     op: str
     n: int
@@ -139,10 +139,10 @@ class OracleReport:
     termwise: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
-    def levels(self) -> LevelComparison:
+    def levels(self) -> list[LevelResult]:
         e, o = self.engine, self.oracle
-        return LevelComparison(e, o, self.hausdorff, (e.los >= o.los) & (e.his <= o.his),
-                               self.hausdorff <= 0.0, self.method)
+        return _level_rows(e, o, self.hausdorff, (e.los >= o.los) & (e.his <= o.his),
+                           self.hausdorff <= 0.0, self.method)
 
     @cached_property
     def minkowski(self) -> list[Interval] | None:

@@ -214,8 +214,6 @@ def test_oracle_check_memory_grows_with_n_plus_k():
 
 def test_oracle_report_rows_agree_with_arrays():
     report = oracle_check(triangular(1.0, 2.0, 3.0, grid=20), hyperbolic(4.0), "sum", n=501)
-    assert len(report.levels) == 21
-    assert "_rows" not in report.levels.__dict__  # len builds no rows
     rows = report.to_json()["levels"]
     for row, lr, mk in zip(rows, report.levels, report.minkowski, strict=True):
         assert row == {"alpha": lr.alpha, "engine": [lr.left.lo, lr.left.hi],
