@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .correlation import CorrelationFunction, _validate_custom
+from .correlation import INCREASING, CorrelationFunction, _validate_custom
 from .fuzzy import FuzzyNumber
 from .interval import Interval
 
@@ -44,7 +45,13 @@ class RangeMethod:
     Both modes run one engine: each level's range comes from the values
     at its two endpoints and from the function's interior extrema.
     ``analytic`` takes the extrema the profile shapes below state, with
-    no scan; ``samples`` and ``refine_tol`` are then unused.  ``numeric``
+    no scan; ``samples`` and ``refine_tol`` are then unused.  With no
+    method passed, the correlated operations also take it for a custom
+    correlation whose declared direction proves g monotone on the
+    support, which then has no interior extrema.  For a sum that is an
+    increasing f, the case of the paper's theorem that the correlated
+    and standard sums coincide.  For a product it is an f and a support
+    of one sign each on which |x| and |f| move together.  ``numeric``
     evaluates the function at ``samples`` equispaced points across the
     support (the widest level), once for all levels, and sharpens every
     local minimum and maximum of that scan with a golden-section search
@@ -53,7 +60,7 @@ class RangeMethod:
     extremum.  Extrema closer together than the scan step, support
     width / (samples - 1), can be missed.  The reported ends are values
     the function takes inside the level, and the levels are exactly
-    nested.
+    nested.  Passing a numeric method explicitly always scans.
     """
 
     mode: str = "numeric"
@@ -129,6 +136,22 @@ class ReciprocalSum:
             return (), ()
         s = math.sqrt(self.q)
         return ((s, 2.0 * s + self.r),), ((-s, -2.0 * s + self.r),)
+
+
+@dataclass(frozen=True)
+class _Monotone:
+    """A custom correlation's g = x + f(x) or x * f(x) on a support where
+    its declared direction proves g monotone (see _monotone_on): it states
+    no interior extrema.  It takes an array, calling g one float at a time,
+    the only call a custom evaluator is promised to take."""
+
+    g: Callable[[float], float]
+
+    def __call__(self, xs):
+        return np.fromiter((self.g(float(x)) for x in xs), float, xs.size)
+
+    def extrema(self):
+        return (), ()
 
 
 # -- range search ---------------------------------------------------------------
@@ -323,14 +346,56 @@ def _profile(f: CorrelationFunction, op: str):
     return None
 
 
+def _one_sign(u: float, v: float) -> int:
+    """1 or -1 when u and v both have that sign or are zero, else 0."""
+    if u >= 0.0 and v >= 0.0:
+        return 1
+    if u <= 0.0 and v <= 0.0:
+        return -1
+    return 0
+
+
+def _monotone_on(f: CorrelationFunction, op: str, support: Interval) -> bool:
+    """Whether the declared direction of the custom f proves g = x + f(x)
+    or x * f(x) monotone on the support.
+
+    For a sum it does when f increases.  For a product it does when x and
+    f each keep one sign on the support (f's read at the two ends, a zero
+    at an end allowed) and |x| and |f| move together, so that |g| =
+    |x| |f| is monotone and g keeps one sign: that is, when f increases
+    exactly if x and f have the same sign.
+    """
+    increasing = f.direction == INCREASING
+    if op == "sum":
+        return increasing
+    sx = _one_sign(support.lo, support.hi)
+    if sx == 0:
+        return False
+    sf = _one_sign(f.fn(support.lo), f.fn(support.hi))
+    return sf != 0 and increasing == (sx == sf)
+
+
+def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMethod | None):
+    """The function g the engine ranges for op under f on the support, and
+    the method it takes: a built-in family's profile; a custom f's g from
+    its endpoint values alone when method is None and its direction proves
+    g monotone; any other custom g by the method passed, the numeric scan
+    by default.  The operations and oracle_check both ask it."""
+    g = _profile(f, op)
+    if g is None:
+        fn = f.fn  # bound once: every evaluation skips CorrelationFunction.__call__
+        g = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
+        if method is None and _monotone_on(f, op, support):
+            return _Monotone(g), _ANALYTIC
+    return g, _resolve(g, method)
+
+
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
-    f.require_on(a.support)
-    _validate_custom(f, a.support)
-    g = _profile(f, op)
-    method = _resolve(g, method)
-    if g is None:
-        g = (lambda x: x + f(x)) if op == "sum" else (lambda x: x * f(x))
+    sup = a.support
+    f.require_on(sup)
+    _validate_custom(f, sup)
+    g, method = _route(f, op, sup, method)
     return FuzzyNumber(*_range_levels(g, a.los, a.his, method))
 
 
@@ -339,14 +404,26 @@ def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,
     """Sum of A and f(A) under the graph coupling.
 
     Level alpha is the closure of {x + f(x) : x in [A]^alpha}, the range of
-    one function of one variable, not an interval Minkowski sum.
+    one function of one variable, not an interval Minkowski sum.  For an
+    increasing f, x + f(x) increases, so each level is [g(lo), g(hi)] and
+    the result coincides with standard_sum(a, induced_number(a, f)) (the
+    paper's theorem); a custom increasing f is then ranged from its
+    2(K+1) endpoint values with no scan, unless a numeric method is
+    passed.
     """
     return _correlated(a, f, "sum", method)
 
 
 def correlated_product(a: FuzzyNumber, f: CorrelationFunction,
                        method: RangeMethod | None = None) -> FuzzyNumber:
-    """Product of A and f(A) under the graph coupling, ranged levelwise."""
+    """Product of A and f(A) under the graph coupling, ranged levelwise.
+
+    The correlated product lies inside standard_product(a,
+    induced_number(a, f)) (the paper's containment theorem).  A custom f
+    is ranged from its 2(K+1) endpoint values with no scan when method is
+    None, the support and f each keep one sign on it, and |x| and |f|
+    move together, which makes x * f(x) monotone; otherwise it is scanned.
+    """
     return _correlated(a, f, "product", method)
 
 

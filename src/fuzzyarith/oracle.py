@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _level_rows, _profile, _resolve,
+from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _level_rows, _route,
                          correlated_product, correlated_sum)
 from .correlation import CorrelationFunction, _validate_custom
 from .fuzzy import AlphaGrid, FuzzyNumber
@@ -216,5 +216,5 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     tolerance = 5.0 * a.support.width / n
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
-                        method=_resolve(_profile(f, op), method).mode,
+                        method=_route(f, op, a.support, method)[1].mode,
                         termwise=_minkowski_sum_reading(a, f) if op == "sum" else None)

@@ -11,6 +11,7 @@ from fuzzyarith import (
     DomainError,
     FuzzyNumber,
     Interval,
+    MonotonicityError,
     Quadratic,
     RangeMethod,
     ReciprocalSum,
@@ -319,6 +320,133 @@ def test_numeric_engine_on_random_monotone_compositions(case):
         assert np.all(res.los >= std.los - tol)
         assert np.all(res.his <= std.his + tol)
         assert_levels_match_scan(res, a, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monotone_compositions())
+def test_correlated_sum_with_increasing_f_is_the_standard_sum(case):
+    # the paper's theorem, bit for bit: for an increasing f each level is
+    # [lo + f(lo), hi + f(hi)]
+    a, fn, direction = case
+    f = custom(fn if direction == "increasing" else (lambda x: -fn(x)), "increasing")
+    res = correlated_sum(a, f)
+    std = standard_sum(a, induced_number(a, f))
+    assert np.array_equal(res.los, std.los)
+    assert np.array_equal(res.his, std.his)
+
+
+def _counted(fn):
+    """fn with a counter of its calls, for the evaluator-call budgets."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return fn(x)
+    return counted, calls
+
+
+def _endpoint_budget(a):
+    """Evaluator calls of a correlated op ranged from its level ends: the
+    257-sample direction check, 2(K+1) ends and the two support ends read
+    for a product's sign."""
+    return 257 + 2 * (a.k + 1) + 2
+
+
+_POS, _NEG = triangular(1.0, 2.0, 3.0, grid=20), triangular(-3.0, -2.0, -1.0, grid=20)
+
+
+# The sign of x, the sign of f and the direction of f: x * f(x) is
+# monotone exactly when f increases if and only if x and f have the same
+# sign.  Each other case of the first eight has its stationary point at the
+# core, so a level ranged from its ends would miss it.
+@pytest.mark.parametrize("a, c1, c0, monotone", [
+    (_POS, 1.0, 0.0, True),     # x > 0, f > 0, increasing
+    (_POS, -1.0, 4.0, False),   # x > 0, f > 0, decreasing
+    (_POS, 1.0, -4.0, False),   # x > 0, f < 0, increasing
+    (_POS, -1.0, 0.0, True),    # x > 0, f < 0, decreasing
+    (_NEG, 1.0, 4.0, False),    # x < 0, f > 0, increasing
+    (_NEG, -1.0, 0.0, True),    # x < 0, f > 0, decreasing
+    (_NEG, 1.0, 0.0, True),     # x < 0, f < 0, increasing
+    (_NEG, -1.0, -4.0, False),  # x < 0, f < 0, decreasing
+    (triangular(0.0, 1.0, 2.0, grid=20), 1.0, 0.0, True),  # x zero at an end
+    (_POS, 1.0, -1.0, True),    # f zero at an end
+    (_POS, 1.0, -3.0, False),   # f zero at the other end
+    (_POS, 2.0, -3.0, False),   # f changes sign on the support
+    (_POS, -1.0, 2.5, False),   # the same, decreasing, with a stationary point
+    (triangular(-1.0, 0.0, 2.0, grid=20), 1.0, 3.0, False),  # support crosses zero
+], ids=["++inc", "++dec", "+-inc", "+-dec", "-+inc", "-+dec", "--inc", "--dec",
+        "x-zero-end", "f-zero-end", "f-zero-other-end", "f-crosses-zero", "f-crosses-zero-dec",
+        "x-crosses-zero"])
+def test_correlated_product_sign_table(a, c1, c0, monotone):
+    direction = "increasing" if c1 > 0 else "decreasing"
+    counted, calls = _counted(lambda x: c1 * x + c0)
+    res = correlated_product(a, custom(counted, direction))
+    if monotone:
+        assert calls[0] <= _endpoint_budget(a)
+    else:
+        assert calls[0] > 1025
+    exact = correlated_product(a, linear(c1, c0))
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(exact.los), np.abs(exact.his)))
+    assert np.all(np.abs(res.los - exact.los) <= tol)
+    assert np.all(np.abs(res.his - exact.his) <= tol)
+
+
+@st.composite
+def monotone_products(draw):
+    """An operand and an increasing f that keep one sign each on its
+    support, f possibly zero at an end, with the sign of f chosen so that
+    x * f(x) is monotone: a random composition moved to one side of zero."""
+    a, fn, direction = draw(monotone_compositions())
+    if direction == "decreasing":
+        fn = lambda x, fn=fn: -fn(x)
+    sx = draw(st.sampled_from([1.0, -1.0]))
+    gap = draw(st.floats(0.0, 3.0))
+    t = gap - a.los[0] if sx > 0 else -gap - a.his[0]
+    moved = FuzzyNumber(a.los + t, a.his + t)
+    h = lambda x: fn(x - t)
+    # f has the sign of x and is zero (when extra is) at the support end
+    # nearest zero; away from it |f| grows as |x| does
+    base = h(moved.los[0]) if sx > 0 else h(moved.his[0])
+    extra = sx * draw(st.floats(0.0, 2.0))
+    return moved, lambda x: h(x) - base + extra
+
+
+@settings(max_examples=40, deadline=None)
+@given(monotone_products())
+def test_monotone_products_are_ranged_from_their_endpoints(case):
+    a, fn = case
+    counted, calls = _counted(fn)
+    res = correlated_product(a, custom(counted, "increasing"))
+    assert calls[0] <= _endpoint_budget(a)
+    assert_levels_match_scan(res, a, lambda x: x * fn(x))
+    num = correlated_product(a, custom(fn, "increasing"), RangeMethod())
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(num.los), np.abs(num.his)))
+    assert np.all(np.abs(res.los - num.los) <= tol)
+    assert np.all(np.abs(res.his - num.his) <= tol)
+
+
+def test_increasing_custom_sum_is_ranged_from_its_endpoints():
+    a = triangular(-1.0, 0.5, 2.0, grid=100)
+    counted, calls = _counted(math.exp)
+    res = correlated_sum(a, custom(counted, "increasing"))
+    assert calls[0] <= _endpoint_budget(a)
+    calls[0] = 0
+    num = correlated_sum(a, custom(counted, "increasing"), RangeMethod())
+    assert calls[0] > 1025
+    assert np.array_equal(res.los, num.los) and np.array_equal(res.his, num.his)
+
+
+@pytest.mark.parametrize("op", [correlated_sum, correlated_product])
+@pytest.mark.parametrize("fn, domain, error", [
+    (lambda x: x if x <= 2.5 else math.nan, None, DomainError),
+    (lambda x: 5.0 - x, None, MonotonicityError),
+    (math.exp, Interval(0.0, 2.0), DomainError),
+], ids=["nan", "wrong-direction", "domain"])
+def test_endpoint_route_keeps_the_custom_checks(op, fn, domain, error):
+    # a positive f declared increasing on a positive support: the route
+    # both operations would take once the checks pass
+    with pytest.raises(error):
+        op(triangular(1.0, 2.0, 3.0), custom(fn, "increasing", domain))
 
 
 def _around(x, h, grid=30):

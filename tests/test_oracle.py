@@ -11,6 +11,7 @@ from fuzzyarith import (
     Interval,
     JointDistribution,
     MonotonicityError,
+    RangeMethod,
     SampledMembership,
     build_joint,
     crisp,
@@ -303,10 +304,23 @@ def test_oracle_check_custom_correlation_numeric_path():
     # to land within the same 5/n factor of the output width
     a = triangular(1.0, 2.0, 3.0)
     f = custom(lambda x: x**3, "increasing")
-    report = oracle_check(a, f, "product", n=501, grid=20)
+    report = oracle_check(a, f, "product", n=501, grid=20, method=RangeMethod())
     assert report.levels[0].method == "numeric"
     assert report.levels[0].left.approx_equal(Interval(1.0, 81.0), tol=1e-6)
     assert report.max_hausdorff <= 5.0 * report.levels[0].left.width / report.n
+
+
+def test_oracle_check_labels_the_route_the_engine_takes():
+    # x * x^3 on a positive support with a positive increasing f is
+    # monotone, so by default the engine ranges it from the level ends with
+    # no scan; a decreasing f proves nothing about x + f(x), which is scanned
+    a = triangular(1.0, 2.0, 3.0)
+    f = custom(lambda x: x**3, "increasing")
+    report = oracle_check(a, f, "product", n=501, grid=20)
+    assert report.method == "analytic"
+    assert report.levels[0].left.approx_equal(Interval(1.0, 81.0), tol=1e-12)
+    assert report.max_hausdorff <= 5.0 * report.levels[0].left.width / report.n
+    assert oracle_check(a, custom(lambda x: -x**3, "decreasing"), "sum", n=501).method == "numeric"
 
 
 def test_oracle_report_json_schema():
