@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .correlation import INCREASING, CorrelationFunction, _validate_custom
+from .errors import DomainError
 from .fuzzy import FuzzyNumber
 from .interval import Interval
 
@@ -46,12 +47,14 @@ class RangeMethod:
     at its two endpoints and from the function's interior extrema.
     ``analytic`` takes the extrema the profile shapes below state, with
     no scan; ``samples`` and ``refine_tol`` are then unused.  With no
-    method passed, the correlated operations also take it for a custom
-    correlation whose declared direction proves g monotone on the
-    support, which then has no interior extrema.  For a sum that is an
-    increasing f, the case of the paper's theorem that the correlated
-    and standard sums coincide.  For a product it is an f and a support
-    of one sign each on which |x| and |f| move together.  ``numeric``
+    method passed, or an analytic one, the correlated operations take it
+    for a custom correlation whose declared direction proves g monotone
+    on the support, which then has no interior extrema.  For a sum that
+    is an increasing f, the case of the paper's theorem that the
+    correlated and standard sums coincide.  For a product it is an f and
+    a support of one sign each on which |x| and |f| move together.  An
+    analytic method on any other custom correlation raises ValueError.
+    ``numeric``
     evaluates the function at ``samples`` equispaced points across the
     support (the widest level), once for all levels, and sharpens every
     local minimum and maximum of that scan with a golden-section search
@@ -334,15 +337,11 @@ def standard_product(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
 
 
 def _profile(f: CorrelationFunction, op: str):
-    qr = f.linear_coeffs
-    if qr is not None:
-        q, r = qr
-        return Affine(1.0 + q, r) if op == "sum" else Quadratic(q, r)
-    qr = f.hyperbolic_coeffs
-    if qr is not None:
-        q, r = qr
+    if f.family == "linear":
+        return Affine(1.0 + f.q, f.r) if op == "sum" else Quadratic(f.q, f.r)
+    if f.family == "hyperbolic":
         # x * (q/x + r) collapses to r*x + q
-        return ReciprocalSum(q, r) if op == "sum" else Affine(r, q)
+        return ReciprocalSum(f.q, f.r) if op == "sum" else Affine(f.r, f.q)
     return None
 
 
@@ -377,16 +376,16 @@ def _monotone_on(f: CorrelationFunction, op: str, support: Interval) -> bool:
 
 def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMethod | None):
     """The function g the engine ranges for op under f on the support, and
-    the method it takes: a built-in family's profile; a custom f's g from
-    its endpoint values alone when method is None and its direction proves
-    g monotone; any other custom g by the method passed, the numeric scan
-    by default.  The operations and oracle_check both ask it."""
+    the method it takes: a linear or hyperbolic f's profile; a custom f's g
+    from its endpoint values alone when the method is None or analytic and
+    its direction proves g monotone; any other by the method passed, the
+    numeric scan by default.  The operations and oracle_check ask it."""
     g = _profile(f, op)
     if g is None:
         fn = f.fn  # bound once: every evaluation skips CorrelationFunction.__call__
         g = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
-        if method is None and _monotone_on(f, op, support):
-            return _Monotone(g), _ANALYTIC
+        if (method is None or method.mode == "analytic") and _monotone_on(f, op, support):
+            g = _Monotone(g)
     return g, _resolve(g, method)
 
 
@@ -459,7 +458,6 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
         raise ValueError("closed forms need q != 0")
     los, his = a.los, a.his
     if "hyperbolic" in kind and los[0] <= 0.0 <= his[0]:
-        from .errors import DomainError
         raise DomainError("hyperbolic closed forms need a support that avoids zero")
 
     if kind == "std-sum-linear":

@@ -8,11 +8,10 @@ Grammar (whitespace insignificant, numbers are decimal literals):
     arg   := number | expr
 
 Names fall into three groups: fuzzy literals ``tri``, ``trap``, ``crisp``;
-correlation functions ``linear``, ``hyperbolic``, ``identity``,
-``negation``, ``reciprocal`` (the last three may appear bare); and
-operators ``std_sum``, ``std_prod``, ``corr_sum``, ``corr_prod``,
-``induced``.  Operator arguments must be literals or correlation specs,
-operators do not nest.
+the correlation names of ``correlation.CORRELATIONS`` (the parameterless
+ones may appear bare); and operators ``std_sum``, ``std_prod``,
+``corr_sum``, ``corr_prod``, ``induced``.  Operator arguments must be
+literals or correlation specs, built through their JSON forms.
 
 Exit codes: 0 success, 1 parse or validation error (including a ``--grid``
 above MAX_GRID_K or an ``--oracle-n`` above MAX_ORACLE_N), 2 domain error
@@ -31,13 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import (closed_form, correlated_product, correlated_sum,
-                         standard_product, standard_sum)
-from .correlation import (CorrelationFunction, hyperbolic, identity,
-                          induced_number, linear, negation, reciprocal)
+from .arithmetic import (CLOSED_FORM_KINDS, closed_form, correlated_product,
+                         correlated_sum, standard_product, standard_sum)
+from .correlation import CORRELATIONS, correlation_from_json, induced_number
 from .errors import DomainError
-from .fuzzy import (DEFAULT_GRID_K, AlphaGrid, FuzzyNumber, crisp, triangular,
-                    trapezoidal)
+from .fuzzy import DEFAULT_GRID_K, AlphaGrid, FuzzyNumber, fuzzy_from_json
 from .oracle import DEFAULT_SAMPLES, oracle_check
 
 # Caps on --grid and --oracle-n, checked before any array is built: memory
@@ -91,8 +88,6 @@ def _tokenize(text: str) -> list[_Token]:
 # -- syntax tree ------------------------------------------------------------------
 
 FUZZY_KINDS = {"tri": 3, "trap": 4, "crisp": 1}
-CORR_PARAMETRIC = {"linear": 2, "hyperbolic": 2}
-CORR_BARE = ("identity", "negation", "reciprocal")
 OPERATORS = ("std_sum", "std_prod", "corr_sum", "corr_prod", "induced")
 
 
@@ -151,10 +146,10 @@ class _ExprParser:
         if name in FUZZY_KINDS:
             args = self.number_args(name, FUZZY_KINDS[name], tok.pos)
             return FuzzyLiteral(name, args)
-        if name in CORR_PARAMETRIC:
-            args = self.number_args(name, CORR_PARAMETRIC[name], tok.pos)
-            return CorrelationSpec(name, args)
-        if name in CORR_BARE:
+        if name in CORRELATIONS:
+            count = CORRELATIONS[name][1]
+            if count:
+                return CorrelationSpec(name, self.number_args(name, count, tok.pos))
             # bare names and explicit empty parens are both accepted
             if self.peek().kind == "lparen":
                 self.take()
@@ -227,14 +222,12 @@ def format_expression(node: Node) -> str:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _make_fuzzy(node: FuzzyLiteral, grid: AlphaGrid) -> FuzzyNumber:
-    maker = {"tri": triangular, "trap": trapezoidal, "crisp": crisp}[node.kind]
-    return maker(*node.args, grid=grid)
-
-
-def _make_correlation(node: CorrelationSpec) -> CorrelationFunction:
-    return {"linear": linear, "hyperbolic": hyperbolic, "identity": identity,
-            "negation": negation, "reciprocal": reciprocal}[node.family](*node.args)
+def _build(node: FuzzyLiteral | CorrelationSpec, grid: AlphaGrid | int):
+    """The fuzzy number or correlation function a literal or spec names,
+    read from its JSON form."""
+    if isinstance(node, FuzzyLiteral):
+        return fuzzy_from_json({node.kind: list(node.args), "K": AlphaGrid.coerce(grid).K})
+    return correlation_from_json({node.family: list(node.args)} if node.args else node.family)
 
 
 @contextmanager
@@ -253,17 +246,14 @@ def evaluate(node: Node, grid: AlphaGrid) -> FuzzyNumber:
     An error raised while applying an operator is prefixed with its name.
     """
     if isinstance(node, FuzzyLiteral):
-        return _make_fuzzy(node, grid)
+        return _build(node, grid)
     if isinstance(node, CorrelationSpec):
         raise ValueError("a correlation function is not a fuzzy value by itself")
-    a = _make_fuzzy(node.operands[0], grid)
-    if node.name in ("std_sum", "std_prod"):
-        b = _make_fuzzy(node.operands[1], grid)
-        op = standard_sum if node.name == "std_sum" else standard_product
-    else:
-        b = _make_correlation(node.operands[1])
-        op = {"corr_sum": correlated_sum, "corr_prod": correlated_product,
-              "induced": induced_number}[node.name]
+    a, b = (_build(operand, grid) for operand in node.operands)
+    # looked up per call, so that a rebinding of these module names takes effect
+    op = {"std_sum": standard_sum, "std_prod": standard_product,
+          "corr_sum": correlated_sum, "corr_prod": correlated_product,
+          "induced": induced_number}[node.name]
     with _named(node.name):
         return op(a, b)
 
@@ -306,7 +296,7 @@ def _build_parser() -> _ArgumentParser:
 
 def _parse_alphas(spec: str | None, grid: AlphaGrid) -> list[float]:
     if spec is None:
-        return [float(a) for a in grid.alphas()]
+        return grid.alphas().tolist()
     out = []
     for part in spec.split(","):
         part = part.strip()
@@ -321,8 +311,14 @@ def _parse_alphas(spec: str | None, grid: AlphaGrid) -> list[float]:
     return out
 
 
-def _iv_text(iv) -> str:
-    return f"[{_fmt(iv.lo)}, {_fmt(iv.hi)}]"
+def _iv_text(lo: float, hi: float) -> str:
+    return f"[{_fmt(lo)}, {_fmt(hi)}]"
+
+
+def _cuts(x: FuzzyNumber, alphas: list[float]) -> list[tuple[float, float]]:
+    """(lo, hi) of x at every alpha, as Python floats."""
+    los, his = x.alpha_cuts(alphas)
+    return list(zip(los.tolist(), his.tolist()))
 
 
 def _cmd_eval(args) -> int:
@@ -330,22 +326,22 @@ def _cmd_eval(args) -> int:
     node = parse_expression(args.expr)
     value = evaluate(node, grid)
     alphas = _parse_alphas(args.alphas, grid)
-    cuts = [value.alpha_cut(a) for a in alphas]
+    cuts = _cuts(value, alphas)
     if args.format == "csv":
         print("alpha,lo,hi")
-        for a, iv in zip(alphas, cuts):
-            print(f"{_fmt(a)},{_fmt(iv.lo)},{_fmt(iv.hi)}")
+        for a, (lo, hi) in zip(alphas, cuts):
+            print(f"{_fmt(a)},{_fmt(lo)},{_fmt(hi)}")
     elif args.format == "json":
         print(json.dumps({
             "expr": args.expr,
             "K": grid.K,
-            "levels": [{"alpha": a, "lo": iv.lo, "hi": iv.hi}
-                       for a, iv in zip(alphas, cuts)],
+            "levels": [{"alpha": a, "lo": lo, "hi": hi}
+                       for a, (lo, hi) in zip(alphas, cuts)],
         }))
     else:
         print("alpha\tlevel")
-        for a, iv in zip(alphas, cuts):
-            print(f"{_fmt(a)}\t{_iv_text(iv)}")
+        for a, (lo, hi) in zip(alphas, cuts):
+            print(f"{_fmt(a)}\t{_iv_text(lo, hi)}")
     return 0
 
 
@@ -356,8 +352,8 @@ def _correlated_parts(args, what: str):
     if not isinstance(node, Operation) or node.name not in ("corr_sum", "corr_prod"):
         raise ValueError(f"{what} needs a corr_sum or corr_prod expression")
     op = "sum" if node.name == "corr_sum" else "product"
-    return (grid, node.name, op, _make_fuzzy(node.operands[0], grid),
-            _make_correlation(node.operands[1]))
+    a, f = (_build(operand, grid) for operand in node.operands)
+    return grid, node.name, op, a, f
 
 
 def _cmd_check(args) -> int:
@@ -372,34 +368,23 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 3
 
 
-_CLOSED_FORM_FOR = {
-    ("linear", "sum"): "corr-sum-linear",
-    ("linear", "product"): "corr-prod-linear",
-    ("hyperbolic", "product"): "corr-prod-hyperbolic",
-    # no entry for ("hyperbolic", "sum"): the termwise formula overstates
-    # the range, so no closed form is offered there
-}
-
-
 def _cmd_table(args) -> int:
     grid, name, op, a, f = _correlated_parts(args, "table")
     with _named(name):
         engine = correlated_sum(a, f) if op == "sum" else correlated_product(a, f)
 
-        shape, qr = (("linear", f.linear_coeffs) if f.linear_coeffs is not None
-                     else ("hyperbolic", f.hyperbolic_coeffs))
-        kind = _CLOSED_FORM_FOR.get((shape, op))
-        closed = closed_form(kind, a, *qr) if kind is not None else None
+        kind = f"corr-{'sum' if op == 'sum' else 'prod'}-{f.family}"
+        closed = closed_form(kind, a, f.q, f.r) if kind in CLOSED_FORM_KINDS else None
 
         b = induced_number(a, f)
         standard = standard_sum(a, b) if op == "sum" else standard_product(a, b)
 
     alphas = _parse_alphas(args.alphas, grid)
+    columns = [[_iv_text(lo, hi) for lo, hi in _cuts(x, alphas)] if x is not None
+               else ["-"] * len(alphas) for x in (engine, closed, standard)]
     print("alpha\tengine\tclosed_form\tstandard")
-    for alpha in alphas:
-        closed_text = _iv_text(closed.alpha_cut(alpha)) if closed is not None else "-"
-        print(f"{_fmt(alpha)}\t{_iv_text(engine.alpha_cut(alpha))}"
-              f"\t{closed_text}\t{_iv_text(standard.alpha_cut(alpha))}")
+    for alpha, *texts in zip(alphas, *columns):
+        print("\t".join([_fmt(alpha), *texts]))
     return 0
 
 

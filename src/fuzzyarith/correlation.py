@@ -9,7 +9,9 @@ the levels of B are the images of the levels of A, which is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,22 +26,24 @@ DECREASING = "decreasing"
 # Sample count used when validating custom evaluators on an interval.
 MONOTONE_CHECK_SAMPLES = 257
 
-_BUILTIN_FAMILIES = ("linear", "hyperbolic", "identity", "negation", "reciprocal")
-
 
 @dataclass(frozen=True)
 class CorrelationFunction:
     """A strictly monotone function of one real variable.
 
-    Built-in families:
+    ``family`` is one of three kinds:
 
     * ``linear``       q*x + r, q != 0, increasing iff q > 0
     * ``hyperbolic``   q/x + r, q != 0, defined away from zero,
       decreasing iff q > 0
-    * ``identity``     x
-    * ``negation``     -x
-    * ``reciprocal``   1/x, defined away from zero
-    * ``custom``       arbitrary evaluator with a declared direction
+    * ``custom``       arbitrary evaluator ``fn`` with a declared direction
+
+    The named aliases ``identity``, ``negation`` and ``reciprocal`` are
+    linear(1, 0), linear(-1, 0) and hyperbolic(1, 0) carrying their
+    ``name`` (shown by repr, to_json and domain errors) and an exact
+    evaluator ``fn``: x, -x and 1/x keep the signed zeros that q*x + r and
+    q/x + r with r = 0 would turn into +0.0.  An alias is not equal to the
+    plain function it aliases.
 
     Instances are built through the factory functions below rather than
     directly.
@@ -51,20 +55,15 @@ class CorrelationFunction:
     fn: Callable[[float], float] | None = field(default=None, compare=False)
     direction: str = INCREASING
     domain: Interval | None = None
+    name: str | None = None
 
     def __call__(self, x):
-        """Evaluate pointwise; built-in families accept arrays too."""
+        """Evaluate pointwise; linear and hyperbolic functions accept arrays too."""
+        if self.fn is not None:
+            return self.fn(x)
         if self.family == "linear":
             return self.q * x + self.r
-        if self.family == "hyperbolic":
-            return self.q / x + self.r
-        if self.family == "identity":
-            return x
-        if self.family == "negation":
-            return -x
-        if self.family == "reciprocal":
-            return 1.0 / x
-        return self.fn(x)
+        return self.q / x + self.r
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; custom evaluators are applied per point."""
@@ -75,29 +74,19 @@ class CorrelationFunction:
     @property
     def linear_coeffs(self) -> tuple[float, float] | None:
         """(q, r) when the function is q*x + r, else None."""
-        if self.family == "linear":
-            return (self.q, self.r)
-        if self.family == "identity":
-            return (1.0, 0.0)
-        if self.family == "negation":
-            return (-1.0, 0.0)
-        return None
+        return (self.q, self.r) if self.family == "linear" else None
 
     @property
     def hyperbolic_coeffs(self) -> tuple[float, float] | None:
         """(q, r) when the function is q/x + r, else None."""
-        if self.family == "hyperbolic":
-            return (self.q, self.r)
-        if self.family == "reciprocal":
-            return (1.0, 0.0)
-        return None
+        return (self.q, self.r) if self.family == "hyperbolic" else None
 
     def require_on(self, iv: Interval) -> None:
         """Raise DomainError unless the function is defined on all of iv."""
-        if self.hyperbolic_coeffs is not None:
+        if self.family == "hyperbolic":
             if iv.lo <= 0.0 <= iv.hi:
                 raise DomainError(
-                    f"{self.family} correlation is undefined across zero, "
+                    f"{self.name or self.family} correlation is undefined across zero, "
                     f"got interval [{iv.lo:g}, {iv.hi:g}]")
         elif self.domain is not None and not self.domain.contains(iv):
             raise DomainError(
@@ -105,19 +94,15 @@ class CorrelationFunction:
                 f"[{self.domain.lo:g}, {self.domain.hi:g}]")
 
     def to_json(self):
-        """JSON form; zero-parameter families serialize as bare strings."""
-        if self.family == "linear":
-            return {"linear": [self.q, self.r]}
-        if self.family == "hyperbolic":
-            return {"hyperbolic": [self.q, self.r]}
+        """JSON form; the named aliases serialize as bare strings."""
         if self.family == "custom":
             raise ValueError("custom correlation functions have no JSON form")
-        return self.family
+        return self.name or {self.family: [self.q, self.r]}
 
     def __repr__(self) -> str:
-        if self.family in ("linear", "hyperbolic"):
-            return f"{self.family}(q={self.q:g}, r={self.r:g})"
-        return self.family
+        if self.family == "custom":
+            return self.family
+        return self.name or f"{self.family}(q={self.q:g}, r={self.r:g})"
 
 
 # -- factories ----------------------------------------------------------------
@@ -142,15 +127,18 @@ def hyperbolic(q: float, r: float = 0.0) -> CorrelationFunction:
 
 
 def identity() -> CorrelationFunction:
-    return CorrelationFunction("identity", direction=INCREASING)
+    """x: linear(1, 0) named ``identity``."""
+    return replace(linear(1.0), fn=operator.pos, name="identity")
 
 
 def negation() -> CorrelationFunction:
-    return CorrelationFunction("negation", direction=DECREASING)
+    """-x: linear(-1, 0) named ``negation``."""
+    return replace(linear(-1.0), fn=operator.neg, name="negation")
 
 
 def reciprocal() -> CorrelationFunction:
-    return CorrelationFunction("reciprocal", direction=DECREASING)
+    """1/x: hyperbolic(1, 0) named ``reciprocal``."""
+    return replace(hyperbolic(1.0), fn=partial(operator.truediv, 1.0), name="reciprocal")
 
 
 def custom(fn: Callable[[float], float], direction: str,
@@ -168,18 +156,29 @@ def custom(fn: Callable[[float], float], direction: str,
     return CorrelationFunction("custom", fn=fn, direction=direction, domain=domain)
 
 
+# Every built-in name with its factory and parameter count, read by the JSON
+# reader and the CLI grammar; parameterless names are bare JSON strings.
+CORRELATIONS = {
+    "linear": (linear, 2),
+    "hyperbolic": (hyperbolic, 2),
+    "identity": (identity, 0),
+    "negation": (negation, 0),
+    "reciprocal": (reciprocal, 0),
+}
+
+
 def correlation_from_json(obj) -> CorrelationFunction:
-    """Parse {"linear": [q, r]}, {"hyperbolic": [q, r]} or a bare family name."""
+    """Parse {"linear": [q, r]}, {"hyperbolic": [q, r]} or a bare alias name."""
     if isinstance(obj, str):
-        factories = {"identity": identity, "negation": negation, "reciprocal": reciprocal}
-        if obj in factories:
-            return factories[obj]()
+        factory, count = CORRELATIONS.get(obj, (None, None))
+        if count == 0:
+            return factory()
         raise ValueError(f"unknown correlation function name {obj!r}")
     if isinstance(obj, dict) and len(obj) == 1:
-        if "linear" in obj:
-            return linear(*obj["linear"])
-        if "hyperbolic" in obj:
-            return hyperbolic(*obj["hyperbolic"])
+        ((name, args),) = obj.items()
+        factory, count = CORRELATIONS.get(name, (None, 0))
+        if count:
+            return factory(*args)
     raise ValueError(f"unrecognized correlation object: {obj!r}")
 
 

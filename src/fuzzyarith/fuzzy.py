@@ -139,21 +139,38 @@ class FuzzyNumber:
         return Interval(self._los[i], self._his[i])
 
     def alpha_cut(self, alpha: float) -> Interval:
-        """Level set at an arbitrary alpha in [0, 1].
+        """Level set at an arbitrary alpha in [0, 1], the one-element case
+        of alpha_cuts."""
+        (lo,), (hi,) = self.alpha_cuts([alpha])
+        return Interval(lo, hi)
+
+    def alpha_cuts(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of the level sets at a 1-d sequence of
+        alphas in [0, 1], as two arrays.
 
         Exact at grid nodes; between nodes the endpoints are linearly
-        interpolated.
+        interpolated.  An alpha outside [0, 1] or NaN raises ValueError, as
+        does a level whose interpolated ends are not finite or out of order.
         """
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-        pos = alpha * self.k
-        i = int(pos)
-        if i >= self.k:
-            return self.level(self.k)
+        alphas = np.asarray(alphas, dtype=float)
+        bad = ~((0.0 <= alphas) & (alphas <= 1.0))
+        if bad.any():
+            raise ValueError(f"alpha must lie in [0, 1], got {float(alphas[bad][0])!r}")
+        k = self.k
+        pos = alphas * k
+        top = pos >= k
+        i = np.where(top, k - 1, pos.astype(np.intp))
         t = pos - i
-        lo = self._los[i] + t * (self._los[i + 1] - self._los[i])
-        hi = self._his[i] + t * (self._his[i + 1] - self._his[i])
-        return Interval(lo, hi)
+        los, his = self._los, self._his
+        # a step too wide for a float gives a non-finite end, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
+            hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+        if bad.any():
+            j = int(np.argmax(bad))
+            Interval(float(lo[j]), float(hi[j]))  # raises the Interval's own error
+        return lo, hi
 
     def membership(self, x):
         """Degree of membership, sup of the alphas whose cut contains x.

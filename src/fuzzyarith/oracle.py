@@ -183,10 +183,9 @@ def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> tuple | No
     give.  It can strictly contain the true correlated sum, which is why it
     is reported for comparison only.
     """
-    qr = f.hyperbolic_coeffs
-    if qr is None:
+    if f.family != "hyperbolic":
         return None
-    q, r = qr
+    q, r = f.q, f.r
     t1, t2 = q / a.his, q / a.los
     return a.los + np.minimum(t1, t2) + r, a.his + np.maximum(t1, t2) + r
 

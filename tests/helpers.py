@@ -87,3 +87,15 @@ def reference_compare_levels(x, y, tol=1e-9):
             equal=li.approx_equal(ri, tol),
         ))
     return out
+
+
+def reference_alpha_cut(x, alpha):
+    """The level ends (lo, hi) of x at one alpha, interpolated with Python
+    scalars one alpha at a time.  Reference only."""
+    pos = alpha * x.k
+    i = int(pos)
+    if i >= x.k:
+        return float(x.los[x.k]), float(x.his[x.k])
+    t = pos - i
+    return (float(x.los[i] + t * (x.los[i + 1] - x.los[i])),
+            float(x.his[i] + t * (x.his[i + 1] - x.his[i])))

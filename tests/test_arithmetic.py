@@ -437,6 +437,24 @@ def test_increasing_custom_sum_is_ranged_from_its_endpoints():
 
 
 @pytest.mark.parametrize("op", [correlated_sum, correlated_product])
+def test_analytic_request_takes_the_endpoint_route_when_it_proves_monotone(op):
+    a = triangular(1.0, 2.0, 3.0)
+    f = custom(math.exp, "increasing")
+    res = op(a, f, RangeMethod(mode="analytic"))
+    default = op(a, f)
+    assert res.los.tobytes() == default.los.tobytes()
+    assert res.his.tobytes() == default.his.tobytes()
+    # a decreasing f proves nothing for a sum, nor for a product across zero
+    with pytest.raises(ValueError, match="^analytic range requested but the function "
+                                         "states no extrema; use a numeric RangeMethod$"):
+        op(triangular(-1.0, 0.0, 1.0), custom(lambda x: -x**3, "decreasing"),
+           RangeMethod(mode="analytic"))
+    doc = " ".join(RangeMethod.__doc__.split())
+    assert "With no method passed, or an analytic one," in doc
+    assert "analytic method on any other custom correlation raises ValueError" in doc
+
+
+@pytest.mark.parametrize("op", [correlated_sum, correlated_product])
 @pytest.mark.parametrize("fn, domain, error", [
     (lambda x: x if x <= 2.5 else math.nan, None, DomainError),
     (lambda x: 5.0 - x, None, MonotonicityError),

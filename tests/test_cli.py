@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -301,3 +303,33 @@ def test_cli_output_matches_recorded_bytes(cls):
             assert rc == case["rc"], case["argv"]
             assert hashlib.sha256(out.getvalue().encode()).hexdigest() == case["sha256"], \
                 case["argv"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(command, printed lines) for every ``$ fuzzyarith`` line in the
+    README's console blocks; an example's output runs to the next ``$`` line
+    or the end of its block, trailing blank lines dropped."""
+    examples = []
+    for block in re.findall(r"^```console\n(.*?)^```", README.read_text(), re.S | re.M):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.strip():
+                command, *lines = chunk.rstrip("\n").splitlines()
+                while lines and not lines[-1]:
+                    lines.pop()
+                examples.append(pytest.param(command, lines, id=command))
+    return examples
+
+
+def test_readme_shows_every_command():
+    commands = [p.values[0] for p in _readme_examples()]
+    assert all(c.startswith("$ fuzzyarith ") for c in commands)
+    assert {shlex.split(c)[2] for c in commands} == {"eval", "check", "table"}
+
+
+@pytest.mark.parametrize("command, lines", _readme_examples())
+def test_readme_console_examples_print_what_they_show(command, lines, capsys):
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out.splitlines() == lines

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from fuzzyarith import (
     Interval,
     MonotonicityError,
     check_monotone,
+    correlated_product,
     correlated_sum,
     correlation_from_json,
+    crisp,
     custom,
     hyperbolic,
     identity,
@@ -186,3 +189,53 @@ def test_json_accepts_bare_names():
     assert correlation_from_json("negation")(2.0) == -2.0
     assert correlation_from_json("identity")(2.0) == 2.0
     assert correlation_from_json({"linear": [2, 1]})(1.0) == 3.0
+
+
+def test_named_aliases_are_linear_and_hyperbolic_functions_that_keep_their_names():
+    for f, family, q, name in ((identity(), "linear", 1.0, "identity"),
+                               (negation(), "linear", -1.0, "negation"),
+                               (reciprocal(), "hyperbolic", 1.0, "reciprocal")):
+        assert (f.family, f.q, f.r) == (family, q, 0.0)
+        assert repr(f) == f.to_json() == name
+        assert correlation_from_json(name) == f
+        assert pickle.loads(pickle.dumps(f)) == f
+    assert identity() != linear(1.0, 0.0)
+    assert negation() != linear(-1.0, 0.0)
+    assert reciprocal() != hyperbolic(1.0, 0.0)
+    with pytest.raises(DomainError, match="^reciprocal correlation is undefined across zero"):
+        reciprocal().require_on(Interval(-1.0, 1.0))
+
+
+def test_named_aliases_evaluate_exactly_down_to_signed_zeros():
+    # q*x + r with r = 0 would turn these zeros into +0.0
+    assert np.signbit(negation()(0.0))
+    assert np.signbit(identity()(-0.0))
+    assert np.signbit(negation().values(np.array([0.0]))).all()
+    assert np.signbit(identity().values(np.array([-0.0]))).all()
+    assert reciprocal()(-0.5) == -2.0
+
+
+# (operand, correlation, operation): the lower and upper ends, signed zeros
+# included, that x and -x give.
+_ALIAS_RESULTS = [
+    ("tri", identity, induced_number, [-1.0, -0.75, -0.5, -0.25, 0.0], [1.0, 0.75, 0.5, 0.25, 0.0]),
+    ("tri", identity, correlated_sum, [-2.0, -1.5, -1.0, -0.5, 0.0], [2.0, 1.5, 1.0, 0.5, 0.0]),
+    ("tri", identity, correlated_product, [0.0] * 5, [1.0, 0.5625, 0.25, 0.0625, 0.0]),
+    ("tri", negation, induced_number, [-1.0, -0.75, -0.5, -0.25, -0.0], [1.0, 0.75, 0.5, 0.25, -0.0]),
+    ("tri", negation, correlated_sum, [0.0] * 5, [0.0] * 5),
+    ("tri", negation, correlated_product, [-1.0, -0.5625, -0.25, -0.0625, 0.0], [0.0] * 5),
+    ("crisp", identity, induced_number, [-0.0] * 3, [-0.0] * 3),
+    ("crisp", identity, correlated_sum, [0.0] * 3, [0.0] * 3),
+    ("crisp", identity, correlated_product, [0.0] * 3, [0.0] * 3),
+    ("crisp", negation, induced_number, [0.0] * 3, [0.0] * 3),
+    ("crisp", negation, correlated_sum, [0.0] * 3, [0.0] * 3),
+    ("crisp", negation, correlated_product, [-0.0] * 3, [0.0] * 3),
+]
+
+
+@pytest.mark.parametrize("shape, make, op, los, his", _ALIAS_RESULTS)
+def test_named_alias_results_keep_their_bytes(shape, make, op, los, his):
+    a = triangular(-1.0, 0.0, 1.0, grid=4) if shape == "tri" else crisp(-0.0, grid=2)
+    res = op(a, make())
+    assert res.los.tobytes() == np.array(los).tobytes()
+    assert res.his.tobytes() == np.array(his).tobytes()

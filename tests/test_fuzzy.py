@@ -14,7 +14,7 @@ from fuzzyarith import (
     triangular,
 )
 
-from helpers import random_shape
+from helpers import random_shape, reference_alpha_cut
 
 
 def test_alpha_grid_levels():
@@ -211,3 +211,37 @@ def test_arrays_are_read_only():
     a = triangular(1.0, 2.0, 3.0)
     with pytest.raises(ValueError):
         a.los[0] = -10.0
+
+
+def _bits(*ends):
+    return np.array(ends, dtype=float).tobytes()
+
+
+def test_alpha_cuts_match_alpha_cut_bit_for_bit(rng):
+    shapes = [random_shape(rng, grid=k) for k in (1, 7, 100, 1000)]
+    shapes += [crisp(-0.0, grid=3), triangular(-1.0, 0.0, 1.0, grid=10)]
+    for a in shapes:
+        alphas = np.concatenate([rng.random(64), [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
+                                 a.grid.alphas()])
+        los, his = a.alpha_cuts(alphas)
+        assert los.shape == his.shape == alphas.shape
+        for alpha, lo, hi in zip(alphas.tolist(), los.tolist(), his.tolist()):
+            iv = a.alpha_cut(alpha)
+            assert _bits(lo, hi) == _bits(iv.lo, iv.hi) == _bits(*reference_alpha_cut(a, alpha))
+
+
+def test_alpha_cuts_reject_what_alpha_cut_rejects():
+    a = triangular(1.0, 2.0, 3.0, grid=4)
+    for bad in (1.5, -0.1, float("nan"), float("inf")):
+        message = f"^alpha must lie in \\[0, 1\\], got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            a.alpha_cut(bad)
+        with pytest.raises(ValueError, match=message):
+            a.alpha_cuts([0.5, bad, 2.0])
+    # a step wider than the largest float interpolates to a non-finite end
+    with np.errstate(over="ignore"):
+        wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
+    with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[inf, 1\.6e\+308\]$"):
+        wide.alpha_cuts([0.5, 1.0])
+    with pytest.raises(ValueError, match="^interval endpoints must be finite"):
+        wide.alpha_cut(0.5)
