@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .correlation import INCREASING, CorrelationFunction, _validate_custom
+from .correlation import INCREASING, CorrelationFunction
 from .errors import DomainError
 from .fuzzy import FuzzyNumber
 from .interval import Interval
@@ -43,27 +42,16 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 class RangeMethod:
     """How to compute the range of a function over the levels of a family.
 
-    Both modes run one engine: each level's range comes from the values
-    at its two endpoints and from the function's interior extrema.
-    ``analytic`` takes the extrema the profile shapes below state, with
-    no scan; ``samples`` and ``refine_tol`` are then unused.  With no
-    method passed, or an analytic one, the correlated operations take it
-    for a custom correlation whose declared direction proves g monotone
-    on the support, which then has no interior extrema.  For a sum that
-    is an increasing f, the case of the paper's theorem that the
-    correlated and standard sums coincide.  For a product it is an f and
-    a support of one sign each on which |x| and |f| move together.  An
-    analytic method on any other custom correlation raises ValueError.
-    ``numeric``
-    evaluates the function at ``samples`` equispaced points across the
-    support (the widest level), once for all levels, and sharpens every
-    local minimum and maximum of that scan with a golden-section search
-    until its bracket is narrower than ``refine_tol``.  The cost is one
-    scan, 2(K+1) endpoint evaluations and one refinement per local
-    extremum.  Extrema closer together than the scan step, support
-    width / (samples - 1), can be missed.  The reported ends are values
-    the function takes inside the level, and the levels are exactly
-    nested.  Passing a numeric method explicitly always scans.
+    ``mode``: ``analytic`` takes the interior extrema the function states,
+    with no scan; ``numeric`` scans the support (the rules are _route's).
+    With no method passed, or an analytic one, the correlated operations
+    range a custom correlation whose declared direction proves g monotone
+    from its level ends; an analytic method on any other custom
+    correlation raises ValueError.
+    ``samples``: equispaced scan points across the support; extrema closer
+    together than the scan step can be missed.
+    ``refine_tol``: the bracket width at which the golden-section search
+    refining each local extremum of the scan stops.
     """
 
     mode: str = "numeric"
@@ -77,9 +65,6 @@ class RangeMethod:
             raise ValueError(f"numeric range needs at least 65 samples, got {self.samples}")
         if not self.refine_tol > 0:
             raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
-
-
-_ANALYTIC = RangeMethod(mode="analytic")
 
 
 # -- profile shapes with stated extrema -----------------------------------------
@@ -139,22 +124,6 @@ class ReciprocalSum:
             return (), ()
         s = math.sqrt(self.q)
         return ((s, 2.0 * s + self.r),), ((-s, -2.0 * s + self.r),)
-
-
-@dataclass(frozen=True)
-class _Monotone:
-    """A custom correlation's g = x + f(x) or x * f(x) on a support where
-    its declared direction proves g monotone (see _monotone_on): it states
-    no interior extrema.  It takes an array, calling g one float at a time,
-    the only call a custom evaluator is promised to take."""
-
-    g: Callable[[float], float]
-
-    def __call__(self, xs):
-        return np.fromiter((self.g(float(x)) for x in xs), float, xs.size)
-
-    def extrema(self):
-        return (), ()
 
 
 # -- range search ---------------------------------------------------------------
@@ -235,42 +204,47 @@ def _refined_minima(g, xs: np.ndarray, ys: np.ndarray, tol: float):
     return np.array(found).T
 
 
-def _resolve(g, method: RangeMethod | None) -> RangeMethod:
-    """The method that ranges g: analytic by default when g states its
-    extrema, numeric otherwise."""
-    stated = hasattr(g, "extrema")
-    if method is None:
-        return _ANALYTIC if stated else RangeMethod()
-    if method.mode == "analytic" and not stated:
+def _stated_extrema(g, method: RangeMethod | None):
+    """The interior extrema g states, unless a numeric method is passed;
+    None when g is to be scanned.  An analytic method on a g that states
+    none raises ValueError."""
+    if method is not None and method.mode == "numeric":
+        return None
+    if hasattr(g, "extrema"):
+        return g.extrema()
+    if method is not None:
         raise ValueError(
             "analytic range requested but the function states no extrema; "
             "use a numeric RangeMethod")
-    return method
+    return None
 
 
-def _range_levels(g, los: np.ndarray, his: np.ndarray,
-                  method: RangeMethod) -> tuple[np.ndarray, np.ndarray]:
+def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
+                  method: RangeMethod | None) -> tuple[np.ndarray, np.ndarray]:
     """Range of g over every level [los[i], his[i]] of a nested family.
 
-    Each level starts from the extremes of g at its two endpoints.  In
-    analytic mode g states its interior extrema; a stated value is exact,
-    so it replaces that end on every level holding its argument (a prefix
-    of the family).  In numeric mode one scan of the support
-    [los[0], his[0]] finds the local extrema of g, each refined once; each
-    refined value is folded into the last level j(x) holding it, and a
-    reverse running min/max hands every level the extremes over itself
-    and the levels inside it.  Every reported value is taken by g inside
-    its level.  Time and memory are O(samples + K).
+    Each level starts from the extremes of g at its two endpoints.  Given
+    ``extrema``, g's interior minima and maxima as (x, g(x)) pairs, a
+    stated value is exact, so it replaces that end on every level holding
+    its argument (a prefix of the family); ((), ()) ranges a monotone g
+    from its ends alone.  With extrema None, one scan of the support
+    [los[0], his[0]] by ``method`` (default RangeMethod()) finds the local
+    extrema of g, each refined once; each refined value is folded into the
+    last level j(x) holding it, and a reverse running min/max hands every
+    level the extremes over itself and the levels inside it.  Every
+    reported value is taken by g inside its level.  Time and memory are
+    O(samples + K).
     """
     at_lo = _values(g, los)
     at_hi = _values(g, his)
     lows = np.minimum(at_lo, at_hi)
     highs = np.maximum(at_lo, at_hi)
-    if method.mode == "analytic":
-        for slot, stated in zip((lows, highs), g.extrema()):
+    if extrema is not None:
+        for slot, stated in zip((lows, highs), extrema):
             for x, v in stated:
                 slot[(los <= x) & (x <= his)] = v
         return lows, highs
+    method = method or RangeMethod()
     if his[0] > los[0]:
         xs = np.linspace(los[0], his[0], method.samples)
         ys = _values(g, xs)
@@ -295,13 +269,14 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
     analytically and anything else numerically; an explicit analytic
     request on a plain callable is an error.
 
-    This is the one-level case of the correlated engine (see RangeMethod):
+    This is the one-level case of the correlated engine (see _range_levels):
     the values at the two ends plus the stated extrema inside iv, or plus
     the refined extrema of a ``method.samples``-point scan of iv, whose
     resolution is iv.width / (samples - 1).  Both ends of the result are
     values g takes on iv.
     """
-    lo, hi = _range_levels(g, np.array([iv.lo]), np.array([iv.hi]), _resolve(g, method))
+    lo, hi = _range_levels(g, np.array([iv.lo]), np.array([iv.hi]),
+                           _stated_extrema(g, method), method)
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -375,27 +350,33 @@ def _monotone_on(f: CorrelationFunction, op: str, support: Interval) -> bool:
 
 
 def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMethod | None):
-    """The function g the engine ranges for op under f on the support, and
-    the method it takes: a linear or hyperbolic f's profile; a custom f's g
-    from its endpoint values alone when the method is None or analytic and
-    its direction proves g monotone; any other by the method passed, the
-    numeric scan by default.  The operations and oracle_check ask it."""
+    """The range plan for op under f on the support: the function g the
+    engine ranges and the interior extrema it ranges g from, None when g
+    is scanned.
+
+    A linear or hyperbolic f gives a profile whose stated extrema are
+    taken, with no scan, unless a numeric method is passed.  A custom f
+    whose declared direction proves g monotone (see _monotone_on) has no
+    interior extrema, ((), ()), when the method is None or analytic.  Any
+    other custom f is scanned by the numeric method passed, or by the
+    default one; an analytic method raises ValueError for it.  The
+    operations and oracle_check ask this one function.
+    """
     g = _profile(f, op)
     if g is None:
         fn = f.fn  # bound once: every evaluation skips CorrelationFunction.__call__
         g = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
         if (method is None or method.mode == "analytic") and _monotone_on(f, op, support):
-            g = _Monotone(g)
-    return g, _resolve(g, method)
+            return g, ((), ())
+    return g, _stated_extrema(g, method)
 
 
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
     sup = a.support
-    f.require_on(sup)
-    _validate_custom(f, sup)
-    g, method = _route(f, op, sup, method)
-    return FuzzyNumber(*_range_levels(g, a.los, a.his, method))
+    f.check_on(sup)
+    g, extrema = _route(f, op, sup, method)
+    return FuzzyNumber(*_range_levels(g, a.los, a.his, extrema, method))
 
 
 def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,
@@ -541,6 +522,17 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
             for alpha, xlo, xhi, ylo, yhi, h, sub, eq in zip(*(c.tolist() for c in cols))]
 
 
+def _compared(x: FuzzyNumber, y: FuzzyNumber, tol: float):
+    """Per-level Hausdorff distance between x and y, and whether each level
+    of x lies in (subset) and equals (equal) that of y within tol, as
+    three arrays."""
+    # ends near the float limits give an inf distance or bound, as Python floats do
+    with np.errstate(over="ignore"):
+        h = np.maximum(np.abs(x.los - y.los), np.abs(x.his - y.his))
+        subset = (x.los >= y.los - tol) & (x.his <= y.his + tol)
+    return h, subset, h <= tol
+
+
 def compare_levels(x: FuzzyNumber, y: FuzzyNumber,
                    tol: float = 1e-9) -> list[LevelResult]:
     """Levelwise comparison of two fuzzy numbers on the same grid.
@@ -555,8 +547,4 @@ def compare_levels(x: FuzzyNumber, y: FuzzyNumber,
         raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol!r}")
-    # ends near the float limits give an inf distance or bound, as Python floats do
-    with np.errstate(over="ignore"):
-        h = np.maximum(np.abs(x.los - y.los), np.abs(x.his - y.his))
-        subset = (x.los >= y.los - tol) & (x.his <= y.his + tol)
-    return _level_rows(x, y, h, subset, h <= tol)
+    return _level_rows(x, y, *_compared(x, y, tol))

@@ -71,16 +71,6 @@ class CorrelationFunction:
             return np.fromiter((float(self.fn(float(x))) for x in xs), float, len(xs))
         return np.asarray(self(np.asarray(xs, dtype=float)), dtype=float)
 
-    @property
-    def linear_coeffs(self) -> tuple[float, float] | None:
-        """(q, r) when the function is q*x + r, else None."""
-        return (self.q, self.r) if self.family == "linear" else None
-
-    @property
-    def hyperbolic_coeffs(self) -> tuple[float, float] | None:
-        """(q, r) when the function is q/x + r, else None."""
-        return (self.q, self.r) if self.family == "hyperbolic" else None
-
     def require_on(self, iv: Interval) -> None:
         """Raise DomainError unless the function is defined on all of iv."""
         if self.family == "hyperbolic":
@@ -92,6 +82,20 @@ class CorrelationFunction:
             raise DomainError(
                 f"interval [{iv.lo:g}, {iv.hi:g}] leaves the declared domain "
                 f"[{self.domain.lo:g}, {self.domain.hi:g}]")
+
+    def check_on(self, iv: Interval) -> None:
+        """Raise unless the function may be applied on iv: DomainError
+        outside its domain, and for a custom function, sample-checked by
+        check_monotone, MonotonicityError unless it is strictly monotone
+        in its declared direction."""
+        if self.family != "custom":
+            self.require_on(iv)
+            return
+        found = check_monotone(self, iv)
+        if found != self.direction:
+            raise MonotonicityError(
+                f"custom correlation declared {self.direction} but samples "
+                f"{found} on [{iv.lo:g}, {iv.hi:g}]")
 
     def to_json(self):
         """JSON form; the named aliases serialize as bare strings."""
@@ -216,24 +220,13 @@ def check_monotone(f: CorrelationFunction, iv: Interval,
         f"({samples} samples)")
 
 
-def _validate_custom(f: CorrelationFunction, iv: Interval) -> None:
-    if f.family != "custom":
-        return
-    found = check_monotone(f, iv)
-    if found != f.direction:
-        raise MonotonicityError(
-            f"custom correlation declared {f.direction} but samples "
-            f"{found} on [{iv.lo:g}, {iv.hi:g}]")
-
-
 def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:
     """The fuzzy number B = f(A) carried by the correlation.
 
     Each level of B is the monotone image of the matching level of A, so
     B lives on the same alpha grid as A.
     """
-    f.require_on(a.support)
-    _validate_custom(f, a.support)
+    f.check_on(a.support)
     lo_img = f.values(a.los)
     hi_img = f.values(a.his)
     if f.direction == DECREASING:

@@ -69,8 +69,10 @@ class FuzzyNumber:
                              f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
         if np.any(los > his + NEST_TOL):
             raise ValueError("level lower endpoint exceeds upper endpoint")
-        if np.any(np.diff(los) < -NEST_TOL) or np.any(np.diff(his) > NEST_TOL):
-            raise ValueError("levels are not nested")
+        # a difference past the float range is +-inf and still compares right
+        with np.errstate(over="ignore"):
+            if np.any(np.diff(los) < -NEST_TOL) or np.any(np.diff(his) > NEST_TOL):
+                raise ValueError("levels are not nested")
 
         # Repair float-scale slack so the stored family is exactly nested.
         los = np.maximum.accumulate(los)
@@ -164,8 +166,8 @@ class FuzzyNumber:
         los, his = self._los, self._his
         # a step too wide for a float gives a non-finite end, reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
-            hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
+            lo = np.where(top, los[k], _interpolated(los, i, t))
+            hi = np.where(top, his[k], _interpolated(his, i, t))
         bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
         if bad.any():
             j = int(np.argmax(bad))
@@ -183,25 +185,9 @@ class FuzzyNumber:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
-        k = self.k
-        los, his = self._los, self._his
-
+        # the upper curve, negated, is non-decreasing: (-p) - (-h) is h - p exactly
         with np.errstate(invalid="ignore"):
-            i = np.searchsorted(los, pts, side="right") - 1
-            seg = np.clip(i, 0, k - 1)
-            gap = los[seg + 1] - los[seg]
-            a_lo = (seg + (pts - los[seg]) / np.where(gap > 0, gap, 1.0)) / k
-            a_lo = np.where(i >= k, 1.0, a_lo)
-            a_lo = np.where(i < 0, -1.0, a_lo)
-
-            j = np.searchsorted(self._neg_his, -pts, side="right") - 1
-            segj = np.clip(j, 0, k - 1)
-            gapj = his[segj] - his[segj + 1]
-            a_hi = (segj + (his[segj] - pts) / np.where(gapj > 0, gapj, 1.0)) / k
-            a_hi = np.where(j >= k, 1.0, a_hi)
-            a_hi = np.where(j < 0, -1.0, a_hi)
-
-        out = np.minimum(a_lo, a_hi)
+            out = np.minimum(_curve_alphas(self._los, pts), _curve_alphas(self._neg_his, -pts))
         out = np.where(out < 0.0, 0.0, out)
         return float(out[0]) if scalar else out
 
@@ -244,6 +230,27 @@ class FuzzyNumber:
     def __repr__(self) -> str:
         return (f"FuzzyNumber(K={self.k}, support=[{self._los[0]:g}, {self._his[0]:g}], "
                 f"core=[{self._los[-1]:g}, {self._his[-1]:g}])")
+
+
+def _interpolated(ends: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """ends[i] + t * (ends[i + 1] - ends[i]); at a grid node (t = 0) a step
+    past the float range makes that increment 0 * inf, and the stored end
+    is kept instead."""
+    inc = t * (ends[i + 1] - ends[i])
+    return np.where(np.isnan(inc), ends[i], ends[i] + inc)
+
+
+def _curve_alphas(ends: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The alpha at which the non-decreasing endpoint curve ends (one value
+    per grid node) reaches each point, linear inside the located grid
+    step: 1 at or past its last node, -1 below its first."""
+    k = ends.size - 1
+    i = np.searchsorted(ends, pts, side="right") - 1
+    seg = np.clip(i, 0, k - 1)
+    gap = ends[seg + 1] - ends[seg]
+    alphas = (seg + (pts - ends[seg]) / np.where(gap > 0, gap, 1.0)) / k
+    alphas = np.where(i >= k, 1.0, alphas)
+    return np.where(i < 0, -1.0, alphas)
 
 
 # -- constructors -------------------------------------------------------------

@@ -15,11 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _level_rows, _route,
+from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _route,
                          correlated_product, correlated_sum)
-from .correlation import CorrelationFunction, _validate_custom
+from .correlation import CorrelationFunction
 from .fuzzy import AlphaGrid, FuzzyNumber
-from .interval import Interval
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -69,8 +68,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction,
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     sup = a.support
-    f.require_on(sup)
-    _validate_custom(f, sup)
+    f.check_on(sup)
     xs = np.array([sup.lo]) if sup.width == 0.0 else np.linspace(sup.lo, sup.hi, n)
     mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
     ys = f.values(xs)
@@ -124,8 +122,8 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
 @dataclass(frozen=True)
 class OracleReport:
     """Engine-versus-oracle comparison across one full level family, as
-    arrays; ``levels`` (the rows of compare_levels(engine, oracle, tol=0.0)
-    with the method attached) and ``minkowski`` are built on first access."""
+    arrays; ``levels``, the rows of compare_levels(engine, oracle, tol=0.0)
+    with the method attached, are built on first access."""
 
     op: str
     n: int
@@ -140,15 +138,8 @@ class OracleReport:
 
     @cached_property
     def levels(self) -> list[LevelResult]:
-        e, o = self.engine, self.oracle
-        return _level_rows(e, o, self.hausdorff, (e.los >= o.los) & (e.his <= o.his),
-                           self.hausdorff <= 0.0, self.method)
-
-    @cached_property
-    def minkowski(self) -> list[Interval] | None:
-        if self.termwise is None:
-            return None
-        return [Interval(lo, hi) for lo, hi in zip(*(t.tolist() for t in self.termwise))]
+        return _level_rows(self.engine, self.oracle,
+                           *_compared(self.engine, self.oracle, 0.0), self.method)
 
     def to_json(self) -> dict:
         e, o, extra = self.engine, self.oracle, self.termwise or ()
@@ -210,10 +201,11 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     if delta is None:
         delta = _auto_delta(joint)
     approx = levels_from_membership(extend(joint, op), a.grid, delta)
-    h = np.maximum(np.abs(engine.los - approx.los), np.abs(engine.his - approx.his))
+    h = _compared(engine, approx, 0.0)[0]
     max_h = float(h.max())
     tolerance = 5.0 * a.support.width / n
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
-                        method=_route(f, op, a.support, method)[1].mode,
+                        method="numeric" if _route(f, op, a.support, method)[1] is None
+                        else "analytic",
                         termwise=_minkowski_sum_reading(a, f) if op == "sum" else None)

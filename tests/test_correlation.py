@@ -31,8 +31,7 @@ def test_linear_factory_and_evaluation():
     f = linear(2.0, 1.0)
     assert f(2.0) == 5.0
     assert f.direction == "increasing"
-    assert f.linear_coeffs == (2.0, 1.0)
-    assert f.hyperbolic_coeffs is None
+    assert (f.family, f.q, f.r) == ("linear", 2.0, 1.0)
     g = linear(-3.0)
     assert g.direction == "decreasing"
     assert g(1.0) == -3.0
@@ -47,7 +46,7 @@ def test_hyperbolic_factory_and_evaluation():
     f = hyperbolic(4.0)
     assert f(2.0) == 2.0
     assert f.direction == "decreasing"
-    assert f.hyperbolic_coeffs == (4.0, 0.0)
+    assert (f.family, f.q, f.r) == ("hyperbolic", 4.0, 0.0)
     g = hyperbolic(-2.0, 1.0)
     assert g.direction == "increasing"
     assert g(2.0) == 0.0
@@ -57,12 +56,12 @@ def test_hyperbolic_factory_and_evaluation():
 
 def test_named_special_cases():
     assert identity()(3.5) == 3.5
-    assert identity().linear_coeffs == (1.0, 0.0)
+    assert (identity().family, identity().q, identity().r) == ("linear", 1.0, 0.0)
     assert negation()(3.5) == -3.5
-    assert negation().linear_coeffs == (-1.0, 0.0)
+    assert (negation().family, negation().q, negation().r) == ("linear", -1.0, 0.0)
     assert negation().direction == "decreasing"
     assert reciprocal()(4.0) == 0.25
-    assert reciprocal().hyperbolic_coeffs == (1.0, 0.0)
+    assert (reciprocal().family, reciprocal().q, reciprocal().r) == ("hyperbolic", 1.0, 0.0)
     assert reciprocal().direction == "decreasing"
 
 

@@ -245,3 +245,19 @@ def test_alpha_cuts_reject_what_alpha_cut_rejects():
         wide.alpha_cuts([0.5, 1.0])
     with pytest.raises(ValueError, match="^interval endpoints must be finite"):
         wide.alpha_cut(0.5)
+
+
+def test_levels_more_than_the_float_range_apart_build_without_warnings():
+    # no errstate here: the suite turns a RuntimeWarning into an error
+    wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
+    assert wide.level(0) == Interval(-1.5e308, 1.6e308)
+    with pytest.raises(ValueError, match="^levels are not nested$"):
+        FuzzyNumber([1.5e308, -1.5e308], [1.6e308, 1.6e308])
+
+
+def test_grid_nodes_keep_their_stored_level_across_a_step_wider_than_floats():
+    with np.errstate(over="ignore"):  # the constructor is the test above's
+        wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
+    assert wide.alpha_cut(0.0) == wide.level(0)
+    los, his = wide.alpha_cuts([0.0, 1.0])
+    assert los.tolist() == [-1.5e308, 1.5e308] and his.tolist() == [1.6e308, 1.6e308]

@@ -216,10 +216,11 @@ def test_oracle_check_memory_grows_with_n_plus_k():
 def test_oracle_report_rows_agree_with_arrays():
     report = oracle_check(triangular(1.0, 2.0, 3.0, grid=20), hyperbolic(4.0), "sum", n=501)
     rows = report.to_json()["levels"]
-    for row, lr, mk in zip(rows, report.levels, report.minkowski, strict=True):
+    termwise = zip(*(t.tolist() for t in report.termwise))
+    for row, lr, mk in zip(rows, report.levels, termwise, strict=True):
         assert row == {"alpha": lr.alpha, "engine": [lr.left.lo, lr.left.hi],
                        "oracle": [lr.right.lo, lr.right.hi], "hausdorff": lr.hausdorff,
-                       "minkowski": [mk.lo, mk.hi]}
+                       "minkowski": list(mk)}
         assert lr.hausdorff == lr.left.hausdorff(lr.right)
         assert lr.subset == lr.right.contains(lr.left)
         assert lr.equal == (lr.hausdorff == 0.0)
@@ -257,16 +258,17 @@ def test_oracle_check_hyperbolic_sum_reports_termwise_reading():
     report = oracle_check(a, hyperbolic(4.0), "sum")
     assert report.passed
     assert report.levels[0].left.approx_equal(Interval(4.0, 5.0), tol=1e-9)
-    assert report.minkowski is not None
+    assert report.termwise is not None
     # termwise reading [A] + 4*{1/x}: wider than the true range
-    assert report.minkowski[0].approx_equal(Interval(1.0 + 4.0 / 3.0, 7.0), tol=1e-12)
-    assert report.minkowski[0].contains(report.levels[0].left, tol=1e-9)
-    assert report.minkowski[0].width > report.levels[0].left.width + 1.0
+    reading = Interval(report.termwise[0][0], report.termwise[1][0])
+    assert reading.approx_equal(Interval(1.0 + 4.0 / 3.0, 7.0), tol=1e-12)
+    assert reading.contains(report.levels[0].left, tol=1e-9)
+    assert reading.width > report.levels[0].left.width + 1.0
 
 
 def test_oracle_check_product_has_no_termwise_reading():
     report = oracle_check(triangular(1.0, 2.0, 3.0), hyperbolic(4.0), "product", n=501)
-    assert report.minkowski is None
+    assert report.termwise is None
     assert "minkowski" not in report.to_json()["levels"][0]
 
 

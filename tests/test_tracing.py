@@ -1,0 +1,41 @@
+"""The benchmark's tracer rebinds library names; these must keep existing
+and be called, or a traced benchmark run fails or misses a layer."""
+
+import math
+import sys
+import types
+from pathlib import Path
+
+import fuzzyarith
+import fuzzyarith.cli  # loaded, so that the tracer rebinds its names too
+from fuzzyarith import (arithmetic, correlation, custom, fuzzy, hyperbolic, interval, oracle,
+                        triangular)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    # executed from source, so that no bytecode cache is left in perfbench/
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_tracer_records_the_layers_and_restores_every_name():
+    tracing = _load_tracing()
+    owners = (fuzzy.FuzzyNumber, interval.Interval, correlation, arithmetic, oracle,
+              fuzzyarith, sys.modules["fuzzyarith.cli"])
+    before = [dict(vars(owner)) for owner in owners]
+    a = triangular(1.0, 2.0, 3.0, grid=20)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        summed = fuzzyarith.correlated_sum(a, custom(math.exp, "increasing"))
+        fuzzyarith.oracle_check(a, hyperbolic(4.0), "sum", n=501)
+        fuzzyarith.compare_levels(summed, summed)
+    names = {span[0] for span in tracer.spans}
+    assert {"correlation.monotone_check", "oracle.build_joint", "oracle.extend",
+            "oracle.levels_from_membership", "oracle.report",
+            "arithmetic.compare_levels"} <= names
+    for owner, saved in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == saved.keys(), owner
+        assert all(now[k] is v for k, v in saved.items()), owner
