@@ -126,15 +126,43 @@ class ReciprocalSum:
         return ((s, 2.0 * s + self.r),), ((-s, -2.0 * s + self.r),)
 
 
+@dataclass(frozen=True)
+class Composite:
+    """g(x) = x + f(x) or x * f(x) for a custom f, which states no extrema.
+
+    Called on one float, as the golden-section refinement does, it calls
+    f.fn once.  ``values`` takes an array and evaluates f through
+    CorrelationFunction.values, so g at a point is the same IEEE add or
+    multiply of x and float(f.fn(x)) either way.
+    """
+
+    f: CorrelationFunction
+    op: str
+
+    def __call__(self, x):
+        return x + self.f.fn(x) if self.op == "sum" else x * self.f.fn(x)
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        ys = self.f.values(xs)
+        # past the float range x + f(x) is inf, as with Python floats, and
+        # the caller reports the non-finite level
+        with np.errstate(over="ignore", invalid="ignore"):
+            return xs + ys if self.op == "sum" else xs * ys
+
+
 # -- range search ---------------------------------------------------------------
 
 
 def _values(g, xs: np.ndarray) -> np.ndarray:
-    """g at every point of xs.  The profiles above take arrays; any other
-    callable is only promised to take one float at a time."""
+    """g at every point of xs.  The profiles above take arrays, a Composite
+    evaluates its f through the one per-point loop of
+    CorrelationFunction.values, and any other callable is only promised to
+    take one float at a time."""
+    if isinstance(g, Composite):
+        return g.values(xs)
     if hasattr(g, "extrema"):
         return np.asarray(g(xs), dtype=float)
-    return np.fromiter((g(float(x)) for x in xs), float, xs.size)
+    return np.fromiter(map(g, xs.tolist()), float, xs.size)
 
 
 def _golden_min(g, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -248,9 +276,12 @@ def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
     if his[0] > los[0]:
         xs = np.linspace(los[0], his[0], method.samples)
         ys = _values(g, xs)
-        neg = lambda x: -g(x)
+        # the refinement calls g one float at a time, and a bound __call__
+        # skips the slower call of the Composite instance itself
+        point = g.__call__ if isinstance(g, Composite) else g
+        neg = lambda x: -point(x)
         neg_his = -his
-        for slot, fold, h, hs, sign in ((lows, np.minimum, g, ys, 1.0),
+        for slot, fold, h, hs, sign in ((lows, np.minimum, point, ys, 1.0),
                                         (highs, np.maximum, neg, -ys, -1.0)):
             x, v = _refined_minima(h, xs, hs, method.refine_tol)
             # every x lies on the support, so j >= 0
@@ -364,8 +395,7 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
     """
     g = _profile(f, op)
     if g is None:
-        fn = f.fn  # bound once: every evaluation skips CorrelationFunction.__call__
-        g = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
+        g = Composite(f, op)
         if (method is None or method.mode == "analytic") and _monotone_on(f, op, support):
             return g, ((), ())
     return g, _stated_extrema(g, method)

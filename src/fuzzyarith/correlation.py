@@ -66,10 +66,18 @@ class CorrelationFunction:
         return self.q / x + self.r
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; custom evaluators are applied per point."""
+        """f at every point of xs as a float array.
+
+        A custom ``fn`` is called once per point, in order, on a Python
+        float, and each result is taken with ``float()``.  This is the one
+        loop every multi-point evaluation of a custom function goes through:
+        the monotonicity check, induced_number, the oracle's samples and the
+        correlated engine's level ends and scan.
+        """
+        xs = np.asarray(xs, dtype=float)
         if self.family == "custom":
-            return np.fromiter((float(self.fn(float(x))) for x in xs), float, len(xs))
-        return np.asarray(self(np.asarray(xs, dtype=float)), dtype=float)
+            return np.fromiter(map(float, map(self.fn, xs.tolist())), float, xs.size)
+        return np.asarray(self(xs), dtype=float)
 
     def require_on(self, iv: Interval) -> None:
         """Raise DomainError unless the function is defined on all of iv."""

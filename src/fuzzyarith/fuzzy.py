@@ -8,6 +8,7 @@ off by linear interpolation.  The level at alpha = 1 is the closed core.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,8 +186,10 @@ class FuzzyNumber:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
-        # the upper curve, negated, is non-decreasing: (-p) - (-h) is h - p exactly
-        with np.errstate(invalid="ignore"):
+        # the upper curve, negated, is non-decreasing: (-p) - (-h) is h - p exactly;
+        # a difference past the float range is recomputed by _curve_alphas or
+        # belongs to a point off the curve, whose alpha is set without it
+        with np.errstate(over="ignore", invalid="ignore"):
             out = np.minimum(_curve_alphas(self._los, pts), _curve_alphas(self._neg_his, -pts))
         out = np.where(out < 0.0, 0.0, out)
         return float(out[0]) if scalar else out
@@ -248,7 +251,15 @@ def _curve_alphas(ends: np.ndarray, pts: np.ndarray) -> np.ndarray:
     i = np.searchsorted(ends, pts, side="right") - 1
     seg = np.clip(i, 0, k - 1)
     gap = ends[seg + 1] - ends[seg]
-    alphas = (seg + (pts - ends[seg]) / np.where(gap > 0, gap, 1.0)) / k
+    off = pts - ends[seg]
+    if not math.isfinite(float(ends[k]) - float(ends[0])):
+        # a step or offset past the float range: the same ratio from halved
+        # operands, which halving keeps exact at these magnitudes
+        wide = ~(np.isfinite(gap) & np.isfinite(off))
+        half = 0.5 * ends[seg]
+        gap = np.where(wide, 0.5 * ends[seg + 1] - half, gap)
+        off = np.where(wide, 0.5 * pts - half, off)
+    alphas = (seg + off / np.where(gap > 0, gap, 1.0)) / k
     alphas = np.where(i >= k, 1.0, alphas)
     return np.where(i < 0, -1.0, alphas)
 

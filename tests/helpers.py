@@ -1,8 +1,12 @@
 """Shared generators and reference computations for the test suite."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
-from fuzzyarith import AlphaGrid, FuzzyNumber, LevelResult, trapezoidal, triangular
+from fuzzyarith import (AlphaGrid, CorrelationFunction, FuzzyNumber, LevelResult, arithmetic,
+                        trapezoidal, triangular)
 
 
 def random_shape(rng, lo=-10.0, hi=10.0, grid=100, min_gap=0.0):
@@ -99,3 +103,33 @@ def reference_alpha_cut(x, alpha):
     t = pos - i
     return (float(x.los[i] + t * (x.los[i + 1] - x.los[i])),
             float(x.his[i] + t * (x.his[i + 1] - x.his[i])))
+
+
+def reference_values(g, xs):
+    """g at every point of xs, one ``g(float(x))`` per point through a
+    generator, the way ``arithmetic._values`` once evaluated every g that
+    states no extrema.  Reference only."""
+    if hasattr(g, "extrema"):
+        return np.asarray(g(xs), dtype=float)
+    return np.fromiter((g(float(x)) for x in xs), float, xs.size)
+
+
+def reference_correlation_values(f, xs):
+    """``CorrelationFunction.values`` as it once was: a custom fn called
+    through a generator, one ``float(fn(float(x)))`` per point.  Reference
+    only."""
+    if f.family == "custom":
+        return np.fromiter((float(f.fn(float(x))) for x in xs), float, len(xs))
+    return np.asarray(f(np.asarray(xs, dtype=float)), dtype=float)
+
+
+@contextlib.contextmanager
+def per_point_evaluation():
+    """Within the block the library evaluates custom functions the way it
+    once did: the check, the induced number and the oracle through
+    ``reference_correlation_values``, the engine through
+    ``reference_values``, which calls a custom g at one point at a time
+    (x + fn(x) or x * fn(x) on a Python float)."""
+    with mock.patch.object(arithmetic, "_values", reference_values), \
+            mock.patch.object(CorrelationFunction, "values", reference_correlation_values):
+        yield

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fuzzyarith import (
     Quadratic,
     RangeMethod,
     ReciprocalSum,
+    check_monotone,
     closed_form,
     compare_levels,
     correlated_product,
@@ -26,6 +28,7 @@ from fuzzyarith import (
     induced_number,
     linear,
     negation,
+    oracle_check,
     range_over_interval,
     reciprocal,
     standard_product,
@@ -34,8 +37,8 @@ from fuzzyarith import (
     triangular,
 )
 
-from helpers import (assert_levels_match_scan, dense_range, random_shape, random_sign_definite,
-                     reference_compare_levels)
+from helpers import (assert_levels_match_scan, dense_range, per_point_evaluation, random_shape,
+                     random_sign_definite, reference_compare_levels)
 
 
 def test_range_method_validation():
@@ -740,3 +743,124 @@ def test_compare_levels_rejects_bad_tol(tol):
     a = triangular(1.0, 2.0, 3.0)
     with pytest.raises(ValueError, match="tol must be non-negative"):
         compare_levels(a, a, tol)
+
+
+def _float_only(fn):
+    """fn, failing any call whose argument is not one Python float."""
+    def call(x):
+        assert type(x) is float, type(x)
+        return fn(x)
+    return call
+
+
+def test_custom_functions_are_only_called_on_one_python_float():
+    f = custom(_float_only(math.exp), "increasing")
+    scanned = custom(_float_only(lambda x: -x**3 - x), "decreasing")
+    pos = triangular(1.0, 2.0, 3.0, grid=7)
+    mixed = triangular(-1.0, 0.5, 2.0, grid=7)
+    for op in (correlated_sum, correlated_product):
+        op(pos, f)  # ranged from the level ends
+        op(pos, f, RangeMethod(mode="analytic"))  # the same route, asked for
+        op(pos, f, RangeMethod(samples=65))  # scanned
+        op(mixed, scanned)  # scanned by the default method
+    induced_number(mixed, f)
+    assert check_monotone(f, Interval(-1.0, 2.0)) == "increasing"
+    for op in ("sum", "product"):
+        oracle_check(mixed, f, op, n=101)
+    square = _float_only(lambda x: x * x)
+    for method in (None, RangeMethod(samples=65)):
+        assert range_over_interval(square, Interval(-1.0, 2.0), method).hi == 4.0
+
+
+def test_custom_results_are_taken_with_float():
+    # g is x + float(fn(x)) in float64, whatever number type fn returns
+    a = triangular(1.0, 2.0, 3.0, grid=2)
+    f32 = lambda x: np.float32(x) * np.float32(1.1)
+    res = correlated_sum(a, custom(f32, "increasing"))
+    assert res.los.tolist() == [x + float(f32(x)) for x in a.los.tolist()]
+    res = correlated_product(a, custom(lambda x: Decimal(x) + 1, "increasing"))
+    assert res.los.tolist() == [2.0, 3.75, 6.0]
+
+def test_custom_level_ends_past_the_float_range_fail_without_a_warning():
+    # no errstate: the suite turns a RuntimeWarning into an error
+    cases = ((correlated_sum, triangular(1e308, 1.2e308, 1.5e308), lambda x: x),
+             (correlated_product, triangular(1.0, 2.0, 3.0), lambda x: 1e308 * (x / 3.0)))
+    for op, a, fn in cases:
+        for method in (None, RangeMethod(samples=65)):
+            with pytest.raises(ValueError, match=r"^level endpoints must be finite; "
+                                                 r"the level at alpha 0 is \[.*inf\]$"):
+                op(a, custom(fn, "increasing"), method)
+
+
+# Strictly monotone inner functions and their direction; np.arctan and the
+# -exp(x/2) of numpy return np.float64, the others Python floats.
+_INNER = {
+    "exp": (math.exp, 1.0),
+    "atan": (np.arctan, 1.0),
+    "cubic": (lambda x: x**3 + x, 1.0),
+    "nexp": (lambda x: -np.exp(x / 2), -1.0),
+}
+
+
+@st.composite
+def custom_compositions(draw):
+    """(a, make_f): an operand and a factory of the custom correlation
+    c*h(s*x + t) + d with its true direction, each made afresh with its own
+    call log.  The fault, when drawn, starts at a drawn call: the function
+    raises, or returns nan or +-inf, from that call on."""
+    h, sign = _INNER[draw(st.sampled_from(sorted(_INNER)))]
+    s = draw(st.floats(0.1, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    c = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    t, d = draw(st.floats(-2.0, 2.0)), draw(st.floats(-5.0, 5.0))
+    direction = "increasing" if sign * s * c > 0 else "decreasing"
+    fault = draw(st.sampled_from([None, None, "raise", math.nan, math.inf, -math.inf]))
+    start = draw(st.integers(0, 1500))
+    grid = draw(st.sampled_from([1, 2, 7, 100]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    a = random_shape(np.random.default_rng(seed), -4.0, 4.0, grid=grid)
+
+    def make_f():
+        log = []
+
+        def fn(x):
+            log.append(x)
+            if fault is not None and len(log) > start:
+                if fault == "raise":
+                    raise ArithmeticError(f"call {len(log)} at x = {x!r}")
+                return fault
+            return c * h(s * x + t) + d
+        return custom(fn, direction), log
+    return a, make_f
+
+
+def _outcome(run):
+    """The result's level bytes, or the type and message of what it raised."""
+    try:
+        res = run()
+    except Exception as e:  # the comparison is of whatever either side raises
+        return type(e), str(e)
+    if isinstance(res, Interval):
+        return res
+    return res.los.tobytes(), res.his.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(custom_compositions(), st.sampled_from([None, RangeMethod(), RangeMethod(samples=65)]))
+def test_custom_levels_match_per_point_evaluation_bit_for_bit(case, method):
+    a, make_f = case
+    for op in (correlated_sum, correlated_product):
+        f, log = make_f()
+        got = _outcome(lambda: op(a, f, method))
+        ref_f, ref_log = make_f()
+        with per_point_evaluation():
+            want = _outcome(lambda: op(a, ref_f, method))
+        assert got == want
+        assert log == ref_log  # the same calls, in the same order
+    f, log = make_f()
+    g = lambda x: x + f.fn(x)
+    got = _outcome(lambda: range_over_interval(g, a.support, RangeMethod(samples=65)))
+    ref_f, ref_log = make_f()
+    ref_g = lambda x: x + ref_f.fn(x)
+    with per_point_evaluation():
+        want = _outcome(lambda: range_over_interval(ref_g, a.support, RangeMethod(samples=65)))
+    assert got == want and log == ref_log

@@ -261,3 +261,15 @@ def test_grid_nodes_keep_their_stored_level_across_a_step_wider_than_floats():
     assert wide.alpha_cut(0.0) == wide.level(0)
     los, his = wide.alpha_cuts([0.0, 1.0])
     assert los.tolist() == [-1.5e308, 1.5e308] and his.tolist() == [1.6e308, 1.6e308]
+
+
+def test_membership_across_a_step_wider_than_floats():
+    # no errstate: the suite turns a RuntimeWarning into an error
+    pts = np.array([0.0, 1e308, -1.5e308, 1.55e308])
+    want = [0.5, 2.5 / 3, 0.0, 1.0]
+    wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
+    assert wide.membership(pts).tolist() == want
+    assert wide.membership(0.0) == 0.5
+    # the same step on the upper curve
+    mirrored = FuzzyNumber([-1.6e308, -1.6e308], [1.5e308, -1.5e308])
+    assert mirrored.membership(-pts).tolist() == want
