@@ -48,8 +48,8 @@ class RangeMethod:
     range a custom correlation whose declared direction proves g monotone
     from its level ends; an analytic method on any other custom
     correlation raises ValueError.
-    ``samples``: equispaced scan points across the support; extrema closer
-    together than the scan step can be missed.
+    ``samples``: equispaced scan points across the support, an integer of
+    at least 65; extrema closer together than the scan step can be missed.
     ``refine_tol``: the bracket width at which the golden-section search
     refining each local extremum of the scan stops.
     """
@@ -61,6 +61,8 @@ class RangeMethod:
     def __post_init__(self) -> None:
         if self.mode not in ("analytic", "numeric"):
             raise ValueError(f"mode must be 'analytic' or 'numeric', got {self.mode!r}")
+        if not isinstance(self.samples, (int, np.integer)) or isinstance(self.samples, bool):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 65:
             raise ValueError(f"numeric range needs at least 65 samples, got {self.samples}")
         if not self.refine_tol > 0:
@@ -247,6 +249,15 @@ def _stated_extrema(g, method: RangeMethod | None):
     return None
 
 
+def _nan_error(xs: np.ndarray, ys: np.ndarray, what: str,
+               support: tuple[float, float]) -> DomainError:
+    """The error naming the first x at which the values ys of g are NaN.
+    A comparison with NaN is false, so the scan would drop the value."""
+    i = int(np.argmax(np.isnan(ys)))
+    return DomainError(f"g gives nan at x = {xs[i]:.12g}, the first NaN {what} "
+                       f"on [{support[0]:g}, {support[1]:g}]")
+
+
 def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
                   method: RangeMethod | None) -> tuple[np.ndarray, np.ndarray]:
     """Range of g over every level [los[i], his[i]] of a nested family.
@@ -276,6 +287,8 @@ def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
     if his[0] > los[0]:
         xs = np.linspace(los[0], his[0], method.samples)
         ys = _values(g, xs)
+        if np.isnan(ys).any():
+            raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
         # the refinement calls g one float at a time, and a bound __call__
         # skips the slower call of the Composite instance itself
         point = g.__call__ if isinstance(g, Composite) else g
@@ -284,6 +297,8 @@ def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
         for slot, fold, h, hs, sign in ((lows, np.minimum, point, ys, 1.0),
                                         (highs, np.maximum, neg, -ys, -1.0)):
             x, v = _refined_minima(h, xs, hs, method.refine_tol)
+            if np.isnan(v).any():
+                raise _nan_error(x, v, "refined value", (los[0], his[0]))
             # every x lies on the support, so j >= 0
             j = np.minimum(np.searchsorted(los, x, side="right"),
                            np.searchsorted(neg_his, -x, side="right")) - 1
@@ -545,11 +560,36 @@ class LevelResult:
 def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: np.ndarray,
                 equal: np.ndarray, method: str | None = None) -> list[LevelResult]:
     """One LevelResult per grid alpha, read from the level arrays of x and y
-    and the per-level comparison arrays as whole ``.tolist()`` columns."""
+    and the per-level comparison arrays as whole ``.tolist()`` columns.
+
+    x and y must be FuzzyNumbers.  Their constructor has proved every stored
+    level finite with lo <= hi and made the arrays read-only, and
+    ``.tolist()`` yields Python floats and bools, which is all that
+    Interval's validation would establish.  So the rows and their intervals
+    are built without the dataclass constructors: each field is set in
+    declaration order, as __init__ sets it, on the same frozen classes.
+    """
     cols = (x.grid.alphas(), x.los, x.his, y.los, y.his, hausdorff, subset, equal)
-    # positional arguments: keywords slow the construction of every row
-    return [LevelResult(alpha, Interval(xlo, xhi), Interval(ylo, yhi), h, sub, eq, method)
-            for alpha, xlo, xhi, ylo, yhi, h, sub, eq in zip(*(c.tolist() for c in cols))]
+    new = object.__new__
+    put = object.__setattr__
+    rows = []
+    for alpha, xlo, xhi, ylo, yhi, h, sub, eq in zip(*(c.tolist() for c in cols)):
+        left = new(Interval)
+        put(left, "lo", xlo)
+        put(left, "hi", xhi)
+        right = new(Interval)
+        put(right, "lo", ylo)
+        put(right, "hi", yhi)
+        row = new(LevelResult)
+        put(row, "alpha", alpha)
+        put(row, "left", left)
+        put(row, "right", right)
+        put(row, "hausdorff", h)
+        put(row, "subset", sub)
+        put(row, "equal", eq)
+        put(row, "method", method)
+        rows.append(row)
+    return rows
 
 
 def _compared(x: FuzzyNumber, y: FuzzyNumber, tol: float):
@@ -570,9 +610,14 @@ def compare_levels(x: FuzzyNumber, y: FuzzyNumber,
     Reports, per grid alpha, the Hausdorff distance between the levels,
     whether the level of x is contained in the level of y (within tol) and
     whether the two are equal (within tol).  The three are computed for
-    every level at once, as arrays; only the rows are built per level.
-    A negative or NaN tol raises ValueError.
+    every level at once, as arrays; only the rows are built per level,
+    from the levels x and y hold, which are not validated again.  Both
+    operands must be FuzzyNumbers (TypeError otherwise); a negative or NaN
+    tol raises ValueError.
     """
+    if not (isinstance(x, FuzzyNumber) and isinstance(y, FuzzyNumber)):
+        raise TypeError(f"compare_levels needs two FuzzyNumbers, got "
+                        f"{type(x).__name__} and {type(y).__name__}")
     if x.k != y.k:
         raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
     if not tol >= 0:

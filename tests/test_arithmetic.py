@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import types
 from decimal import Decimal
 
 import numpy as np
@@ -12,6 +16,7 @@ from fuzzyarith import (
     DomainError,
     FuzzyNumber,
     Interval,
+    LevelResult,
     MonotonicityError,
     Quadratic,
     RangeMethod,
@@ -37,6 +42,8 @@ from fuzzyarith import (
     triangular,
 )
 
+from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
+
 from helpers import (assert_levels_match_scan, dense_range, per_point_evaluation, random_shape,
                      random_sign_definite, reference_compare_levels)
 
@@ -50,6 +57,10 @@ def test_range_method_validation():
         RangeMethod(samples=64)
     with pytest.raises(ValueError):
         RangeMethod(refine_tol=0.0)
+    for samples in (100.5, True, "100"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            RangeMethod(samples=samples)
+    assert RangeMethod(samples=np.int64(100)).samples == 100
 
 
 def test_affine_profile_bounds():
@@ -743,6 +754,89 @@ def test_compare_levels_rejects_bad_tol(tol):
     a = triangular(1.0, 2.0, 3.0)
     with pytest.raises(ValueError, match="tol must be non-negative"):
         compare_levels(a, a, tol)
+
+
+def _rows_under_test():
+    """compare_levels and OracleReport.levels rows over a spread of levels:
+    -0.0 ends, crisp levels, ends near the float limits, an analytic and a
+    numeric oracle report."""
+    x = triangular(-1.0, 0.0, 1.0, grid=2)
+    big = crisp(1.7e308, grid=2)
+    report = oracle_check(triangular(1.0, 2.0, 3.0, grid=4), hyperbolic(4.0), "sum", n=201)
+    scanned = oracle_check(triangular(-1.0, 0.5, 2.0, grid=4),
+                           custom(lambda x: -x**3 - x, "decreasing"), "sum", n=201)
+    return (compare_levels(x, crisp(-0.0, grid=2), 0.0) + compare_levels(big, x, 1e308)
+            + report.levels + scanned.levels)
+
+
+def _validated(r):
+    """The row r built again through the public, validating constructors."""
+    return LevelResult(r.alpha, Interval(r.left.lo, r.left.hi),
+                       Interval(r.right.lo, r.right.hi), r.hausdorff, r.subset, r.equal,
+                       r.method)
+
+
+def test_oracle_report_rows_match_a_validated_per_level_reference():
+    for a, f, method in ((triangular(1.0, 2.0, 3.0, grid=20), hyperbolic(4.0), "analytic"),
+                         (triangular(-1.0, 0.5, 2.0, grid=20),
+                          custom(lambda x: -x**3 - x, "decreasing"), "numeric")):
+        report = oracle_check(a, f, "sum", n=401)
+        want = [dataclasses.replace(r, method=method)
+                for r in reference_compare_levels(report.engine, report.oracle, 0.0)]
+        assert report.method == method
+        assert [_row_key(r) for r in report.levels] == [_row_key(r) for r in want]
+
+
+def test_rows_behave_as_validated_construction():
+    for row in _rows_under_test():
+        ref = _validated(row)
+        assert _row_key(row) == _row_key(ref)
+        assert list(vars(row)) == list(vars(ref))
+        assert list(vars(row.left)) == list(vars(ref.left)) == ["lo", "hi"]
+        assert pickle.dumps(row) == pickle.dumps(ref)
+        assert _row_key(pickle.loads(pickle.dumps(row))) == _row_key(ref)
+        for twin in (copy.copy(row), copy.deepcopy(row)):
+            assert twin == ref and _row_key(twin) == _row_key(ref)
+        assert dataclasses.replace(row, method="numeric") == dataclasses.replace(ref, method="numeric")
+        assert hash(row) == hash(ref) and hash(row.left) == hash(ref.left)
+        assert repr(row) == repr(ref)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.hausdorff = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.left.lo = 0.0
+
+
+def test_compare_levels_needs_fuzzy_numbers():
+    a = triangular(1.0, 2.0, 3.0, grid=2)
+    # a look-alike with every attribute compare_levels reads
+    fake = types.SimpleNamespace(k=a.k, grid=a.grid, los=np.array([3.0, 2.0, 1.0]),
+                                 his=np.array([1.0, 2.0, 3.0]))
+    for x, y in ((a, fake), (fake, a), (a, [[1.0, 3.0]] * 3)):
+        with pytest.raises(TypeError, match="compare_levels needs two FuzzyNumbers"):
+            compare_levels(x, y)
+
+
+def test_nan_in_the_scan_raises_domain_error():
+    # f is NaN at 3 of the 1025 scan points and at none of the 257 checked ones
+    f = custom(lambda x: math.nan if 1.99 < x < 2.0 else -2.0 * x, "decreasing")
+    with pytest.raises(DomainError, match=r"^g gives nan at x = 1\.9912109375, the first NaN "
+                                          r"scan sample on \[-1, 2\]$"):
+        correlated_sum(triangular(-1.0, 0.5, 2.0), f)
+
+
+def test_nan_in_the_refinement_raises_domain_error():
+    a = triangular(-1.0, 0.5, 2.0)
+    # the monotonicity check, the level ends and the scan come first
+    before = MONOTONE_CHECK_SAMPLES + 2 * (a.k + 1) + RangeMethod().samples
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return math.nan if len(calls) > before else -x**3 - x
+    with pytest.raises(DomainError, match=r"^g gives nan at x = \S+, the first NaN "
+                                          r"refined value on \[-1, 2\]$"):
+        correlated_sum(a, custom(fn, "decreasing"))
+    assert len(calls) > before
 
 
 def _float_only(fn):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import (
@@ -13,6 +13,8 @@ from fuzzyarith import (
     trapezoidal,
     triangular,
 )
+
+from fuzzyarith.fuzzy import NEST_TOL
 
 from helpers import random_shape, reference_alpha_cut
 
@@ -205,6 +207,41 @@ def test_alpha_cuts_are_antitone(params, a1, a2):
     a = triangular(a0, a0 + g1, a0 + g1 + g2)
     small, large = min(a1, a2), max(a1, a2)
     assert a.alpha_cut(small).contains(a.alpha_cut(large), tol=1e-12)
+
+
+_STORED_ENDS = (st.sampled_from([-0.0, 0.0, 1.0, -1.7e308, 1.7e308, -1.7976931348623157e308,
+                                 1.7976931348623157e308])
+                | st.floats(-1.0, 1.0) | st.floats(-1.7976931348623157e308, 1.7976931348623157e308))
+
+
+@st.composite
+def _level_arrays(draw):
+    """Ends a FuzzyNumber accepts: sorted values, every lower end nudged up
+    and every upper end down by less than NEST_TOL / 2, so equal ends cross
+    and neighbours unnest within NEST_TOL, which the constructor repairs."""
+    k = draw(st.sampled_from([1, 2, 7, 30]))
+    pts = sorted(draw(st.lists(_STORED_ENDS, min_size=2 * (k + 1), max_size=2 * (k + 1))))
+    nudges = st.lists(st.floats(0.0, 0.45 * NEST_TOL), min_size=k + 1, max_size=k + 1)
+    # a zero nudge leaves the end as drawn: -0.0 + 0.0 would be 0.0
+    return (np.array([p + u if u else p for p, u in zip(pts[:k + 1], draw(nudges))]),
+            np.array([p - u if u else p for p, u in zip(pts[k + 1:][::-1], draw(nudges))]))
+
+
+@settings(max_examples=150)
+@given(_level_arrays())
+@example((np.array([-1.0, 0.5 + 4e-13]), np.array([2.0, 0.5])))  # a crossed core
+@example((np.array([-0.0, -0.0]), np.array([-0.0, -0.0])))
+@example((np.array([-1.7976931348623157e308, 1.7e308]),
+          np.array([1.7976931348623157e308, 1.7e308])))
+def test_every_stored_level_is_a_valid_interval_of_python_floats(ends):
+    # compare_levels builds its rows from the stored levels without
+    # validating them again, on the strength of this property
+    a = FuzzyNumber(*ends)
+    assert not a.los.flags.writeable and not a.his.flags.writeable
+    for lo, hi in zip(a.los.tolist(), a.his.tolist()):
+        assert type(lo) is float and type(hi) is float
+        iv = Interval(lo, hi)
+        assert (iv.lo.hex(), iv.hi.hex()) == (lo.hex(), hi.hex())
 
 
 def test_arrays_are_read_only():
