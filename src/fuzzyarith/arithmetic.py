@@ -169,21 +169,23 @@ def _values(g, xs: np.ndarray) -> np.ndarray:
 
 def _golden_min(g, a: float, b: float, tol: float) -> tuple[float, float]:
     """(x, g(x)) at the smallest value of g found on [a, b] by golden-section
-    bracketing.
+    bracketing, or at the first NaN value met, which ends the search: a
+    comparison with NaN is false, so the bracket would drop it.
 
     The best interior point seen is always kept as one of c, d, so the
     answer is the best of the two ends and the final c, d.
     """
-    found = [(g(a), a), (g(b), b)]
     h = b - a
-    if h <= tol:
-        m = 0.5 * (a + b)
-        found.append((g(m), m))
-    else:
-        c = a + _INV_PHI2 * h
-        d = a + _INV_PHI * h
-        yc = g(c)
-        yd = g(d)
+    inner = (0.5 * (a + b),) if h <= tol else (a + _INV_PHI2 * h, a + _INV_PHI * h)
+    found = []
+    for x in (a, b, *inner):
+        y = g(x)
+        if y != y:
+            return x, float(y)
+        found.append((y, x))
+    if h > tol:
+        (yc, c), (yd, d) = found[2:]
+        del found[2:]
         steps = max(1, math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
         for _ in range(steps):
             h *= _INV_PHI
@@ -191,10 +193,14 @@ def _golden_min(g, a: float, b: float, tol: float) -> tuple[float, float]:
                 b, d, yd = d, c, yc
                 c = a + _INV_PHI2 * h
                 yc = g(c)
+                if yc != yc:
+                    return c, float(yc)
             else:
                 a, c, yc = c, d, yd
                 d = a + _INV_PHI * h
                 yd = g(d)
+                if yd != yd:
+                    return d, float(yd)
         found += [(yc, c), (yd, d)]
     y, x = min(found)
     return x, float(y)

@@ -21,6 +21,11 @@ DEFAULT_GRID_K = 100
 # non-nested; anything tighter is repaired to an exactly nested family.
 NEST_TOL = 1e-12
 
+# ... or this many ulps of the largest |end|, where that is more: rounding can
+# leave a + alpha*(b - a) above c - alpha*(c - b) by less than 6 ulps of the
+# largest |end|, and NEST_TOL is less than one ulp past 8192.
+NEST_ULPS = 8
+
 
 @dataclass(frozen=True)
 class AlphaGrid:
@@ -51,8 +56,8 @@ class FuzzyNumber:
     The constructor takes the lower and upper endpoint arrays sampled at
     the grid nodes.  It validates finiteness, per-level ordering and
     nestedness (lower endpoints non-decreasing in alpha, upper endpoints
-    non-increasing), repairing violations up to NEST_TOL and rejecting
-    anything larger.
+    non-increasing), repairing violations up to NEST_TOL, or NEST_ULPS ulps
+    of the largest |end| where that is more, and rejecting anything larger.
     """
 
     __slots__ = ("_los", "_his", "_neg_his")
@@ -68,12 +73,17 @@ class FuzzyNumber:
             i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
             raise ValueError(f"level endpoints must be finite; the level at alpha "
                              f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
-        if np.any(los > his + NEST_TOL):
-            raise ValueError("level lower endpoint exceeds upper endpoint")
-        # a difference past the float range is +-inf and still compares right
+        # a sum or difference past the float range is +-inf and still
+        # compares right; the scaled slack is only worked out for ends that
+        # NEST_TOL alone would reject
         with np.errstate(over="ignore"):
-            if np.any(np.diff(los) < -NEST_TOL) or np.any(np.diff(his) > NEST_TOL):
-                raise ValueError("levels are not nested")
+            if np.any(los > his + NEST_TOL) and np.any(los > his + _scaled_slack(los, his)):
+                raise ValueError("level lower endpoint exceeds upper endpoint")
+            dlo, dhi = np.diff(los), np.diff(his)
+            if np.any(dlo < -NEST_TOL) or np.any(dhi > NEST_TOL):
+                tol = _scaled_slack(los, his)
+                if np.any(dlo < -tol) or np.any(dhi > tol):
+                    raise ValueError("levels are not nested")
 
         # Repair float-scale slack so the stored family is exactly nested.
         los = np.maximum.accumulate(los)
@@ -178,20 +188,33 @@ class FuzzyNumber:
     def membership(self, x):
         """Degree of membership, sup of the alphas whose cut contains x.
 
-        Accepts a scalar or an array and evaluates elementwise.  The stored
-        endpoint curves are inverted with a binary search followed by linear
-        interpolation inside the located grid step, so the result is exact
-        for the piecewise linear representation.
+        Accepts a scalar or an array and evaluates elementwise; -inf and
+        +inf have membership 0, and a NaN point raises ValueError.  Each
+        point is inverted on the one endpoint curve that decides it: the
+        lower curve up to the core's upper end, where the upper curve reads
+        1, and the upper curve past it, where the lower curve reads 1.  The
+        inversion is a binary search followed by linear interpolation inside
+        the located grid step, so the result is exact for the piecewise
+        linear representation.
         """
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
+        nan = np.isnan(pts)
+        if nan.any():
+            where = "" if scalar else (
+                "; the first NaN point is x[%s]"
+                % ", ".join(map(str, np.unravel_index(int(np.argmax(nan)), pts.shape))))
+            raise ValueError(f"membership of nan is undefined{where}")
+        up = pts > self._his[-1]
+        down = ~up
+        out = np.empty(pts.shape)
         # the upper curve, negated, is non-decreasing: (-p) - (-h) is h - p exactly;
         # a difference past the float range is recomputed by _curve_alphas or
         # belongs to a point off the curve, whose alpha is set without it
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.minimum(_curve_alphas(self._los, pts), _curve_alphas(self._neg_his, -pts))
-        out = np.where(out < 0.0, 0.0, out)
+            out[down] = _curve_alphas(self._los, pts[down])
+            out[up] = _curve_alphas(self._neg_his, -pts[up])
         return float(out[0]) if scalar else out
 
     # -- derived representations ---------------------------------------------
@@ -243,25 +266,37 @@ def _interpolated(ends: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(inc), ends[i], ends[i] + inc)
 
 
+def _scaled_slack(los: np.ndarray, his: np.ndarray) -> float:
+    """The nesting slack at the scale of the ends: NEST_ULPS ulps of the
+    largest |end|, or NEST_TOL where that is more."""
+    big = max(float(np.abs(los).max()), float(np.abs(his).max()))
+    return max(NEST_TOL, NEST_ULPS * float(np.spacing(big)))
+
+
 def _curve_alphas(ends: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """The alpha at which the non-decreasing endpoint curve ends (one value
     per grid node) reaches each point, linear inside the located grid
-    step: 1 at or past its last node, -1 below its first."""
+    step: 1 at or past its last node, 0 below its first."""
     k = ends.size - 1
     i = np.searchsorted(ends, pts, side="right") - 1
     seg = np.clip(i, 0, k - 1)
-    gap = ends[seg + 1] - ends[seg]
-    off = pts - ends[seg]
+    base = ends.take(seg)
+    gap = np.diff(ends).take(seg)
+    off = pts - base
     if not math.isfinite(float(ends[k]) - float(ends[0])):
         # a step or offset past the float range: the same ratio from halved
         # operands, which halving keeps exact at these magnitudes
         wide = ~(np.isfinite(gap) & np.isfinite(off))
-        half = 0.5 * ends[seg]
-        gap = np.where(wide, 0.5 * ends[seg + 1] - half, gap)
+        half = 0.5 * base
+        gap = np.where(wide, 0.5 * ends.take(seg + 1) - half, gap)
         off = np.where(wide, 0.5 * pts - half, off)
-    alphas = (seg + off / np.where(gap > 0, gap, 1.0)) / k
-    alphas = np.where(i >= k, 1.0, alphas)
-    return np.where(i < 0, -1.0, alphas)
+    gap[gap <= 0.0] = 1.0
+    off /= gap
+    off += seg
+    off /= k
+    off[i >= k] = 1.0
+    off[i < 0] = 0.0
+    return off
 
 
 # -- constructors -------------------------------------------------------------

@@ -96,27 +96,36 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
 
     Level alpha collects the z samples with membership >= alpha - delta;
     delta absorbs the quantization of membership between neighbouring
-    samples (default 1/(2K)).  The thresholds tighten with alpha, so the
-    levels nest, and with samples sorted by falling membership each level
-    set is a prefix: O(n log n + K) time and O(n + K) memory in all.
+    samples (default 1/(2K)), and a NaN membership is below every threshold.
+    The thresholds tighten with alpha, so the levels nest.  The samples
+    must come sorted by z, strictly increasing, as extend returns them; its
+    sort is the only one.  A level then runs from the first to the last
+    sample that reaches its threshold, found by K + 1 binary searches in
+    the running maximum of the memberships from each end: O(n + K log n)
+    time and O(n + K) memory in all.
     """
     grid = AlphaGrid.coerce(grid if grid is not None else AlphaGrid())
     if delta is None:
         delta = 1.0 / (2.0 * grid.K)
-    if s.zs.size == 0:
+    zs, mus = s.zs, s.mus
+    if zs.size == 0:
         raise ValueError("no samples to rebuild levels from")
-    top = float(s.mus.max())
+    if not (zs[1:] > zs[:-1]).all():
+        raise ValueError("z samples must be strictly increasing, as extend returns them")
+    top = float(mus.max())
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    order = np.argsort(-s.mus, kind="stable")
-    counts = np.searchsorted(-s.mus[order], -(grid.alphas() - delta), side="right")
-    if counts.min() == 0:
+    if top != top:  # a NaN fails every mu >= t, so it ranks below every threshold
+        mus = np.where(np.isnan(mus), -np.inf, mus)
+    thresholds = grid.alphas() - delta
+    first = np.searchsorted(np.maximum.accumulate(mus), thresholds)
+    # the thresholds rise with alpha, so the top level is the first to empty
+    if first[-1] == mus.size:
         raise ValueError("a level set came out empty; inconsistent membership input")
-    zs = s.zs[order]
-    return FuzzyNumber(np.minimum.accumulate(zs)[counts - 1],
-                       np.maximum.accumulate(zs)[counts - 1])
+    last = mus.size - 1 - np.searchsorted(np.maximum.accumulate(mus[::-1]), thresholds)
+    return FuzzyNumber(zs[first], zs[last])
 
 
 @dataclass(frozen=True)

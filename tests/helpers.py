@@ -1,6 +1,7 @@
 """Shared generators and reference computations for the test suite."""
 
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,59 @@ def dense_levels_from_membership(s, grid, delta):
     if not np.isfinite(los).all():
         raise ValueError("a level set came out empty; inconsistent membership input")
     return los, his
+
+
+def reference_levels_from_membership(s, grid, delta):
+    """``levels_from_membership`` as it once was: the samples sorted by
+    falling membership, so each level set is a prefix of that order and its
+    ends are a running min/max of z read at the prefix length.  Reference
+    only; it sorts a second time."""
+    grid = AlphaGrid.coerce(grid)
+    if s.zs.size == 0:
+        raise ValueError("no samples to rebuild levels from")
+    top = float(s.mus.max())
+    if top < 1.0 - delta:
+        raise ValueError(
+            f"sampled membership peaks at {top:g}, below the level threshold "
+            f"{1.0 - delta:g}; sample more densely or widen delta")
+    order = np.argsort(-s.mus, kind="stable")
+    counts = np.searchsorted(-s.mus[order], -(grid.alphas() - delta), side="right")
+    if counts.min() == 0:
+        raise ValueError("a level set came out empty; inconsistent membership input")
+    zs = s.zs[order]
+    return FuzzyNumber(np.minimum.accumulate(zs)[counts - 1],
+                       np.maximum.accumulate(zs)[counts - 1])
+
+
+def _reference_curve_alphas(ends, pts):
+    """The alpha at which the non-decreasing endpoint curve ends reaches
+    each point: 1 at or past its last node, -1 below its first."""
+    k = ends.size - 1
+    i = np.searchsorted(ends, pts, side="right") - 1
+    seg = np.clip(i, 0, k - 1)
+    gap = ends[seg + 1] - ends[seg]
+    off = pts - ends[seg]
+    if not math.isfinite(float(ends[k]) - float(ends[0])):
+        wide = ~(np.isfinite(gap) & np.isfinite(off))
+        half = 0.5 * ends[seg]
+        gap = np.where(wide, 0.5 * ends[seg + 1] - half, gap)
+        off = np.where(wide, 0.5 * pts - half, off)
+    alphas = (seg + off / np.where(gap > 0, gap, 1.0)) / k
+    alphas = np.where(i >= k, 1.0, alphas)
+    return np.where(i < 0, -1.0, alphas)
+
+
+def reference_membership(a, x):
+    """``FuzzyNumber.membership`` as it once was: every point inverted on
+    both endpoint curves and the two readings combined with ``min``; a NaN
+    point reads 1.  Reference only."""
+    arr = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.minimum(_reference_curve_alphas(a.los, pts),
+                         _reference_curve_alphas(-a.his, -pts))
+    out = np.where(out < 0.0, 0.0, out)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def reference_compare_levels(x, y, tol=1e-9):

@@ -839,6 +839,19 @@ def test_nan_in_the_refinement_raises_domain_error():
     assert len(calls) > before
 
 
+def test_nan_the_refinement_meets_but_does_not_return_raises_domain_error():
+    # calls 1485 on are the refinement's; the bracket would move past these
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return math.nan if 1490 <= len(calls) <= 1492 else -x**3 - x
+    with pytest.raises(DomainError) as info:
+        correlated_sum(triangular(-1.0, 0.5, 2.0), custom(fn, "decreasing"))
+    assert str(info.value) == (f"g gives nan at x = {calls[1489]:.12g}, the first NaN "
+                               f"refined value on [-1, 2]")
+
+
 def _float_only(fn):
     """fn, failing any call whose argument is not one Python float."""
     def call(x):

@@ -182,6 +182,12 @@ def test_check_requires_correlated_expression(capsys):
     assert "corr_sum" in err or "correlated" in err
 
 
+def test_eval_sums_a_shape_that_rounds_at_its_core(capsys):
+    assert main(["eval", "-e", "std_sum(tri(-100000, 50000.7, 100000), tri(1, 2, 3))",
+                 "--alphas", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1\t[50002.7")
+
+
 def test_parse_error_exit_code(capsys):
     rc = main(["eval", "-e", "corr_sum(tri(1,2,3) negation)"])
     err = capsys.readouterr().err

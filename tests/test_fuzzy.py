@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from fuzzyarith import (
 
 from fuzzyarith.fuzzy import NEST_TOL
 
-from helpers import random_shape, reference_alpha_cut
+from helpers import random_shape, reference_alpha_cut, reference_membership
 
 
 def test_alpha_grid_levels():
@@ -310,3 +312,80 @@ def test_membership_across_a_step_wider_than_floats():
     # the same step on the upper curve
     mirrored = FuzzyNumber([-1.6e308, -1.6e308], [1.5e308, -1.5e308])
     assert mirrored.membership(-pts).tolist() == want
+
+
+def test_membership_of_nan_raises():
+    a = triangular(0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match=r"^membership of nan is undefined; "
+                                         r"the first NaN point is x\[0\]$"):
+        a.membership([math.nan, 1.0, 5.0])
+    with pytest.raises(ValueError, match=r"the first NaN point is x\[2\]$"):
+        a.membership(np.array([5.0, 1.0, math.nan, math.nan]))
+    with pytest.raises(ValueError, match=r"the first NaN point is x\[1, 0\]$"):
+        a.membership(np.array([[0.5, 1.0], [math.nan, 1.5]]))
+    with pytest.raises(ValueError, match=r"^membership of nan is undefined$"):
+        a.membership(math.nan)
+    assert a.membership([-math.inf, 1.0, math.inf]).tolist() == [0.0, 1.0, 0.0]
+
+
+_PARAMS = st.sampled_from([-0.0, 0.0, 1.0, -2.0, 3.5]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _families(draw):
+    """Triangular, trapezoidal and crisp numbers, with plateaus where
+    parameters tie and -0.0 ends, and the stored families of
+    _level_arrays, whose steps can be wider than the float range."""
+    kind = draw(st.sampled_from(["tri", "trap", "crisp", "levels"]))
+    grid = draw(st.sampled_from([1, 2, 7, 100]))
+    if kind == "levels":
+        return FuzzyNumber(*draw(_level_arrays()))
+    if kind == "crisp":
+        return crisp(draw(_PARAMS), grid=grid)
+    params = sorted(draw(st.lists(_PARAMS, min_size=3 + (kind == "trap"),
+                                  max_size=3 + (kind == "trap"))))
+    return (triangular if kind == "tri" else trapezoidal)(*params, grid=grid)
+
+
+@settings(max_examples=200)
+@given(_families(), st.data())
+@example(crisp(-0.0, grid=3), None)
+@example(FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]), None)
+@example(FuzzyNumber([-1.6e308, -1.6e308], [1.5e308, -1.5e308]), None)
+def test_membership_matches_the_two_curve_reference(a, data):
+    """Each point read off the one curve that decides it gives the bits of
+    the minimum over both curves, at every node, at +-inf and between."""
+    lo, hi = float(a.los[0]), float(a.his[0])
+    pts = [*a.los.tolist(), *a.his.tolist(), math.inf, -math.inf, -0.0, 0.0]
+    if data is not None:
+        pts += data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0) if math.isfinite(hi - lo)
+                                  else st.floats(allow_nan=False), max_size=30))
+        pts = data.draw(st.permutations(pts))
+    pts = np.array(pts)
+    got, want = a.membership(pts), reference_membership(a, pts)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    if pts.size % 2 == 0:
+        assert np.array_equal(a.membership(pts.reshape(2, -1)), want.reshape(2, -1))
+    for x in pts[:6].tolist():
+        got, want = a.membership(x), reference_membership(a, x)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("grid", [1, 2, 7, 100, 1000])
+def test_shapes_accept_their_own_rounding_at_large_magnitude(grid):
+    # the two ends of the core round about 7e-12 apart, one ulp at 1e5
+    for a in (triangular(-100000, 50000.7, 100000, grid=grid),
+              trapezoidal(-100000, 50000.7, 50000.7, 100000, grid=grid)):
+        assert a.is_nested
+        assert a.core.width == 0.0 and abs(a.core.lo - 50000.7) < 8 * np.spacing(1e5)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([-1e300, -0.0, 0.0, 1e300]),
+                min_size=4, max_size=4),
+       st.sampled_from([1, 2, 3, 7, 100]))
+@example([-100000.0, 50000.7, 50000.7, 100000.0], 100)
+def test_shapes_accept_any_sorted_parameters_up_to_1e300(params, grid):
+    a, b, c, d = sorted(params)
+    for x in (triangular(a, b, d, grid=grid), trapezoidal(a, b, c, d, grid=grid)):
+        assert x.is_nested

@@ -27,7 +27,7 @@ from fuzzyarith import (
     triangular,
 )
 
-from helpers import dense_levels_from_membership
+from helpers import dense_levels_from_membership, reference_levels_from_membership
 
 
 def test_build_joint_enforces_sample_floor():
@@ -198,6 +198,31 @@ def test_levels_from_membership_matches_dense_mask(case):
         assert got == want
     else:
         assert np.array_equal(got.los, want[0]) and np.array_equal(got.his, want[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_samples())
+@example((SampledMembership(zs=np.array([-0.0, 1.0]), mus=np.array([1.0, 0.5])), 2, 0.25))
+@example((SampledMembership(zs=np.array([-1.0, -0.0]), mus=np.array([0.5, 1.0])), 2, 0.25))
+@example((SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([float("nan")] * 3)),
+          2, 0.25))
+def test_levels_from_membership_matches_the_argsort_rebuild(case):
+    s, K, delta = case
+    got = _outcome(lambda: levels_from_membership(s, K, delta))
+    want = _outcome(lambda: reference_levels_from_membership(s, K, delta))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in ((got.los, want.los), (got.his, want.his)):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_levels_from_membership_needs_strictly_increasing_z():
+    for zs in ([1.0, 0.0], [0.0, 0.0], [0.0, float("nan"), 1.0]):
+        s = SampledMembership(zs=np.array(zs), mus=np.ones(len(zs)))
+        with pytest.raises(ValueError, match="^z samples must be strictly increasing, "
+                                             "as extend returns them$"):
+            levels_from_membership(s, 2)
 
 
 def test_oracle_check_memory_grows_with_n_plus_k():
