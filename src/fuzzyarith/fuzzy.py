@@ -90,7 +90,13 @@ class FuzzyNumber:
         his = np.minimum.accumulate(his)
         crossed = los > his
         if crossed.any():
-            mid = 0.5 * (los[crossed] + his[crossed])
+            lo, hi = los[crossed], his[crossed]
+            with np.errstate(over="ignore"):
+                mid = 0.5 * (lo + hi)
+            # ends past half the float range can sum past it; halving them
+            # first is exact there, and the midpoint is the same
+            wide = ~np.isfinite(mid)
+            mid[wide] = 0.5 * lo[wide] + 0.5 * hi[wide]
             los[crossed] = mid
             his[crossed] = mid
             # A midpoint can fall below an earlier lower end (or above an
@@ -140,11 +146,13 @@ class FuzzyNumber:
 
     @property
     def is_nested(self) -> bool:
-        """Exact nestedness check of the stored family."""
+        """Exact nestedness check of the stored family; neighbours are
+        compared, not subtracted, so a step past the float range is fine."""
+        los, his = self._los, self._his
         return bool(
-            np.all(np.diff(self._los) >= 0)
-            and np.all(np.diff(self._his) <= 0)
-            and np.all(self._los <= self._his)
+            np.all(los[1:] >= los[:-1])
+            and np.all(his[1:] <= his[:-1])
+            and np.all(los <= his)
         )
 
     def level(self, i: int) -> Interval:
@@ -268,9 +276,10 @@ def _interpolated(ends: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _scaled_slack(los: np.ndarray, his: np.ndarray) -> float:
     """The nesting slack at the scale of the ends: NEST_ULPS ulps of the
-    largest |end|, or NEST_TOL where that is more."""
+    largest |end|, or NEST_TOL where that is more.  math.ulp, unlike
+    np.spacing, stays finite at the largest float."""
     big = max(float(np.abs(los).max()), float(np.abs(his).max()))
-    return max(NEST_TOL, NEST_ULPS * float(np.spacing(big)))
+    return max(NEST_TOL, NEST_ULPS * math.ulp(big))
 
 
 def _curve_alphas(ends: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -310,8 +319,7 @@ def triangular(a: float, b: float, c: float,
     """
     if not a <= b <= c:
         raise ValueError(f"triangular parameters must satisfy a <= b <= c, got {(a, b, c)}")
-    al = AlphaGrid.coerce(grid).alphas()
-    return FuzzyNumber(a + al * (b - a), c - al * (c - b))
+    return FuzzyNumber(*_sides(a, b, b, c, grid))
 
 
 def trapezoidal(a: float, b: float, c: float, d: float,
@@ -320,8 +328,27 @@ def trapezoidal(a: float, b: float, c: float, d: float,
     if not a <= b <= c <= d:
         raise ValueError(
             f"trapezoidal parameters must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
+    return FuzzyNumber(*_sides(a, b, c, d, grid))
+
+
+_HALF_MAX = 0.5 * float(np.finfo(float).max)
+
+
+def _sides(a: float, b: float, c: float, d: float,
+           grid: AlphaGrid | int) -> tuple[np.ndarray, np.ndarray]:
+    """The side lines a + alpha*(b - a) and d - alpha*(d - c) at the grid
+    nodes.  A side wider than the float range is worked out on halved
+    operands and doubled, which is exact at those magnitudes."""
     al = AlphaGrid.coerce(grid).alphas()
-    return FuzzyNumber(a + al * (b - a), d - al * (d - c))
+    if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
+        return a + al * (b - a), d - al * (d - c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = a + al * (b - a), d - al * (d - c)
+        if not math.isfinite(lo[0]):
+            lo = 2.0 * (0.5 * a + al * (0.5 * b - 0.5 * a))
+        if not math.isfinite(hi[0]):
+            hi = 2.0 * (0.5 * d - al * (0.5 * d - 0.5 * c))
+    return lo, hi
 
 
 def crisp(a: float, grid: AlphaGrid | int = DEFAULT_GRID_K) -> FuzzyNumber:

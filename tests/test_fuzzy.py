@@ -16,7 +16,7 @@ from fuzzyarith import (
     triangular,
 )
 
-from fuzzyarith.fuzzy import NEST_TOL
+from fuzzyarith.fuzzy import NEST_TOL, NEST_ULPS
 
 from helpers import random_shape, reference_alpha_cut, reference_membership
 
@@ -380,12 +380,49 @@ def test_shapes_accept_their_own_rounding_at_large_magnitude(grid):
         assert a.core.width == 0.0 and abs(a.core.lo - 50000.7) < 8 * np.spacing(1e5)
 
 
-@settings(max_examples=200)
-@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([-1e300, -0.0, 0.0, 1e300]),
+def test_crossed_ends_near_the_float_max_repair_to_a_finite_midpoint():
+    # no errstate: the suite turns a RuntimeWarning into an error
+    below = np.nextafter(1.7e308, 0.0)
+    a = from_levels([[1e308, 1.75e308], [1.7e308, below]])
+    assert a.is_nested and np.isfinite(a.los).all() and np.isfinite(a.his).all()
+    assert a.level(1) == Interval(1.7e308, 1.7e308)
+    # the core ends of this triangle round one ulp apart, and sum past the float range
+    b = triangular(5.177839041280705e307, 1.5201935638894034e308, 1.5798096581039267e308)
+    assert b.is_nested and b.core.width == 0.0
+    assert b.core.lo == np.nextafter(1.5201935638894034e308, math.inf)
+
+
+def test_slack_at_the_largest_float_stays_finite():
+    # 8 ulps of the largest float are about 1.6e293; the crossings below are
+    # far more, and an infinite slack let them through
+    big = float(np.finfo(float).max)
+    for levels in ([[-big, big], [big, -big]], [[-big, big], [1e300, -1e300]]):
+        with pytest.raises(ValueError, match="^level lower endpoint exceeds upper endpoint$"):
+            from_levels(levels)
+    with pytest.raises(ValueError, match="^levels are not nested$"):
+        from_levels([[0.0, big], [-big, big]])
+
+
+_MAX = float(np.finfo(float).max)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-_MAX, -1e300, -0.0, 0.0, 1e300, _MAX]),
                 min_size=4, max_size=4),
        st.sampled_from([1, 2, 3, 7, 100]))
 @example([-100000.0, 50000.7, 50000.7, 100000.0], 100)
-def test_shapes_accept_any_sorted_parameters_up_to_1e300(params, grid):
+@example([5.177839041280705e307, 1.5201935638894034e308, 1.5201935638894034e308,
+          1.5798096581039267e308], 100)
+@example([-_MAX, 1e300, 1e300, _MAX], 7)
+@example([1.0, 1.0, 1.0, 2.0**53 + 4], 1)
+def test_shapes_accept_any_sorted_finite_parameters(params, grid):
+    # no errstate: the suite turns a RuntimeWarning into an error
     a, b, c, d = sorted(params)
+    # a crossed core is repaired to its midpoint, which can widen the support
+    # by as much as the slack: trapezoidal(1, 1, 1, 2.0**53 + 4) rounds its
+    # upper core end to 0 and keeps [0.5, 2.0**53 + 4]
+    slack = NEST_ULPS * math.ulp(max(-a, d))
     for x in (triangular(a, b, d, grid=grid), trapezoidal(a, b, c, d, grid=grid)):
-        assert x.is_nested
+        assert x.is_nested and np.isfinite(x.los).all() and np.isfinite(x.his).all()
+        assert a - slack <= x.los[0] <= a and d <= x.his[0] <= d + slack
