@@ -54,62 +54,39 @@ class FuzzyNumber:
     """A fuzzy quantity described by K + 1 nested alpha-level intervals.
 
     The constructor takes the lower and upper endpoint arrays sampled at
-    the grid nodes.  It validates finiteness, per-level ordering and
-    nestedness (lower endpoints non-decreasing in alpha, upper endpoints
-    non-increasing), repairing violations up to NEST_TOL, or NEST_ULPS ulps
-    of the largest |end| where that is more, and rejecting anything larger.
+    the grid nodes.  It first checks in O(K) comparisons whether they are
+    exactly nested (lower endpoints non-decreasing in alpha, upper endpoints
+    non-increasing, the core ordered, the support ends finite); such ends
+    are stored as given.  Only when that check fails does it validate
+    finiteness, per-level ordering and nestedness, repairing violations up
+    to NEST_TOL, or NEST_ULPS ulps of the largest |end| where that is more,
+    and rejecting anything larger.
     """
 
-    __slots__ = ("_los", "_his", "_neg_his")
+    __slots__ = ("_los", "_his")
 
     def __init__(self, los, his) -> None:
-        los = np.array(los, dtype=float)
-        his = np.array(his, dtype=float)
+        los = np.asarray(los, dtype=float)
+        his = np.asarray(his, dtype=float)
         if los.ndim != 1 or his.ndim != 1 or los.shape != his.shape:
             raise ValueError("endpoint arrays must be 1-d and of equal length")
         if los.size < 2:
             raise ValueError("need at least two levels (grid size K >= 1)")
-        if not (np.isfinite(los).all() and np.isfinite(his).all()):
-            i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
-            raise ValueError(f"level endpoints must be finite; the level at alpha "
-                             f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
-        # a sum or difference past the float range is +-inf and still
-        # compares right; the scaled slack is only worked out for ends that
-        # NEST_TOL alone would reject
-        with np.errstate(over="ignore"):
-            if np.any(los > his + NEST_TOL) and np.any(los > his + _scaled_slack(los, his)):
-                raise ValueError("level lower endpoint exceeds upper endpoint")
-            dlo, dhi = np.diff(los), np.diff(his)
-            if np.any(dlo < -NEST_TOL) or np.any(dhi > NEST_TOL):
-                tol = _scaled_slack(los, his)
-                if np.any(dlo < -tol) or np.any(dhi > tol):
-                    raise ValueError("levels are not nested")
-
-        # Repair float-scale slack so the stored family is exactly nested.
-        los = np.maximum.accumulate(los)
-        his = np.minimum.accumulate(his)
-        crossed = los > his
-        if crossed.any():
-            lo, hi = los[crossed], his[crossed]
-            with np.errstate(over="ignore"):
-                mid = 0.5 * (lo + hi)
-            # ends past half the float range can sum past it; halving them
-            # first is exact there, and the midpoint is the same
-            wide = ~np.isfinite(mid)
-            mid[wide] = 0.5 * lo[wide] + 0.5 * hi[wide]
-            los[crossed] = mid
-            his[crossed] = mid
-            # A midpoint can fall below an earlier lower end (or above an
-            # earlier upper end); widening the outer levels to it keeps
-            # every level ordered and the family nested.
-            los = np.minimum.accumulate(los[::-1])[::-1]
-            his = np.maximum.accumulate(his[::-1])[::-1]
-
+        # Exactly nested input, checked in O(K): with neighbours ordered and
+        # the core ordered, every end lies between the two support ends, so
+        # finite support ends make every end finite (a NaN fails a
+        # comparison).  Such a family needs neither checks nor repair; the
+        # running extremes only copy it, bit for bit.
+        if (los[-1] <= his[-1] and math.isfinite(los[0]) and math.isfinite(his[0])
+                and (los[1:] >= los[:-1]).all() and (his[1:] <= his[:-1]).all()):
+            los = np.maximum.accumulate(los)
+            his = np.minimum.accumulate(his)
+        else:
+            los, his = _checked_and_repaired(los, his)
         los.flags.writeable = False
         his.flags.writeable = False
         object.__setattr__(self, "_los", los)
         object.__setattr__(self, "_his", his)
-        object.__setattr__(self, "_neg_his", -his)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FuzzyNumber instances are immutable")
@@ -200,30 +177,43 @@ class FuzzyNumber:
         +inf have membership 0, and a NaN point raises ValueError.  Each
         point is inverted on the one endpoint curve that decides it: the
         lower curve up to the core's upper end, where the upper curve reads
-        1, and the upper curve past it, where the lower curve reads 1.  The
-        inversion is a binary search followed by linear interpolation inside
-        the located grid step, so the result is exact for the piecewise
-        linear representation.
+        1, and the upper curve past it, where the lower curve reads 1.  One
+        binary search over both curves' nodes locates the grid step, whose
+        base, step and number are read from tables of 2K + 3 slots, and the
+        point is interpolated linearly inside it, so the result is exact for
+        the piecewise linear representation.
         """
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
-        nan = np.isnan(pts)
-        if nan.any():
-            where = "" if scalar else (
-                "; the first NaN point is x[%s]"
-                % ", ".join(map(str, np.unravel_index(int(np.argmax(nan)), pts.shape))))
-            raise ValueError(f"membership of nan is undefined{where}")
-        up = pts > self._his[-1]
-        down = ~up
-        out = np.empty(pts.shape)
-        # the upper curve, negated, is non-decreasing: (-p) - (-h) is h - p exactly;
-        # a difference past the float range is recomputed by _curve_alphas or
-        # belongs to a point off the curve, whose alpha is set without it
+        los, his, k = self._los, self._his, self.k
+        # an offset past the float range below the support, on the core or
+        # above the support gives inf / inf, and its alpha is set below
         with np.errstate(over="ignore", invalid="ignore"):
-            out[down] = _curve_alphas(self._los, pts[down])
-            out[up] = _curve_alphas(self._neg_his, -pts[up])
-        return float(out[0]) if scalar else out
+            nodes, base, step, seg = _curve_slots(los, his)
+            j = np.searchsorted(nodes, pts, side="right")
+            off = pts - base.take(j)
+            gap = step.take(j)
+            if not math.isfinite(float(his[0]) - float(los[0])):
+                # a step or offset past the float range: the same ratio from
+                # halved operands, which halving keeps exact at these magnitudes
+                _, half, half_step, _ = _curve_slots(0.5 * los, 0.5 * his)
+                wide = ~(np.isfinite(gap) & np.isfinite(off))
+                gap = np.where(wide, half_step.take(j), gap)
+                off = np.where(wide, 0.5 * pts - half.take(j), off)
+            off /= gap
+            off += seg.take(j)
+            off /= k
+        undone = np.isnan(off)
+        if undone.any():
+            nan = np.isnan(pts)
+            if nan.any():
+                where = "" if scalar else (
+                    "; the first NaN point is x[%s]"
+                    % ", ".join(map(str, np.unravel_index(int(np.argmax(nan)), pts.shape))))
+                raise ValueError(f"membership of nan is undefined{where}")
+            off[undone] = j[undone] == k + 1  # 1 on the core, 0 off the support
+        return float(off[0]) if scalar else off
 
     # -- derived representations ---------------------------------------------
 
@@ -274,6 +264,48 @@ def _interpolated(ends: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(inc), ends[i], ends[i] + inc)
 
 
+def _checked_and_repaired(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New end arrays for a family that is not exactly nested: ValueError
+    unless every end is finite and the family is nested up to the slack,
+    else the family repaired to an exactly nested one."""
+    if not (np.isfinite(los).all() and np.isfinite(his).all()):
+        i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
+        raise ValueError(f"level endpoints must be finite; the level at alpha "
+                         f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
+    # a sum or difference past the float range is +-inf and still
+    # compares right; the scaled slack is only worked out for ends that
+    # NEST_TOL alone would reject
+    with np.errstate(over="ignore"):
+        if np.any(los > his + NEST_TOL) and np.any(los > his + _scaled_slack(los, his)):
+            raise ValueError("level lower endpoint exceeds upper endpoint")
+        dlo, dhi = np.diff(los), np.diff(his)
+        if np.any(dlo < -NEST_TOL) or np.any(dhi > NEST_TOL):
+            tol = _scaled_slack(los, his)
+            if np.any(dlo < -tol) or np.any(dhi > tol):
+                raise ValueError("levels are not nested")
+
+    # Repair float-scale slack so the stored family is exactly nested.
+    los = np.maximum.accumulate(los)
+    his = np.minimum.accumulate(his)
+    crossed = los > his
+    if crossed.any():
+        lo, hi = los[crossed], his[crossed]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        # ends past half the float range can sum past it; halving them
+        # first is exact there, and the midpoint is the same
+        wide = ~np.isfinite(mid)
+        mid[wide] = 0.5 * lo[wide] + 0.5 * hi[wide]
+        los[crossed] = mid
+        his[crossed] = mid
+        # A midpoint can fall below an earlier lower end (or above an
+        # earlier upper end); widening the outer levels to it keeps
+        # every level ordered and the family nested.
+        los = np.minimum.accumulate(los[::-1])[::-1]
+        his = np.maximum.accumulate(his[::-1])[::-1]
+    return los, his
+
+
 def _scaled_slack(los: np.ndarray, his: np.ndarray) -> float:
     """The nesting slack at the scale of the ends: NEST_ULPS ulps of the
     largest |end|, or NEST_TOL where that is more.  math.ulp, unlike
@@ -282,30 +314,31 @@ def _scaled_slack(los: np.ndarray, his: np.ndarray) -> float:
     return max(NEST_TOL, NEST_ULPS * math.ulp(big))
 
 
-def _curve_alphas(ends: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The alpha at which the non-decreasing endpoint curve ends (one value
-    per grid node) reaches each point, linear inside the located grid
-    step: 1 at or past its last node, 0 below its first."""
-    k = ends.size - 1
-    i = np.searchsorted(ends, pts, side="right") - 1
-    seg = np.clip(i, 0, k - 1)
-    base = ends.take(seg)
-    gap = np.diff(ends).take(seg)
-    off = pts - base
-    if not math.isfinite(float(ends[k]) - float(ends[0])):
-        # a step or offset past the float range: the same ratio from halved
-        # operands, which halving keeps exact at these magnitudes
-        wide = ~(np.isfinite(gap) & np.isfinite(off))
-        half = 0.5 * base
-        gap = np.where(wide, 0.5 * ends.take(seg + 1) - half, gap)
-        off = np.where(wide, 0.5 * pts - half, off)
-    gap[gap <= 0.0] = 1.0
-    off /= gap
-    off += seg
-    off /= k
-    off[i >= k] = 1.0
-    off[i < 0] = 0.0
-    return off
+_INF = np.array([math.inf])
+
+
+def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The 2K + 2 nodes that membership searches, and the base, step and
+    grid-step number of the 2K + 3 slots between them; slot j holds the
+    points from node j - 1 up to node j.
+
+    The nodes are the lower ends, then the upper ends from the core out,
+    each one ulp up so that a point on an upper end stays inside it.  Slot
+    j in 1..K is the lower curve's step j - 1, from los[j - 1] to los[j];
+    slot K + 1 + t, t in 1..K, is the upper curve's step s = K - t, from
+    his[s] to his[s + 1], a negative step, whose ratio is the one the
+    negated curve gives.  Below the support (slot 0), on the core (K + 1)
+    and above the support (2K + 2) the step is infinite, which turns a
+    finite offset into alpha 0, 1 and 0.  A flat step holds no point and
+    reads 1 (-1 on the upper curve).
+    """
+    k = los.size - 1
+    rise, fall = np.diff(los), np.diff(his)[::-1]
+    return (np.concatenate((los, np.nextafter(his[::-1], math.inf))),
+            np.concatenate((los[:1], los, his[-2::-1], his[:1])),
+            np.concatenate((_INF, np.where(rise > 0.0, rise, 1.0), _INF,
+                            np.where(fall < 0.0, fall, -1.0), _INF)),
+            np.concatenate(([0.0], np.arange(k + 1.0), np.arange(k - 1.0, -1.0, -1.0), [0.0])))
 
 
 # -- constructors -------------------------------------------------------------

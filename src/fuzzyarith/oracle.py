@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _route,
-                         correlated_product, correlated_sum)
+from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _nan_error,
+                         _route, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
 from .fuzzy import AlphaGrid, FuzzyNumber
 
@@ -59,16 +59,19 @@ def _check_op(op: str) -> None:
         raise ValueError(f"op must be one of {BINARY_OPS}, got {op!r}")
 
 
-def build_joint(a: FuzzyNumber, f: CorrelationFunction,
-                n: int = DEFAULT_SAMPLES) -> JointDistribution:
+def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES, *,
+                _checked: bool = False) -> JointDistribution:
     """Sample the graph coupling of (A, f(A)) at n equispaced support points.
 
-    A crisp operand collapses to the single sample it carries.
+    A crisp operand collapses to the single sample it carries.  f is first
+    checked with f.check_on(a.support); oracle_check passes _checked=True,
+    since its engine call has just made that check.
     """
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     sup = a.support
-    f.check_on(sup)
+    if not _checked:
+        f.check_on(sup)
     xs = np.array([sup.lo]) if sup.width == 0.0 else np.linspace(sup.lo, sup.hi, n)
     mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
     ys = f.values(xs)
@@ -79,14 +82,29 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     """Push the joint samples through the operation.
 
     Outputs are sorted by z; samples whose z values collide within
-    MERGE_WINDOW are collapsed, keeping the largest membership.
+    MERGE_WINDOW are collapsed, keeping the largest membership.  A z that
+    rises (or falls) by more than MERGE_WINDOW at every step is returned as
+    it is (or reversed), with no sort and no merge; any other z is sorted
+    once, stably, and merged only where two neighbours collide.  A NaN z
+    raises DomainError naming the x of the first NaN sample.
     """
     _check_op(op)
-    zs = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
-    order = np.argsort(zs, kind="stable")
-    zs = zs[order]
+    z = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
+    if z.size > 1:  # a NaN fails both tests
+        steps = np.diff(z)
+        if (steps > MERGE_WINDOW).all():
+            return SampledMembership(zs=z, mus=joint.mu)
+        if (steps < -MERGE_WINDOW).all():
+            return SampledMembership(zs=z[::-1], mus=joint.mu[::-1])
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
     mus = joint.mu[order]
-    first = np.flatnonzero(np.concatenate(([True], np.diff(zs) > MERGE_WINDOW)))
+    if np.isnan(zs[-1:]).any():  # a NaN sorts last
+        raise _nan_error(joint.xs, z, "oracle sample", (joint.xs[0], joint.xs[-1]))
+    apart = np.diff(zs) > MERGE_WINDOW
+    if apart.all():
+        return SampledMembership(zs=zs, mus=mus)
+    first = np.flatnonzero(np.concatenate(([True], apart)))
     return SampledMembership(zs=zs[first], mus=np.maximum.reduceat(mus, first))
 
 
@@ -96,17 +114,20 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
 
     Level alpha collects the z samples with membership >= alpha - delta;
     delta absorbs the quantization of membership between neighbouring
-    samples (default 1/(2K)), and a NaN membership is below every threshold.
-    The thresholds tighten with alpha, so the levels nest.  The samples
-    must come sorted by z, strictly increasing, as extend returns them; its
-    sort is the only one.  A level then runs from the first to the last
-    sample that reaches its threshold, found by K + 1 binary searches in
-    the running maximum of the memberships from each end: O(n + K log n)
-    time and O(n + K) memory in all.
+    samples (default 1/(2K)) and must lie in [0, 1) (ValueError otherwise),
+    and a NaN membership is below every threshold.  The thresholds tighten
+    with alpha, so the levels nest.  The samples must come sorted by z,
+    strictly increasing, as extend returns them; its sort is the only one.
+    A level then runs from the first to the last sample that reaches its
+    threshold, found by K + 1 binary searches in the running maximum of
+    the memberships from each end: O(n + K log n) time and O(n + K) memory
+    in all.
     """
     grid = AlphaGrid.coerce(grid if grid is not None else AlphaGrid())
     if delta is None:
         delta = 1.0 / (2.0 * grid.K)
+    elif not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must lie in [0, 1), got {float(delta)!r}")
     zs, mus = s.zs, s.mus
     if zs.size == 0:
         raise ValueError("no samples to rebuild levels from")
@@ -166,7 +187,11 @@ def _auto_delta(joint: JointDistribution) -> float:
     Half of the largest membership step keeps samples just outside a level
     from leaking in while tolerating float noise at the boundary; the
     second term guarantees the top level stays populated when the peak
-    falls between samples.
+    falls between samples.  The slack stays in [0, 1), as
+    levels_from_membership requires: a half step of memberships in [0, 1]
+    is at most 0.5, and the sample one spacing inside the support on the
+    wider side of the core has membership at least 1/((n - 1)K), so the
+    second term stays below 1 while (n - 1)K < 1e12.
     """
     if joint.mu.size < 2:
         return MERGE_WINDOW
@@ -205,8 +230,8 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     if grid is not None:
         a = a.resample(grid)
     engine_op = correlated_sum if op == "sum" else correlated_product
-    engine = engine_op(a, f, method)
-    joint = build_joint(a, f, n)
+    engine = engine_op(a, f, method)  # checks f on the support, as build_joint would
+    joint = build_joint(a, f, n, _checked=True)
     if delta is None:
         delta = _auto_delta(joint)
     approx = levels_from_membership(extend(joint, op), a.grid, delta)

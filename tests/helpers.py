@@ -6,8 +6,10 @@ from unittest import mock
 
 import numpy as np
 
-from fuzzyarith import (AlphaGrid, CorrelationFunction, FuzzyNumber, LevelResult, arithmetic,
-                        trapezoidal, triangular)
+from fuzzyarith import (AlphaGrid, CorrelationFunction, FuzzyNumber, LevelResult,
+                        SampledMembership, arithmetic, trapezoidal, triangular)
+from fuzzyarith.fuzzy import NEST_TOL, _scaled_slack
+from fuzzyarith.oracle import MERGE_WINDOW
 
 
 def random_shape(rng, lo=-10.0, hi=10.0, grid=100, min_gap=0.0):
@@ -93,6 +95,56 @@ def reference_levels_from_membership(s, grid, delta):
     zs = s.zs[order]
     return FuzzyNumber(np.minimum.accumulate(zs)[counts - 1],
                        np.maximum.accumulate(zs)[counts - 1])
+
+
+def reference_extend(joint, op):
+    """``extend`` as it once was: every z sorted stably and every sample
+    merged through ``reduceat``, even where no two z collide.  Reference
+    only; a NaN z is merged into the group before it."""
+    zs = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
+    order = np.argsort(zs, kind="stable")
+    zs = zs[order]
+    mus = joint.mu[order]
+    first = np.flatnonzero(np.concatenate(([True], np.diff(zs) > MERGE_WINDOW)))
+    return SampledMembership(zs=zs[first], mus=np.maximum.reduceat(mus, first))
+
+
+def reference_fuzzy_ends(los, his):
+    """The (los, his) arrays ``FuzzyNumber(los, his)`` stores, worked out
+    as its constructor once did: the finiteness and tolerance checks and the
+    repair run on every input; raises its ValueErrors.  Reference only."""
+    los = np.array(los, dtype=float)
+    his = np.array(his, dtype=float)
+    if los.ndim != 1 or his.ndim != 1 or los.shape != his.shape:
+        raise ValueError("endpoint arrays must be 1-d and of equal length")
+    if los.size < 2:
+        raise ValueError("need at least two levels (grid size K >= 1)")
+    if not (np.isfinite(los).all() and np.isfinite(his).all()):
+        i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
+        raise ValueError(f"level endpoints must be finite; the level at alpha "
+                         f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
+    with np.errstate(over="ignore"):
+        if np.any(los > his + NEST_TOL) and np.any(los > his + _scaled_slack(los, his)):
+            raise ValueError("level lower endpoint exceeds upper endpoint")
+        dlo, dhi = np.diff(los), np.diff(his)
+        if np.any(dlo < -NEST_TOL) or np.any(dhi > NEST_TOL):
+            tol = _scaled_slack(los, his)
+            if np.any(dlo < -tol) or np.any(dhi > tol):
+                raise ValueError("levels are not nested")
+    los = np.maximum.accumulate(los)
+    his = np.minimum.accumulate(his)
+    crossed = los > his
+    if crossed.any():
+        lo, hi = los[crossed], his[crossed]
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        wide = ~np.isfinite(mid)
+        mid[wide] = 0.5 * lo[wide] + 0.5 * hi[wide]
+        los[crossed] = mid
+        his[crossed] = mid
+        los = np.minimum.accumulate(los[::-1])[::-1]
+        his = np.maximum.accumulate(his[::-1])[::-1]
+    return los, his
 
 
 def _reference_curve_alphas(ends, pts):

@@ -18,7 +18,9 @@ from fuzzyarith import (
 
 from fuzzyarith.fuzzy import NEST_TOL, NEST_ULPS
 
-from helpers import random_shape, reference_alpha_cut, reference_membership
+from helpers import random_shape, reference_alpha_cut, reference_fuzzy_ends, reference_membership
+
+_MAX = float(np.finfo(float).max)
 
 
 def test_alpha_grid_levels():
@@ -136,6 +138,73 @@ def test_constructor_repairs_crossing_below_an_earlier_lower_end():
 def test_constructor_rejects_crossed_endpoints():
     with pytest.raises(ValueError):
         FuzzyNumber(np.array([0.0, 2.0]), np.array([3.0, 1.0]))
+
+
+_ENDS = (st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, -1.7e308, 1.7e308, -_MAX, _MAX])
+         | st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _endpoint_arrays(draw):
+    """Ends that are exactly nested, with tied ends and -0.0 next to 0.0;
+    nested up to NEST_TOL or NEST_ULPS ulps; crossed or unnested beyond
+    that; or holding NaN or +-inf at any index."""
+    k = draw(st.sampled_from([1, 2, 5, 30]))
+    pts = sorted(draw(st.lists(_ENDS, min_size=2 * (k + 1), max_size=2 * (k + 1))))
+    los, his = np.array(pts[:k + 1]), np.array(pts[k + 1:][::-1])
+    kind = draw(st.sampled_from(["nested", "slack", "beyond", "nonfinite"]))
+    if kind != "nested":
+        ends = los if draw(st.booleans()) else his
+        i = draw(st.integers(0, k))
+        if kind == "nonfinite":
+            ends[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            big = float(np.abs(np.concatenate((los, his))).max())
+            size = draw(st.sampled_from([NEST_TOL, NEST_ULPS * math.ulp(big)]))
+            size *= draw(st.sampled_from([0.5, 1.0]) if kind == "slack"
+                         else st.sampled_from([2.0, 1e6]))
+            with np.errstate(over="ignore"):
+                ends[i] += draw(st.sampled_from([-size, size]))
+    return los, his
+
+
+def _stored(los, his):
+    try:
+        a = FuzzyNumber(los, his)
+    except ValueError as e:
+        return str(e)
+    return a.los, a.his
+
+
+@settings(max_examples=300)
+@given(_endpoint_arrays())
+@example((np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, -0.0])))
+@example((np.array([0.0, 1.0]), np.array([1.0, 1.0 - 1e-13])))    # crossed within the slack
+@example((np.array([0.5, 0.5 - 4e-13]), np.array([2.0, 1.0])))    # unnested within it
+@example((np.array([-math.inf, 0.0]), np.array([1.0, 0.5])))
+@example((np.array([0.0, 0.5]), np.array([1.0, math.nan])))
+@example((np.array([1e308, 1.7e308]), np.array([1.75e308, np.nextafter(1.7e308, 0.0)])))
+def test_constructor_matches_the_check_and_repair_reference(ends):
+    """The exact-nesting check stores what checking and repairing every
+    input gives, bit for bit, and raises the same messages."""
+    los, his = ends
+    before = los.copy(), his.copy()
+    got, want = _stored(los, his), _outcome(lambda: reference_fuzzy_ends(los, his))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+    # the caller's arrays are neither changed nor frozen
+    for arr, saved in zip(ends, before):
+        assert arr.flags.writeable and arr.tobytes() == saved.tobytes()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return str(e)
 
 
 def test_from_levels_round_trip():
@@ -401,9 +470,6 @@ def test_slack_at_the_largest_float_stays_finite():
             from_levels(levels)
     with pytest.raises(ValueError, match="^levels are not nested$"):
         from_levels([[0.0, big], [-big, big]])
-
-
-_MAX = float(np.finfo(float).max)
 
 
 @settings(max_examples=300)

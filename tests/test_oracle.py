@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from fuzzyarith import (
     AlphaGrid,
     DomainError,
+    FuzzyNumber,
     Interval,
     JointDistribution,
     MonotonicityError,
     RangeMethod,
     SampledMembership,
     build_joint,
+    correlated_sum,
     crisp,
     custom,
     extend,
@@ -27,7 +30,11 @@ from fuzzyarith import (
     triangular,
 )
 
-from helpers import dense_levels_from_membership, reference_levels_from_membership
+from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
+from fuzzyarith.oracle import MERGE_WINDOW, _auto_delta
+
+from helpers import (dense_levels_from_membership, random_shape, reference_extend,
+                     reference_levels_from_membership)
 
 
 def test_build_joint_enforces_sample_floor():
@@ -122,6 +129,128 @@ def test_extend_merges_colliding_outputs_keeping_max():
     assert np.all(np.diff(s.zs) > 0)
     i = int(np.argmin(np.abs(s.zs + 0.04)))  # z = -(0.2)^2
     assert s.mus[i] == pytest.approx(max(1.0 - 0.2 / 3.0, 1.0 - 0.2), abs=1e-9)
+
+
+_MW = MERGE_WINDOW
+_GAPS = (st.sampled_from([_MW, np.nextafter(_MW, 0.0), np.nextafter(_MW, 1.0), 0.0, 2 * _MW,
+                          1e-3, 1.0])
+         | st.floats(0.0, 1e-11))
+
+
+@st.composite
+def graph_samples(draw):
+    """A joint and an op whose z is increasing, decreasing, unimodal or
+    constant, with neighbouring gaps at, just under or just over
+    MERGE_WINDOW.  The x samples are chosen so that x + y (subnormal x)
+    or x * y (x a power of two) gives back the drawn z."""
+    op = draw(st.sampled_from(["sum", "product"]))
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["increasing", "decreasing", "unimodal", "constant"]))
+    start = draw(st.sampled_from([0.0, -0.0, 1.0, -3.0, -_MW]) | st.floats(-1e3, 1e3))
+    steps = np.array(draw(st.lists(_GAPS, min_size=n - 1, max_size=n - 1)))
+    if shape == "constant":
+        steps[:] = 0.0
+    elif shape == "decreasing":
+        steps = -steps
+    elif shape == "unimodal":
+        steps[draw(st.integers(0, n - 1)):] *= -1.0
+    z = np.concatenate(([start], start + np.cumsum(steps)))
+    if op == "sum":
+        xs = np.arange(n) * 5e-324
+        ys = z
+    else:
+        xs = 2.0 ** np.arange(n)
+        ys = z / xs
+    mu = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+    mus = np.array(draw(st.lists(mu, min_size=n, max_size=n)))
+    return JointDistribution(xs=xs, mu=mus, ys=ys), op
+
+
+def _joint(z, mu, op="sum"):
+    z = np.array(z)
+    return JointDistribution(xs=np.arange(z.size) * 5e-324, mu=np.array(mu), ys=z), op
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_samples())
+@example(_joint([0.0, _MW, 2 * _MW], [0.5, 1.0, 0.25]))
+@example(_joint([2 * _MW, _MW, 0.0], [0.5, 1.0, 0.25]))
+@example(_joint([0.0, np.nextafter(_MW, 0.0), 1.0], [1.0, 0.5, 0.0]))
+@example(_joint([-0.0, 0.0, -0.0], [0.0, 1.0, 0.5]))
+@example(_joint([1.0, 0.0, 1.0, 2.0], [0.5, 1.0, 0.75, 0.0]))
+@example(_joint([3.0], [1.0]))
+def test_extend_matches_the_sort_and_merge_reference(case):
+    joint, op = case
+    got, want = extend(joint, op), reference_extend(joint, op)
+    for g, w in ((got.zs, want.zs), (got.mus, want.mus)):
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_extend_raises_on_a_nan_z():
+    # the decreasing f is NaN on a sliver no 257-sample check lands on
+    f = custom(lambda x: math.nan if 1.4 < x < 1.401 else -0.5 * x, "decreasing")
+    joint = build_joint(triangular(0.0, 1.0, 2.0, grid=10), f, 2001)
+    assert np.isnan(joint.ys).sum() == 1
+    for op in ("sum", "product"):
+        with pytest.raises(DomainError, match=r"^g gives nan at x = 1\.4, the first NaN "
+                                              r"oracle sample on \[0, 2\]$"):
+            extend(joint, op)
+    one = JointDistribution(xs=np.array([1.0]), mu=np.array([1.0]), ys=np.array([math.nan]))
+    with pytest.raises(DomainError, match=r"^g gives nan at x = 1, "):
+        extend(one, "sum")
+
+
+def test_oracle_check_raises_on_a_nan_z_the_engine_never_evaluates():
+    # an increasing f makes the sum monotone, so the engine reads only the
+    # level ends and never meets the NaN; the oracle's samples do
+    f = custom(lambda x: math.nan if 1.4 < x < 1.401 else 0.5 * x, "increasing")
+    with pytest.raises(DomainError, match=r"^g gives nan at x = 1\.4, the first NaN "
+                                          r"oracle sample on \[0, 2\]$"):
+        oracle_check(triangular(0.0, 1.0, 2.0, grid=10), f, "sum")
+
+
+def test_oracle_check_checks_a_custom_function_once():
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return x ** 3 + x
+
+    f = custom(fn, "increasing")
+    a = triangular(-1.0, 0.5, 2.0, grid=20)
+    correlated_sum(a, f)
+    engine, calls[0] = calls[0], 0
+    oracle_check(a, f, "sum", n=501)
+    assert calls[0] == engine + 501
+    calls[0] = 0
+    build_joint(a, f, 501)
+    assert calls[0] == MONOTONE_CHECK_SAMPLES + 501
+
+
+def test_delta_must_lie_in_the_unit_interval():
+    s = SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([0.0, 1.0, 0.5]))
+    a = triangular(1.0, 2.0, 3.0, grid=10)
+    for bad in (math.nan, -0.5, -1e-300, 1.0, 2.0, math.inf):
+        message = f"^delta must lie in \\[0, 1\\), got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            levels_from_membership(s, 2, bad)
+        with pytest.raises(ValueError, match=message):
+            oracle_check(a, linear(2.0, 1.0), "sum", delta=bad)
+    assert levels_from_membership(s, 2, 0.0).level(2) == Interval(1.0, 1.0)
+    wide = levels_from_membership(s, 2, np.nextafter(1.0, 0.0))
+    assert wide.level(0) == Interval(0.0, 2.0) and wide.level(2) == Interval(1.0, 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 10, 100, 1000]),
+       st.sampled_from([101, 102, 2001]))
+def test_auto_delta_stays_in_the_unit_interval(seed, K, n):
+    rng = np.random.default_rng(seed)
+    # a shape, or a family whose first step spans almost all of its support
+    a = random_shape(rng, grid=K) if seed % 2 else FuzzyNumber(
+        np.sort(rng.uniform(-1.0, 0.0, K + 1)) * np.r_[1e6, np.ones(K)],
+        np.sort(rng.uniform(0.0, 1.0, K + 1))[::-1] * np.r_[1e6, np.ones(K)])
+    assert 0.0 <= _auto_delta(build_joint(a, linear(2.0, 1.0), n)) < 1.0
 
 
 def test_levels_from_membership_thresholds():
