@@ -18,7 +18,7 @@ from .correlation import (CorrelationFunction, check_monotone,
 from .errors import DomainError, MonotonicityError
 from .fuzzy import (DEFAULT_GRID_K, AlphaGrid, FuzzyNumber, crisp,
                     from_levels, fuzzy_from_json, trapezoidal, triangular)
-from .interval import Interval, monotone_image
+from .interval import Interval
 from .oracle import (JointDistribution, OracleReport, SampledMembership,
                      build_joint, extend, levels_from_membership, oracle_check)
 
@@ -58,7 +58,6 @@ __all__ = [
     "induced_number",
     "levels_from_membership",
     "linear",
-    "monotone_image",
     "negation",
     "oracle_check",
     "range_over_interval",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlation import INCREASING, CorrelationFunction
 from .errors import DomainError
-from .fuzzy import FuzzyNumber
+from .fuzzy import FuzzyNumber, _integer
 from .interval import Interval
 
 BINARY_OPS = ("sum", "product")
@@ -61,9 +61,7 @@ class RangeMethod:
     def __post_init__(self) -> None:
         if self.mode not in ("analytic", "numeric"):
             raise ValueError(f"mode must be 'analytic' or 'numeric', got {self.mode!r}")
-        if not isinstance(self.samples, (int, np.integer)) or isinstance(self.samples, bool):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 65:
+        if _integer(self.samples, "samples") < 65:
             raise ValueError(f"numeric range needs at least 65 samples, got {self.samples}")
         if not self.refine_tol > 0:
             raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")

@@ -7,11 +7,12 @@ Grammar (whitespace insignificant, numbers are decimal literals):
     args  := [ arg { "," arg } ]
     arg   := number | expr
 
-Names fall into three groups: fuzzy literals ``tri``, ``trap``, ``crisp``;
-the correlation names of ``correlation.CORRELATIONS`` (the parameterless
-ones may appear bare); and operators ``std_sum``, ``std_prod``,
-``corr_sum``, ``corr_prod``, ``induced``.  Operator arguments must be
-literals or correlation specs, built through their JSON forms.
+Names fall into three groups: the fuzzy literal names of ``fuzzy.SHAPES``
+(``tri``, ``trap``, ``crisp``); the correlation names of
+``correlation.CORRELATIONS`` (the parameterless ones may appear bare); and
+operators ``std_sum``, ``std_prod``, ``corr_sum``, ``corr_prod``,
+``induced``.  Operator arguments must be literals or correlation specs,
+built through their JSON forms.
 
 Exit codes: 0 success, 1 parse or validation error (including a ``--grid``
 above MAX_GRID_K or an ``--oracle-n`` above MAX_ORACLE_N), 2 domain error
@@ -34,7 +35,7 @@ from .arithmetic import (CLOSED_FORM_KINDS, closed_form, correlated_product,
                          correlated_sum, standard_product, standard_sum)
 from .correlation import CORRELATIONS, correlation_from_json, induced_number
 from .errors import DomainError
-from .fuzzy import DEFAULT_GRID_K, AlphaGrid, FuzzyNumber, fuzzy_from_json
+from .fuzzy import DEFAULT_GRID_K, SHAPES, AlphaGrid, FuzzyNumber, fuzzy_from_json
 from .oracle import DEFAULT_SAMPLES, oracle_check
 
 # Caps on --grid and --oracle-n, checked before any array is built: memory
@@ -87,7 +88,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 # -- syntax tree ------------------------------------------------------------------
 
-FUZZY_KINDS = {"tri": 3, "trap": 4, "crisp": 1}
 OPERATORS = ("std_sum", "std_prod", "corr_sum", "corr_prod", "induced")
 
 
@@ -143,9 +143,8 @@ class _ExprParser:
     def expr(self) -> Node:
         tok = self.expect("name", "a function name")
         name = tok.text
-        if name in FUZZY_KINDS:
-            args = self.number_args(name, FUZZY_KINDS[name], tok.pos)
-            return FuzzyLiteral(name, args)
+        if name in SHAPES:
+            return FuzzyLiteral(name, self.number_args(name, SHAPES[name][1], tok.pos))
         if name in CORRELATIONS:
             count = CORRELATIONS[name][1]
             if count:

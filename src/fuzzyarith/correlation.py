@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MonotonicityError
-from .fuzzy import FuzzyNumber
+from .fuzzy import FuzzyNumber, _parameters
 from .interval import Interval
 
 INCREASING = "increasing"
@@ -190,27 +190,25 @@ def correlation_from_json(obj) -> CorrelationFunction:
         ((name, args),) = obj.items()
         factory, count = CORRELATIONS.get(name, (None, 0))
         if count:
-            return factory(*args)
+            return factory(*_parameters(name, args, count))
     raise ValueError(f"unrecognized correlation object: {obj!r}")
 
 
 # -- checks and application ----------------------------------------------------
 
 
-def check_monotone(f: CorrelationFunction, iv: Interval,
-                   samples: int = MONOTONE_CHECK_SAMPLES) -> str:
-    """Verify strict monotonicity of f on an interval by dense sampling.
+def check_monotone(f: CorrelationFunction, iv: Interval) -> str:
+    """Verify strict monotonicity of f on an interval by sampling it at
+    MONOTONE_CHECK_SAMPLES equispaced points.
 
     Returns the detected direction.  Raises MonotonicityError when the
     sampled values are not strictly ordered, and DomainError when the
     interval leaves the function's domain or a sampled value is not finite.
     """
-    if samples < 3:
-        raise ValueError(f"monotonicity check needs at least 3 samples, got {samples}")
     f.require_on(iv)
     if iv.width == 0.0:
         return f.direction
-    xs = np.linspace(iv.lo, iv.hi, samples)
+    xs = np.linspace(iv.lo, iv.hi, MONOTONE_CHECK_SAMPLES)
     ys = f.values(xs)
     bad = ~np.isfinite(ys)
     if bad.any():
@@ -225,7 +223,7 @@ def check_monotone(f: CorrelationFunction, iv: Interval,
         return DECREASING
     raise MonotonicityError(
         f"{f!r} is not strictly monotone on [{iv.lo:g}, {iv.hi:g}] "
-        f"({samples} samples)")
+        f"({MONOTONE_CHECK_SAMPLES} samples)")
 
 
 def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:

@@ -27,6 +27,14 @@ NEST_TOL = 1e-12
 NEST_ULPS = 8
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; ValueError naming ``what`` unless it is an integer
+    (a bool or an integral float is not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AlphaGrid:
     """Uniform subdivision of [0, 1] into K steps, K + 1 nodes."""
@@ -34,11 +42,9 @@ class AlphaGrid:
     K: int = DEFAULT_GRID_K
 
     def __post_init__(self) -> None:
-        if not isinstance(self.K, (int, np.integer)) or isinstance(self.K, bool):
-            raise ValueError(f"grid size must be an integer, got {self.K!r}")
+        object.__setattr__(self, "K", _integer(self.K, "grid size"))
         if self.K < 1:
             raise ValueError(f"grid size must be at least 1, got {self.K}")
-        object.__setattr__(self, "K", int(self.K))
 
     def alphas(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.K + 1)
@@ -371,16 +377,18 @@ def _sides(a: float, b: float, c: float, d: float,
            grid: AlphaGrid | int) -> tuple[np.ndarray, np.ndarray]:
     """The side lines a + alpha*(b - a) and d - alpha*(d - c) at the grid
     nodes.  A side wider than the float range is worked out on halved
-    operands and doubled, which is exact at those magnitudes."""
+    operands and doubled, which is exact at those magnitudes; the halved
+    side is held to its halved inner end, past which rounding can carry it
+    and the doubling overflow."""
     al = AlphaGrid.coerce(grid).alphas()
     if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
         return a + al * (b - a), d - al * (d - c)
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = a + al * (b - a), d - al * (d - c)
         if not math.isfinite(lo[0]):
-            lo = 2.0 * (0.5 * a + al * (0.5 * b - 0.5 * a))
+            lo = 2.0 * np.minimum(0.5 * a + al * (0.5 * b - 0.5 * a), 0.5 * b)
         if not math.isfinite(hi[0]):
-            hi = 2.0 * (0.5 * d - al * (0.5 * d - 0.5 * c))
+            hi = 2.0 * np.maximum(0.5 * d - al * (0.5 * d - 0.5 * c), 0.5 * c)
     return lo, hi
 
 
@@ -402,25 +410,37 @@ def from_levels(levels) -> FuzzyNumber:
     return FuzzyNumber(arr[:, 0], arr[:, 1])
 
 
+# Every fuzzy literal name with its constructor and parameter count, read by
+# the JSON reader and the CLI grammar.
+SHAPES = {"tri": (triangular, 3), "trap": (trapezoidal, 4), "crisp": (crisp, 1)}
+
+
+def _parameters(name: str, args, count: int):
+    """args, a JSON parameter list for the literal ``name``; ValueError
+    unless it is a list of ``count`` entries."""
+    if not isinstance(args, (list, tuple)) or len(args) != count:
+        raise ValueError(f"{name!r} takes a list of {count} parameters, got {args!r}")
+    return args
+
+
 def fuzzy_from_json(obj) -> FuzzyNumber:
     """Parse the JSON forms for fuzzy numbers.
 
     Accepts the full {"K": ..., "levels": [[lo, hi], ...]} form and the
-    shorthands {"tri": [a, b, c]}, {"trap": [a, b, c, d]}, {"crisp": a};
-    shorthands honor an optional "K" key (default 100).
+    shorthands of SHAPES, {"tri": [a, b, c]}, {"trap": [a, b, c, d]} and
+    {"crisp": [a]} or {"crisp": a}; shorthands honor an optional "K" key
+    (default 100).  A shorthand with a parameter list of the wrong length
+    raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object describing a fuzzy number, got {obj!r}")
     grid = obj.get("K", DEFAULT_GRID_K)
-    if "tri" in obj:
-        return triangular(*obj["tri"], grid=grid)
-    if "trap" in obj:
-        return trapezoidal(*obj["trap"], grid=grid)
-    if "crisp" in obj:
-        val = obj["crisp"]
-        if isinstance(val, (list, tuple)):
-            (val,) = val
-        return crisp(val, grid=grid)
+    for name, (make, count) in SHAPES.items():
+        if name in obj:
+            args = obj[name]
+            if count == 1 and not isinstance(args, (list, tuple)):
+                args = [args]
+            return make(*_parameters(name, args, count), grid=grid)
     if "levels" in obj:
         fn = from_levels(obj["levels"])
         if "K" in obj and fn.k != obj["K"]:

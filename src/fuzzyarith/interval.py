@@ -1,13 +1,9 @@
-"""Closed bounded intervals and the interval operations the level sets need."""
+"""Closed bounded intervals: the support, the core and single levels of a fuzzy number."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .correlation import CorrelationFunction
 
 
 @dataclass(frozen=True)
@@ -31,20 +27,9 @@ class Interval:
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: lo={lo!r} > hi={hi!r}")
 
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains_point(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
     def contains(self, other: "Interval", tol: float = 0.0) -> bool:
         """True when ``other`` is a subset of this interval, up to ``tol``."""
@@ -60,41 +45,6 @@ class Interval:
     def approx_equal(self, other: "Interval", tol: float = 1e-9) -> bool:
         return self.hausdorff(other) <= tol
 
-    def __add__(self, other: "Interval") -> "Interval":
-        if not isinstance(other, Interval):
-            return NotImplemented
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        if not isinstance(other, Interval):
-            return NotImplemented
-        # the extrema of x*y over a box sit at the corners
-        p = (self.lo * other.lo, self.lo * other.hi,
-             self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(p), max(p))
-
-    def scaled(self, c: float) -> "Interval":
-        """The image c * [lo, hi], with the endpoint swap for negative c."""
-        a, b = c * self.lo, c * self.hi
-        return Interval(a, b) if c >= 0 else Interval(b, a)
-
-    def shifted(self, c: float) -> "Interval":
-        return Interval(self.lo + c, self.hi + c)
-
     def __repr__(self) -> str:
         return f"Interval({self.lo:g}, {self.hi:g})"
 
-
-def monotone_image(f: "CorrelationFunction", iv: Interval) -> Interval:
-    """Image of an interval under a continuous strictly monotone function.
-
-    An increasing f maps [a, b] onto [f(a), f(b)]; a decreasing one swaps
-    the endpoints.  The function's domain is checked first, so a reciprocal
-    shape applied across zero raises DomainError.
-    """
-    f.require_on(iv)
-    a = float(f(iv.lo))
-    b = float(f(iv.hi))
-    if f.direction == "decreasing":
-        a, b = b, a
-    return Interval(a, b)

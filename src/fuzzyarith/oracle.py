@@ -18,7 +18,7 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _nan_error,
                          _route, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
-from .fuzzy import AlphaGrid, FuzzyNumber
+from .fuzzy import AlphaGrid, FuzzyNumber, _integer
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -67,7 +67,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     checked with f.check_on(a.support); oracle_check passes _checked=True,
     since its engine call has just made that check.
     """
-    if n < MIN_SAMPLES:
+    if _integer(n, "sample count") < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     sup = a.support
     if not _checked:
@@ -227,6 +227,7 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     interval reading of each level, which genuinely differs from the range.
     """
     _check_op(op)
+    n = _integer(n, "sample count")
     if grid is not None:
         a = a.resample(grid)
     engine_op = correlated_sum if op == "sum" else correlated_product

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 
-from fuzzyarith import (AlphaGrid, CorrelationFunction, FuzzyNumber, LevelResult,
+from fuzzyarith import (AlphaGrid, CorrelationFunction, FuzzyNumber, Interval, LevelResult,
                         SampledMembership, arithmetic, trapezoidal, triangular)
 from fuzzyarith.fuzzy import NEST_TOL, _scaled_slack
 from fuzzyarith.oracle import MERGE_WINDOW
@@ -33,6 +33,20 @@ def random_sign_definite(rng, side, grid=100, min_gap=0.0):
     if side < 0:
         return FuzzyNumber(-a.his, -a.los)
     return a
+
+
+def monotone_image(f, iv):
+    """Image of an interval under a continuous strictly monotone function,
+    one scalar evaluation per end: an increasing f maps [a, b] onto
+    [f(a), f(b)], a decreasing one swaps the ends.  The function's domain is
+    checked first, so a reciprocal shape across zero raises DomainError.
+    Reference only, for ``induced_number``."""
+    f.require_on(iv)
+    a = float(f(iv.lo))
+    b = float(f(iv.hi))
+    if f.direction == "decreasing":
+        a, b = b, a
+    return Interval(a, b)
 
 
 def dense_range(g, lo, hi, n=200_001):

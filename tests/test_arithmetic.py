@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import (
@@ -170,8 +170,36 @@ def test_standard_product_levelwise():
     assert p.core == Interval(0.0, 0.0)
     # level formula: min/max over the four endpoint products
     for i in (0, 30, 77, 100):
-        x, y = a.level(i), a.level(i)
-        assert p.level(i) == x * y
+        lo, hi = a.los[i], a.his[i]
+        corners = (lo * lo, lo * hi, hi * lo, hi * hi)
+        assert p.level(i) == Interval(min(corners), max(corners))
+
+
+# parameters of a triangular or trapezoidal number whose support often crosses zero
+_shape_params = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=4).map(sorted)
+
+
+@settings(deadline=None)
+@given(_shape_params, _shape_params, st.sampled_from([1, 2, 7, 50]),
+       st.lists(st.floats(0.0, 1.0), max_size=4))
+@example([-2.0, 0.0, 1.0], [-3.0, -1.0, 0.5, 2.0], 7, [0.25, 0.5])
+def test_standard_ops_cover_every_pair_of_member_points(pa, pb, grid, fractions):
+    # on every level, the sum (product) of any point of the one operand's
+    # level with any point of the other's lies in the standard sum
+    # (product), whose ends are corner values: exactly, since rounding is
+    # monotone
+    a, b = ((triangular if len(p) == 3 else trapezoidal)(*p, grid=grid) for p in (pa, pb))
+    t = np.array([0.0, 1.0, *fractions])
+    xs = np.clip(a.los[:, None] + t * (a.his - a.los)[:, None], a.los[:, None], a.his[:, None])
+    ys = np.clip(b.los[:, None] + t * (b.his - b.los)[:, None], b.los[:, None], b.his[:, None])
+    s, p = standard_sum(a, b), standard_product(a, b)
+    sums = xs[:, :, None] + ys[:, None, :]
+    products = xs[:, :, None] * ys[:, None, :]
+    assert (s.los[:, None, None] <= sums).all() and (sums <= s.his[:, None, None]).all()
+    assert (p.los[:, None, None] <= products).all() and (products <= p.his[:, None, None]).all()
+    assert (s.los == a.los + b.los).all() and (s.his == a.his + b.his).all()
+    corners = np.array([a.los * b.los, a.los * b.his, a.his * b.los, a.his * b.his])
+    assert (p.los == corners).any(axis=0).all() and (p.his == corners).any(axis=0).all()
 
 
 def test_standard_ops_resample_mismatched_grids():

@@ -18,13 +18,12 @@ from fuzzyarith import (
     identity,
     induced_number,
     linear,
-    monotone_image,
     negation,
     reciprocal,
     triangular,
 )
 
-from helpers import random_shape, random_sign_definite
+from helpers import monotone_image, random_shape, random_sign_definite
 
 
 def test_linear_factory_and_evaluation():
@@ -94,8 +93,6 @@ def test_check_monotone_detects_direction():
     assert check_monotone(linear(-1.0), Interval(0.0, 1.0)) == "decreasing"
     with pytest.raises(MonotonicityError):
         check_monotone(custom(lambda x: x**2, "increasing"), Interval(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        check_monotone(identity(), Interval(0.0, 1.0), samples=2)
 
 
 def test_check_monotone_names_nan_value_and_first_sample():
@@ -188,6 +185,14 @@ def test_json_accepts_bare_names():
     assert correlation_from_json("negation")(2.0) == -2.0
     assert correlation_from_json("identity")(2.0) == 2.0
     assert correlation_from_json({"linear": [2, 1]})(1.0) == 3.0
+
+
+@pytest.mark.parametrize("obj", [{"linear": [1, 2, 3]}, {"linear": [1]}, {"hyperbolic": 2},
+                                 {"hyperbolic": []}])
+def test_json_rejects_a_wrong_parameter_count(obj):
+    ((name, _),) = obj.items()
+    with pytest.raises(ValueError, match=f"^'{name}' takes a list of 2 parameters"):
+        correlation_from_json(obj)
 
 
 def test_named_aliases_are_linear_and_hyperbolic_functions_that_keep_their_names():

@@ -236,9 +236,18 @@ def test_json_round_trip():
 def test_json_shorthands():
     assert fuzzy_from_json({"tri": [1, 2, 3]}) == triangular(1.0, 2.0, 3.0)
     assert fuzzy_from_json({"trap": [0, 1, 2, 4], "K": 10}) == trapezoidal(0.0, 1.0, 2.0, 4.0, grid=10)
-    assert fuzzy_from_json({"crisp": [2]}) == crisp(2.0)
+    assert fuzzy_from_json({"crisp": [2]}) == fuzzy_from_json({"crisp": 2}) == crisp(2.0)
     with pytest.raises(ValueError):
         fuzzy_from_json({"nope": [1]})
+
+
+@pytest.mark.parametrize("obj, count", [({"tri": [1, 2]}, 3), ({"tri": 1}, 3),
+                                        ({"trap": [1, 2, 3, 4, 5]}, 4), ({"crisp": [1, 2]}, 1),
+                                        ({"crisp": []}, 1)])
+def test_json_shorthands_reject_a_wrong_parameter_count(obj, count):
+    ((name, _),) = obj.items()
+    with pytest.raises(ValueError, match=f"^'{name}' takes a list of {count} parameters"):
+        fuzzy_from_json(obj)
 
 
 def test_equality_and_approx_equal():
@@ -482,6 +491,7 @@ def test_slack_at_the_largest_float_stays_finite():
           1.5798096581039267e308], 100)
 @example([-_MAX, 1e300, 1e300, _MAX], 7)
 @example([1.0, 1.0, 1.0, 2.0**53 + 4], 1)
+@example([0.0, 2.275257952869581e+294, -_MAX, -_MAX], 1)
 def test_shapes_accept_any_sorted_finite_parameters(params, grid):
     # no errstate: the suite turns a RuntimeWarning into an error
     a, b, c, d = sorted(params)

@@ -43,6 +43,17 @@ def test_build_joint_enforces_sample_floor():
         build_joint(a, identity(), n=5)
     with pytest.raises(ValueError):
         build_joint(a, identity(), n=100)
+    assert build_joint(a, identity(), n=np.int64(101)).xs.size == 101
+    assert type(oracle_check(a, identity(), "sum", n=np.int64(101)).n) is int
+
+
+@pytest.mark.parametrize("n", [2001.0, True, "2001"])
+def test_build_joint_and_oracle_check_need_an_integer_sample_count(n):
+    a = triangular(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="^sample count must be an integer"):
+        build_joint(a, identity(), n=n)
+    with pytest.raises(ValueError, match="^sample count must be an integer"):
+        oracle_check(a, identity(), "sum", n=n)
 
 
 def test_build_joint_sampling_layout():
