@@ -9,6 +9,7 @@ the levels of B are the images of the levels of A, which is what
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -120,21 +121,30 @@ class CorrelationFunction:
 # -- factories ----------------------------------------------------------------
 
 
-def linear(q: float, r: float = 0.0) -> CorrelationFunction:
-    """f(x) = q*x + r with q != 0."""
-    q = float(q)
+def _coefficients(family: str, q: float, r: float) -> tuple[float, float]:
+    """q and r as floats; ValueError naming the family and the coefficient
+    unless both are finite and q != 0."""
+    q, r = float(q), float(r)
+    for name, value in (("q", q), ("r", r)):
+        if not math.isfinite(value):
+            raise ValueError(f"{family} correlation needs a finite {name}, got {value!r}")
     if q == 0.0:
-        raise ValueError("linear correlation needs q != 0 to stay injective")
-    return CorrelationFunction("linear", q=q, r=float(r),
+        raise ValueError(f"{family} correlation needs q != 0 to stay injective")
+    return q, r
+
+
+def linear(q: float, r: float = 0.0) -> CorrelationFunction:
+    """f(x) = q*x + r with finite q != 0 and finite r."""
+    q, r = _coefficients("linear", q, r)
+    return CorrelationFunction("linear", q=q, r=r,
                                direction=INCREASING if q > 0 else DECREASING)
 
 
 def hyperbolic(q: float, r: float = 0.0) -> CorrelationFunction:
-    """f(x) = q/x + r with q != 0, usable on intervals that avoid zero."""
-    q = float(q)
-    if q == 0.0:
-        raise ValueError("hyperbolic correlation needs q != 0 to stay injective")
-    return CorrelationFunction("hyperbolic", q=q, r=float(r),
+    """f(x) = q/x + r with finite q != 0 and finite r, usable on intervals
+    that avoid zero."""
+    q, r = _coefficients("hyperbolic", q, r)
+    return CorrelationFunction("hyperbolic", q=q, r=r,
                                direction=DECREASING if q > 0 else INCREASING)
 
 

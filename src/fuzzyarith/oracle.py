@@ -10,6 +10,7 @@ oracle usable as an independent check of the range engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,14 +66,21 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
 
     A crisp operand collapses to the single sample it carries.  f is first
     checked with f.check_on(a.support); oracle_check passes _checked=True,
-    since its engine call has just made that check.
+    since its engine call has just made that check.  A support too narrow
+    to hold n distinct floats raises ValueError naming the support and n.
     """
     if _integer(n, "sample count") < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     sup = a.support
     if not _checked:
         f.check_on(sup)
-    xs = np.array([sup.lo]) if sup.width == 0.0 else np.linspace(sup.lo, sup.hi, n)
+    if sup.width == 0.0:
+        xs = np.array([sup.lo])
+    else:
+        xs = np.linspace(sup.lo, sup.hi, n)
+        if math.isfinite(sup.width) and not (xs[1:] > xs[:-1]).all():
+            raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
+                             f"n = {n} distinct samples")
     mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
     ys = f.values(xs)
     return JointDistribution(xs=xs, mu=mu, ys=ys)
@@ -119,9 +127,12 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
     with alpha, so the levels nest.  The samples must come sorted by z,
     strictly increasing, as extend returns them; its sort is the only one.
     A level then runs from the first to the last sample that reaches its
-    threshold, found by K + 1 binary searches in the running maximum of
-    the memberships from each end: O(n + K log n) time and O(n + K) memory
-    in all.
+    threshold.  Every threshold is at most the peak membership, so each
+    level starts at or before the first maximal sample and ends at or
+    after it: the ends are found by K + 1 binary searches in the running
+    maximum of the memberships from the first sample up to that peak, and
+    in the one from the last sample back down to it, one pass over n + 1
+    samples in all, O(n + K log n) time and O(n + K) memory.
     """
     grid = AlphaGrid.coerce(grid if grid is not None else AlphaGrid())
     if delta is None:
@@ -133,19 +144,22 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
         raise ValueError("no samples to rebuild levels from")
     if not (zs[1:] > zs[:-1]).all():
         raise ValueError("z samples must be strictly increasing, as extend returns them")
-    top = float(mus.max())
+    peak = int(mus.argmax())
+    top = float(mus[peak])
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    if top != top:  # a NaN fails every mu >= t, so it ranks below every threshold
-        mus = np.where(np.isnan(mus), -np.inf, mus)
     thresholds = grid.alphas() - delta
-    first = np.searchsorted(np.maximum.accumulate(mus), thresholds)
-    # the thresholds rise with alpha, so the top level is the first to empty
-    if first[-1] == mus.size:
-        raise ValueError("a level set came out empty; inconsistent membership input")
-    last = mus.size - 1 - np.searchsorted(np.maximum.accumulate(mus[::-1]), thresholds)
+    if top != top:  # argmax stops at the first NaN
+        # a NaN fails every mu >= t, so it ranks below every threshold
+        mus = np.where(np.isnan(mus), -np.inf, mus)
+        peak = int(mus.argmax())
+        # the thresholds rise with alpha, so the top level is the first to empty
+        if mus[peak] < thresholds[-1]:
+            raise ValueError("a level set came out empty; inconsistent membership input")
+    first = np.searchsorted(np.maximum.accumulate(mus[:peak + 1]), thresholds)
+    last = mus.size - 1 - np.searchsorted(np.maximum.accumulate(mus[peak:][::-1]), thresholds)
     return FuzzyNumber(zs[first], zs[last])
 
 

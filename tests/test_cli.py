@@ -249,6 +249,19 @@ def test_domain_error_names_operator(command, capsys):
         "across zero, got interval [-1, 1]\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["eval", "-e", "corr_sum(tri(1,2,3), linear(1e309, 0))"],
+     "fuzzyarith: linear correlation needs a finite q, got inf\n"),
+    (["check", "-e", "corr_sum(tri(1, 1.000000000000001, 1.000000000000002), linear(2,1))",
+      "--grid", "10"],
+     "fuzzyarith: corr_sum: support [1.0, 1.000000000000002] is too narrow for "
+     "n = 2001 distinct samples\n"),
+])
+def test_validation_error_names_the_cause(argv, err, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 class _Reached(ValueError):
     pass
 

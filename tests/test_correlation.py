@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ def test_linear_factory_and_evaluation():
 def test_linear_rejects_zero_slope():
     with pytest.raises(ValueError, match="injective"):
         linear(0.0, 5.0)
+
+
+@pytest.mark.parametrize("make", [linear, hyperbolic])
+@pytest.mark.parametrize("q, r, name, value", [(math.nan, 0.0, "q", "nan"),
+                                               (1e309, 0.0, "q", "inf"),
+                                               (2.0, -math.inf, "r", "-inf"),
+                                               (2.0, math.nan, "r", "nan")])
+def test_factories_reject_a_non_finite_coefficient(make, q, r, name, value):
+    family = make.__name__
+    message = f"^{family} correlation needs a finite {name}, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        make(q, r)
+    with pytest.raises(ValueError, match=message):
+        correlation_from_json({family: [q, r]})
 
 
 def test_hyperbolic_factory_and_evaluation():
@@ -193,6 +208,17 @@ def test_json_rejects_a_wrong_parameter_count(obj):
     ((name, _),) = obj.items()
     with pytest.raises(ValueError, match=f"^'{name}' takes a list of 2 parameters"):
         correlation_from_json(obj)
+
+
+@pytest.mark.parametrize("obj, arg", [({"linear": [None, 1]}, "None"),
+                                      ({"hyperbolic": ["x", 0]}, "'x'"),
+                                      ({"linear": [2, True]}, "True")])
+def test_json_rejects_a_parameter_that_is_not_a_number(obj, arg):
+    ((name, args),) = obj.items()
+    with pytest.raises(ValueError, match=re.escape(f"'{name}' takes numeric parameters, "
+                                                   f"got {arg} in {args!r}")):
+        correlation_from_json(obj)
+    assert correlation_from_json({"linear": [np.int64(2), np.float64(1)]}) == linear(2.0, 1.0)
 
 
 def test_named_aliases_are_linear_and_hyperbolic_functions_that_keep_their_names():

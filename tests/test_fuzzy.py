@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from fuzzyarith import (
     triangular,
 )
 
-from fuzzyarith.fuzzy import NEST_TOL, NEST_ULPS
+from fuzzyarith import fuzzy
+from fuzzyarith.fuzzy import MERGE_MIN_RATIO, NEST_TOL, NEST_ULPS
 
 from helpers import random_shape, reference_alpha_cut, reference_fuzzy_ends, reference_membership
 
@@ -250,6 +253,18 @@ def test_json_shorthands_reject_a_wrong_parameter_count(obj, count):
         fuzzy_from_json(obj)
 
 
+@pytest.mark.parametrize("obj, arg", [({"tri": ["a", 2, 3]}, "'a'"), ({"crisp": None}, "None"),
+                                      ({"tri": [1, True, 3]}, "True"),
+                                      ({"trap": [0, 1, [2], 3]}, "[2]")])
+def test_json_shorthands_reject_a_parameter_that_is_not_a_number(obj, arg):
+    ((name, args),) = obj.items()
+    args = args if isinstance(args, list) else [args]
+    with pytest.raises(ValueError, match=re.escape(f"'{name}' takes numeric parameters, "
+                                                   f"got {arg} in {args!r}")):
+        fuzzy_from_json(obj)
+    assert fuzzy_from_json({"tri": [np.int64(1), 2, np.float64(3)]}) == triangular(1.0, 2.0, 3.0)
+
+
 def test_equality_and_approx_equal():
     a = triangular(1.0, 2.0, 3.0)
     b = triangular(1.0, 2.0, 3.0)
@@ -447,6 +462,50 @@ def test_membership_matches_the_two_curve_reference(a, data):
     for x in pts[:6].tolist():
         got, want = a.membership(x), reference_membership(a, x)
         assert type(got) is float and got.hex() == want.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families(), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.data())
+@example(trapezoidal(-1.0, 0.0, 0.0, 3.0, grid=2), 0, 1.0, None)
+@example(crisp(-0.0, grid=1), 1, 0.0, None)
+@example(FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]), 2, 2.0, None)
+def test_membership_of_sorted_points_matches_the_search_and_the_reference(a, seed, scale, data):
+    """Sorted 1-d points, merged with the nodes once there are at least
+    MERGE_MIN_RATIO times as many, read the bits the binary search and the
+    two-curve reference read: every lower and upper end, its neighbouring
+    floats, +-inf and +-0 are among the points, each repeated at random, and
+    the count runs from below the merge threshold to twice it."""
+    nodes = np.concatenate((a.los, a.his))
+    with np.errstate(over="ignore"):  # the neighbour of the largest float is inf
+        pool = np.concatenate((nodes, np.nextafter(nodes, -math.inf),
+                               np.nextafter(nodes, math.inf), [-math.inf, math.inf, -0.0, 0.0]))
+    if data is not None:
+        lo, hi = float(a.los[0]), float(a.his[0])
+        pool = np.append(pool, data.draw(st.lists(
+            st.floats(lo - 1.0, hi + 1.0) if math.isfinite(hi - lo) else st.floats(allow_nan=False),
+            max_size=10)))
+    threshold = MERGE_MIN_RATIO * 2 * (a.k + 1)
+    extra = int(scale * threshold)
+    rng = np.random.default_rng(seed)
+    pts = np.sort(np.concatenate((pool, rng.choice(pool, size=extra))), kind="stable")
+    got = a.membership(pts)
+    with mock.patch.object(fuzzy, "MERGE_MIN_RATIO", math.inf):
+        searched = a.membership(pts)
+    want = reference_membership(a, pts)
+    for other in (searched, want):
+        assert np.array_equal(got, other) and np.array_equal(np.signbit(got), np.signbit(other))
+
+
+def test_membership_merges_only_long_sorted_one_dimensional_points():
+    a = triangular(0.0, 1.0, 2.0)  # K = 100: 202 nodes
+    long = np.linspace(-1.0, 3.0, MERGE_MIN_RATIO * 202)
+    for pts, merged in ((long, True), (long[1:], False), (long[::-1], False),
+                        (long.reshape(2, -1), False)):
+        want = reference_membership(a, pts)
+        with mock.patch.object(np, "repeat", wraps=np.repeat) as spread:
+            got = a.membership(pts)
+        assert spread.called == merged
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("grid", [1, 2, 7, 100, 1000])

@@ -83,6 +83,16 @@ def test_build_joint_crisp_collapses_to_one_sample():
     assert joint.ys.tolist() == [5.0]
 
 
+def test_build_joint_names_a_support_too_narrow_for_n_distinct_samples():
+    a = triangular(1.0, 1.0 + 8e-16, 1.0 + 1.6e-15, grid=10)
+    message = (r"^support \[1\.0, 1\.0000000000000016\] is too narrow for "
+               r"n = 2001 distinct samples$")
+    with pytest.raises(ValueError, match=message):
+        oracle_check(a, linear(2.0, 1.0), "sum")
+    with pytest.raises(ValueError, match=message):
+        build_joint(a, linear(2.0, 1.0))
+
+
 def test_build_joint_checks_domain_and_direction():
     with pytest.raises(DomainError):
         build_joint(triangular(-1.0, 0.0, 1.0), reciprocal())
@@ -330,6 +340,18 @@ def _outcome(fn):
 @example((SampledMembership(zs=np.array([0.0, 1.0]), mus=np.array([float("nan"), 0.5])),
           4, 0.125))
 @example((SampledMembership(zs=np.array([0.0, 1.0]), mus=np.array([0.2, 0.8])), 10, 0.01))
+# the peak first, last, tied at both ends, behind a NaN, and a lone NaN
+@example((SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([1.0, 0.5, 0.2])),
+          2, 0.1))
+@example((SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([0.2, 0.5, 1.0])),
+          2, 0.1))
+@example((SampledMembership(zs=np.array([0.0, 1.0, 2.0, 3.0]),
+                            mus=np.array([1.0, 0.3, 0.6, 1.0])), 4, 0.1))
+@example((SampledMembership(zs=np.array([0.0, 1.0, 2.0, 3.0]),
+                            mus=np.array([float("nan"), 0.4, 1.0, float("nan")])), 2, 0.25))
+@example((SampledMembership(zs=np.array([0.0, 1.0]), mus=np.array([float("nan"), 0.3])),
+          2, 0.25))
+@example((SampledMembership(zs=np.array([-3.0]), mus=np.array([float("nan")])), 1, 0.5))
 def test_levels_from_membership_matches_dense_mask(case):
     s, K, delta = case
     got = _outcome(lambda: levels_from_membership(s, K, delta))
