@@ -16,7 +16,7 @@ from .correlation import (CorrelationFunction, check_monotone,
                           correlation_from_json, custom, hyperbolic, identity,
                           induced_number, linear, negation, reciprocal)
 from .errors import DomainError, MonotonicityError
-from .fuzzy import (DEFAULT_GRID_K, AlphaGrid, FuzzyNumber, crisp,
+from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, crisp,
                     from_levels, fuzzy_from_json, trapezoidal, triangular)
 from .interval import Interval
 from .oracle import (JointDistribution, OracleReport, SampledMembership,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Affine",
-    "AlphaGrid",
     "CLOSED_FORM_KINDS",
     "CorrelationFunction",
     "DEFAULT_GRID_K",

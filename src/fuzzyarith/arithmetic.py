@@ -15,7 +15,7 @@ import numpy as np
 
 from .correlation import INCREASING, CorrelationFunction
 from .errors import DomainError
-from .fuzzy import FuzzyNumber, _integer
+from .fuzzy import FuzzyNumber, _integer, _linspace
 from .interval import Interval
 
 BINARY_OPS = ("sum", "product")
@@ -289,7 +289,7 @@ def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
         return lows, highs
     method = method or RangeMethod()
     if his[0] > los[0]:
-        xs = np.linspace(los[0], his[0], method.samples)
+        xs = _linspace(los[0], his[0], method.samples)
         ys = _values(g, xs)
         if np.isnan(ys).any():
             raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
@@ -573,7 +573,7 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
     are built without the dataclass constructors: each field is set in
     declaration order, as __init__ sets it, on the same frozen classes.
     """
-    cols = (x.grid.alphas(), x.los, x.his, y.los, y.his, hausdorff, subset, equal)
+    cols = (x.alphas, x.los, x.his, y.los, y.his, hausdorff, subset, equal)
     new = object.__new__
     put = object.__setattr__
     rows = []

@@ -11,8 +11,9 @@ Names fall into three groups: the fuzzy literal names of ``fuzzy.SHAPES``
 (``tri``, ``trap``, ``crisp``); the correlation names of
 ``correlation.CORRELATIONS`` (the parameterless ones may appear bare); and
 operators ``std_sum``, ``std_prod``, ``corr_sum``, ``corr_prod``,
-``induced``.  Operator arguments must be literals or correlation specs,
-built through their JSON forms.
+``induced``.  An operator takes a fuzzy literal and a second literal
+(``std_*``) or a correlation.  ``parse_expression`` returns the JSON forms
+that ``fuzzy_from_json`` and ``correlation_from_json`` read.
 
 Exit codes: 0 success, 1 parse or validation error (including a ``--grid``
 above MAX_GRID_K or an ``--oracle-n`` above MAX_ORACLE_N), 2 domain error
@@ -27,7 +28,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .arithmetic import (CLOSED_FORM_KINDS, closed_form, correlated_product,
                          correlated_sum, standard_product, standard_sum)
 from .correlation import CORRELATIONS, correlation_from_json, induced_number
 from .errors import DomainError
-from .fuzzy import DEFAULT_GRID_K, SHAPES, AlphaGrid, FuzzyNumber, fuzzy_from_json
+from .fuzzy import DEFAULT_GRID_K, SHAPES, FuzzyNumber, _grid_size, fuzzy_from_json
 from .oracle import DEFAULT_SAMPLES, oracle_check
 
 # Caps on --grid and --oracle-n, checked before any array is built: memory
@@ -54,179 +54,126 @@ class ParseError(ValueError):
 
 # -- tokens ---------------------------------------------------------------------
 
+# One token per match, after any whitespace: a name, a number, a punctuation
+# mark, or any other character, which is an error.
 _TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\))"
-    r"|(?P<comma>,)")
+    r"|(?P<punct>[(),])"
+    r"|(?P<bad>\S))")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of every token, then ("end", "", len(text)); the
+    kind of a punctuation mark is the mark itself."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        out.append(_Token(m.lastgroup, m.group(), i))
-        i = m.end()
-    out.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        out.append((tok if kind == "punct" else kind, tok, pos))
+    out.append(("end", "", len(text)))
     return out
 
 
-# -- syntax tree ------------------------------------------------------------------
+def _shown(tok: tuple[str, str, int]) -> str:
+    return repr(tok[1]) if tok[0] != "end" else "end of input"
+
+
+# -- parsing into JSON forms ----------------------------------------------------------
 
 OPERATORS = ("std_sum", "std_prod", "corr_sum", "corr_prod", "induced")
 
 
-@dataclass(frozen=True)
-class FuzzyLiteral:
-    kind: str
-    args: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CorrelationSpec:
-    family: str
-    args: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class Operation:
-    name: str
-    operands: tuple
-
-
-Node = FuzzyLiteral | CorrelationSpec | Operation
+def _name(node) -> str:
+    """The name a JSON form is read by: its one key, or the bare alias."""
+    return node if isinstance(node, str) else next(iter(node))
 
 
 class _ExprParser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
+    def take(self, kind: str | None = None, what: str = "") -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {what}, found {_shown(tok)}", tok[2])
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            got = repr(tok.text) if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {what}, found {got}", tok.pos)
-        return tok
-
-    def parse(self) -> Node:
+    def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        tok = self.expect("name", "a function name")
-        name = tok.text
-        if name in SHAPES:
-            return FuzzyLiteral(name, self.number_args(name, SHAPES[name][1], tok.pos))
-        if name in CORRELATIONS:
-            count = CORRELATIONS[name][1]
-            if count:
-                return CorrelationSpec(name, self.number_args(name, count, tok.pos))
+    def expr(self):
+        _, name, at = self.take("name", "a function name")
+        # the parameter count of a literal or correlation name, None otherwise
+        _, count = SHAPES.get(name) or CORRELATIONS.get(name) or (None, None)
+        if count:
+            return {name: self.numbers(name, count, at)}
+        if count == 0:
             # bare names and explicit empty parens are both accepted
-            if self.peek().kind == "lparen":
-                self.take()
-                self.expect("rparen", f"')' ({name} takes no arguments)")
-            return CorrelationSpec(name, ())
-        if name in OPERATORS:
-            return self.operator(name, tok.pos)
-        raise ParseError(f"unknown function {name!r}", tok.pos)
+            if self.tokens[self.i][0] == "(":
+                self.i += 1
+                self.take(")", f"')' ({name} takes no arguments)")
+            return name
+        if name not in OPERATORS:
+            raise ParseError(f"unknown function {name!r}", at)
+        self.take("(", f"'(' after {name!r}")
+        first = self.expr()
+        self.take(",", "','")
+        second = self.expr()
+        self.take(")", "')'")
+        if _name(first) not in SHAPES:
+            raise ParseError(f"{name!r} needs a fuzzy literal as its first operand", at)
+        if name.startswith("std_"):
+            if _name(second) not in SHAPES:
+                raise ParseError(f"{name!r} needs two fuzzy literals", at)
+        elif _name(second) not in CORRELATIONS:
+            raise ParseError(f"{name!r} needs a correlation function as its second operand", at)
+        return {name: [first, second]}
 
-    def number_args(self, name: str, count: int, at: int) -> tuple[float, ...]:
-        self.expect("lparen", f"'(' after {name!r}")
+    def numbers(self, name: str, count: int, at: int) -> list[float]:
+        self.take("(", f"'(' after {name!r}")
         args = []
         while True:
             tok = self.take()
-            if tok.kind != "number":
-                raise ParseError(f"{name!r} takes numeric arguments, found "
-                                 f"{tok.text!r}" if tok.kind != "end" else
-                                 f"{name!r} takes numeric arguments, found end of input",
-                                 tok.pos)
-            args.append(float(tok.text))
+            if tok[0] != "number":
+                raise ParseError(f"{name!r} takes numeric arguments, found {_shown(tok)}",
+                                 tok[2])
+            args.append(float(tok[1]))
             tok = self.take()
-            if tok.kind == "rparen":
+            if tok[0] == ")":
                 break
-            if tok.kind != "comma":
-                got = repr(tok.text) if tok.kind != "end" else "end of input"
-                raise ParseError(f"expected ',' or ')', found {got}", tok.pos)
+            if tok[0] != ",":
+                raise ParseError(f"expected ',' or ')', found {_shown(tok)}", tok[2])
         if len(args) != count:
-            raise ParseError(
-                f"{name!r} takes {count} arguments, got {len(args)}", at)
-        return tuple(args)
-
-    def operator(self, name: str, at: int) -> Operation:
-        self.expect("lparen", f"'(' after {name!r}")
-        first = self.expr()
-        self.expect("comma", "','")
-        second = self.expr()
-        self.expect("rparen", "')'")
-        if not isinstance(first, FuzzyLiteral):
-            raise ParseError(f"{name!r} needs a fuzzy literal as its first operand", at)
-        if name in ("std_sum", "std_prod"):
-            if not isinstance(second, FuzzyLiteral):
-                raise ParseError(f"{name!r} needs two fuzzy literals", at)
-        else:
-            if not isinstance(second, CorrelationSpec):
-                raise ParseError(
-                    f"{name!r} needs a correlation function as its second operand", at)
-        return Operation(name, (first, second))
+            raise ParseError(f"{name!r} takes {count} arguments, got {len(args)}", at)
+        return args
 
 
-def parse_expression(text: str) -> Node:
-    """Parse an expression string into its syntax tree."""
+def parse_expression(text: str):
+    """Parse an expression string into the JSON form the library reads:
+    {"tri": [1.0, 2.0, 3.0]} for a fuzzy literal, {"linear": [2.0, 1.0]} or
+    a bare alias such as "identity" for a correlation, and
+    {"corr_sum": [literal, correlation]} for an operator."""
     return _ExprParser(text).parse()
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def format_expression(node: Node) -> str:
-    """Canonical text for a tree; parse(format_expression(t)) == t."""
-    if isinstance(node, FuzzyLiteral):
-        return f"{node.kind}({', '.join(_fmt(a) for a in node.args)})"
-    if isinstance(node, CorrelationSpec):
-        if not node.args:
-            return node.family
-        return f"{node.family}({', '.join(_fmt(a) for a in node.args)})"
-    return f"{node.name}({', '.join(format_expression(o) for o in node.operands)})"
 
 
 # -- evaluation --------------------------------------------------------------------
 
 
-def _build(node: FuzzyLiteral | CorrelationSpec, grid: AlphaGrid | int):
-    """The fuzzy number or correlation function a literal or spec names,
-    read from its JSON form."""
-    if isinstance(node, FuzzyLiteral):
-        return fuzzy_from_json({node.kind: list(node.args), "K": AlphaGrid.coerce(grid).K})
-    return correlation_from_json({node.family: list(node.args)} if node.args else node.family)
+def _build(node, grid: int):
+    """The fuzzy number or correlation function a literal or correlation
+    names, read from its JSON form; a literal on the grid of K = grid steps."""
+    if _name(node) in SHAPES:
+        return fuzzy_from_json({**node, "K": grid})
+    return correlation_from_json(node)
 
 
 @contextmanager
@@ -239,21 +186,23 @@ def _named(operator: str):
         raise
 
 
-def evaluate(node: Node, grid: AlphaGrid) -> FuzzyNumber:
-    """Evaluate a tree to a fuzzy number on the given grid.
+def evaluate(node, grid: int) -> FuzzyNumber:
+    """Evaluate a parsed expression to a fuzzy number on the grid of K =
+    grid steps.
 
     An error raised while applying an operator is prefixed with its name.
     """
-    if isinstance(node, FuzzyLiteral):
-        return _build(node, grid)
-    if isinstance(node, CorrelationSpec):
+    name = _name(node)
+    if name in CORRELATIONS:
         raise ValueError("a correlation function is not a fuzzy value by itself")
-    a, b = (_build(operand, grid) for operand in node.operands)
+    if name in SHAPES:
+        return _build(node, grid)
+    a, b = (_build(operand, grid) for operand in node[name])
     # looked up per call, so that a rebinding of these module names takes effect
     op = {"std_sum": standard_sum, "std_prod": standard_product,
           "corr_sum": correlated_sum, "corr_prod": correlated_product,
-          "induced": induced_number}[node.name]
-    with _named(node.name):
+          "induced": induced_number}[name]
+    with _named(name):
         return op(a, b)
 
 
@@ -293,9 +242,9 @@ def _build_parser() -> _ArgumentParser:
     return p
 
 
-def _parse_alphas(spec: str | None, grid: AlphaGrid) -> list[float]:
+def _parse_alphas(spec: str | None, x: FuzzyNumber) -> list[float]:
     if spec is None:
-        return grid.alphas().tolist()
+        return x.alphas.tolist()
     out = []
     for part in spec.split(","):
         part = part.strip()
@@ -310,6 +259,10 @@ def _parse_alphas(spec: str | None, grid: AlphaGrid) -> list[float]:
     return out
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
 def _iv_text(lo: float, hi: float) -> str:
     return f"[{_fmt(lo)}, {_fmt(hi)}]"
 
@@ -321,10 +274,8 @@ def _cuts(x: FuzzyNumber, alphas: list[float]) -> list[tuple[float, float]]:
 
 
 def _cmd_eval(args) -> int:
-    grid = AlphaGrid(args.grid)
-    node = parse_expression(args.expr)
-    value = evaluate(node, grid)
-    alphas = _parse_alphas(args.alphas, grid)
+    value = evaluate(parse_expression(args.expr), args.grid)
+    alphas = _parse_alphas(args.alphas, value)
     cuts = _cuts(value, alphas)
     if args.format == "csv":
         print("alpha,lo,hi")
@@ -333,7 +284,7 @@ def _cmd_eval(args) -> int:
     elif args.format == "json":
         print(json.dumps({
             "expr": args.expr,
-            "K": grid.K,
+            "K": args.grid,
             "levels": [{"alpha": a, "lo": lo, "hi": hi}
                        for a, (lo, hi) in zip(alphas, cuts)],
         }))
@@ -345,18 +296,17 @@ def _cmd_eval(args) -> int:
 
 
 def _correlated_parts(args, what: str):
-    """Grid, operator name, op ("sum"/"product"), operand and correlation."""
-    grid = AlphaGrid(args.grid)
+    """Operator name, op ("sum"/"product"), operand and correlation."""
     node = parse_expression(args.expr)
-    if not isinstance(node, Operation) or node.name not in ("corr_sum", "corr_prod"):
+    name = _name(node)
+    if name not in ("corr_sum", "corr_prod"):
         raise ValueError(f"{what} needs a corr_sum or corr_prod expression")
-    op = "sum" if node.name == "corr_sum" else "product"
-    a, f = (_build(operand, grid) for operand in node.operands)
-    return grid, node.name, op, a, f
+    a, f = (_build(operand, args.grid) for operand in node[name])
+    return name, "sum" if name == "corr_sum" else "product", a, f
 
 
 def _cmd_check(args) -> int:
-    _, name, op, a, f = _correlated_parts(args, "check")
+    name, op, a, f = _correlated_parts(args, "check")
     with _named(name):
         report = oracle_check(a, f, op, n=args.oracle_n)
     body = report.to_json()
@@ -368,7 +318,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    grid, name, op, a, f = _correlated_parts(args, "table")
+    name, op, a, f = _correlated_parts(args, "table")
     with _named(name):
         engine = correlated_sum(a, f) if op == "sum" else correlated_product(a, f)
 
@@ -378,7 +328,7 @@ def _cmd_table(args) -> int:
         b = induced_number(a, f)
         standard = standard_sum(a, b) if op == "sum" else standard_product(a, b)
 
-    alphas = _parse_alphas(args.alphas, grid)
+    alphas = _parse_alphas(args.alphas, engine)
     columns = [[_iv_text(lo, hi) for lo, hi in _cuts(x, alphas)] if x is not None
                else ["-"] * len(alphas) for x in (engine, closed, standard)]
     print("alpha\tengine\tclosed_form\tstandard")
@@ -399,6 +349,7 @@ def main(argv=None) -> int:
                                  ("--oracle-n", getattr(args, "oracle_n", 0), MAX_ORACLE_N)):
             if value > cap:
                 raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
+        _grid_size(args.grid)
         # Overflow and invalid operations surface as the non-finite level
         # errors below, not as raw numpy warnings.
         with np.errstate(all="ignore"):

@@ -9,7 +9,6 @@ off by linear interpolation.  The level at alpha = 1 is the closed core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,25 +34,22 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class AlphaGrid:
-    """Uniform subdivision of [0, 1] into K steps, K + 1 nodes."""
+def _grid_size(k) -> int:
+    """k, the number of steps of a uniform alpha grid, as an int;
+    ValueError unless it is an integer of at least 1."""
+    k = _integer(k, "grid size")
+    if k < 1:
+        raise ValueError(f"grid size must be at least 1, got {k}")
+    return k
 
-    K: int = DEFAULT_GRID_K
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "K", _integer(self.K, "grid size"))
-        if self.K < 1:
-            raise ValueError(f"grid size must be at least 1, got {self.K}")
-
-    def alphas(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.K + 1)
-
-    @classmethod
-    def coerce(cls, grid: "AlphaGrid | int") -> "AlphaGrid":
-        if isinstance(grid, AlphaGrid):
-            return grid
-        return cls(grid)
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n); over a width past the float range, the
+    samples of the halved ends doubled, which is exact at those magnitudes.
+    The width is taken on Python floats, which overflow without a warning."""
+    if math.isfinite(float(hi) - float(lo)):
+        return np.linspace(lo, hi, n)
+    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
 
 
 class FuzzyNumber:
@@ -114,8 +110,9 @@ class FuzzyNumber:
         return self._los.size - 1
 
     @property
-    def grid(self) -> AlphaGrid:
-        return AlphaGrid(self.k)
+    def alphas(self) -> np.ndarray:
+        """The grid alphas i / K, i = 0..K."""
+        return np.linspace(0.0, 1.0, self.k + 1)
 
     @property
     def support(self) -> Interval:
@@ -225,13 +222,14 @@ class FuzzyNumber:
 
     # -- derived representations ---------------------------------------------
 
-    def resample(self, grid: "AlphaGrid | int") -> "FuzzyNumber":
-        """The same fuzzy number re-sampled onto another alpha grid."""
-        grid = AlphaGrid.coerce(grid)
-        if grid.K == self.k:
+    def resample(self, grid: int) -> "FuzzyNumber":
+        """The same fuzzy number re-sampled onto the alpha grid of K = grid
+        steps."""
+        k = _grid_size(grid)
+        if k == self.k:
             return self
-        old = self.grid.alphas()
-        new = grid.alphas()
+        old = self.alphas
+        new = np.linspace(0.0, 1.0, k + 1)
         return FuzzyNumber(np.interp(new, old, self._los),
                            np.interp(new, old, self._his))
 
@@ -383,7 +381,7 @@ def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def triangular(a: float, b: float, c: float,
-               grid: AlphaGrid | int = DEFAULT_GRID_K) -> FuzzyNumber:
+               grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Triangular fuzzy number with support [a, c] and peak b.
 
     Level endpoints are a + alpha*(b - a) and c - alpha*(c - b).
@@ -394,7 +392,7 @@ def triangular(a: float, b: float, c: float,
 
 
 def trapezoidal(a: float, b: float, c: float, d: float,
-                grid: AlphaGrid | int = DEFAULT_GRID_K) -> FuzzyNumber:
+                grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Trapezoidal fuzzy number with support [a, d] and plateau [b, c]."""
     if not a <= b <= c <= d:
         raise ValueError(
@@ -406,13 +404,15 @@ _HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 def _sides(a: float, b: float, c: float, d: float,
-           grid: AlphaGrid | int) -> tuple[np.ndarray, np.ndarray]:
+           grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The side lines a + alpha*(b - a) and d - alpha*(d - c) at the grid
     nodes.  A side wider than the float range is worked out on halved
     operands and doubled, which is exact at those magnitudes; the halved
     side is held to its halved inner end, past which rounding can carry it
-    and the doubling overflow."""
-    al = AlphaGrid.coerce(grid).alphas()
+    and the doubling overflow.  The parameters are taken as Python floats,
+    so that a numpy float32 one is not compared in float32."""
+    al = np.linspace(0.0, 1.0, _grid_size(grid) + 1)
+    a, b, c, d = float(a), float(b), float(c), float(d)
     if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
         return a + al * (b - a), d - al * (d - c)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -424,9 +424,9 @@ def _sides(a: float, b: float, c: float, d: float,
     return lo, hi
 
 
-def crisp(a: float, grid: AlphaGrid | int = DEFAULT_GRID_K) -> FuzzyNumber:
+def crisp(a: float, grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Degenerate fuzzy number concentrated at the single value a."""
-    n = AlphaGrid.coerce(grid).K + 1
+    n = _grid_size(grid) + 1
     return FuzzyNumber(np.full(n, float(a)), np.full(n, float(a)))
 
 

@@ -10,7 +10,6 @@ oracle usable as an independent check of the range engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +18,7 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _nan_error,
                          _route, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
-from .fuzzy import AlphaGrid, FuzzyNumber, _integer
+from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid_size, _integer, _linspace
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -77,8 +76,8 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     if sup.width == 0.0:
         xs = np.array([sup.lo])
     else:
-        xs = np.linspace(sup.lo, sup.hi, n)
-        if math.isfinite(sup.width) and not (xs[1:] > xs[:-1]).all():
+        xs = _linspace(sup.lo, sup.hi, n)
+        if not (xs[1:] > xs[:-1]).all():
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
     mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
@@ -116,9 +115,10 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     return SampledMembership(zs=zs[first], mus=np.maximum.reduceat(mus, first))
 
 
-def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
+def levels_from_membership(s: SampledMembership, grid: int | None = None,
                            delta: float | None = None) -> FuzzyNumber:
-    """Rebuild a level family from sampled membership values.
+    """Rebuild a level family from sampled membership values on the grid of
+    K = grid steps (None: DEFAULT_GRID_K).
 
     Level alpha collects the z samples with membership >= alpha - delta;
     delta absorbs the quantization of membership between neighbouring
@@ -134,9 +134,9 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
     in the one from the last sample back down to it, one pass over n + 1
     samples in all, O(n + K log n) time and O(n + K) memory.
     """
-    grid = AlphaGrid.coerce(grid if grid is not None else AlphaGrid())
+    k = _grid_size(DEFAULT_GRID_K if grid is None else grid)
     if delta is None:
-        delta = 1.0 / (2.0 * grid.K)
+        delta = 1.0 / (2.0 * k)
     elif not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {float(delta)!r}")
     zs, mus = s.zs, s.mus
@@ -150,7 +150,7 @@ def levels_from_membership(s: SampledMembership, grid: AlphaGrid | int = None,
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    thresholds = grid.alphas() - delta
+    thresholds = np.linspace(0.0, 1.0, k + 1) - delta
     if top != top:  # argmax stops at the first NaN
         # a NaN fails every mu >= t, so it ranks below every threshold
         mus = np.where(np.isnan(mus), -np.inf, mus)
@@ -187,7 +187,7 @@ class OracleReport:
 
     def to_json(self) -> dict:
         e, o, extra = self.engine, self.oracle, self.termwise or ()
-        cols = (e.grid.alphas(), e.los, e.his, o.los, o.his, self.hausdorff, *extra)
+        cols = (e.alphas, e.los, e.his, o.los, o.his, self.hausdorff, *extra)
         rows = [{"alpha": r[0], "engine": list(r[1:3]), "oracle": list(r[3:5]), "hausdorff": r[5]}
                 | ({"minkowski": list(r[6:])} if extra else {})
                 for r in zip(*(c.tolist() for c in cols))]
@@ -230,7 +230,7 @@ def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> tuple | No
 
 
 def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
-                 n: int = DEFAULT_SAMPLES, grid: AlphaGrid | int | None = None,
+                 n: int = DEFAULT_SAMPLES, grid: int | None = None,
                  delta: float | None = None,
                  method: RangeMethod | None = None) -> OracleReport:
     """Run the engine and the brute-force oracle side by side.
@@ -249,7 +249,7 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     joint = build_joint(a, f, n, _checked=True)
     if delta is None:
         delta = _auto_delta(joint)
-    approx = levels_from_membership(extend(joint, op), a.grid, delta)
+    approx = levels_from_membership(extend(joint, op), a.k, delta)
     h = _compared(engine, approx, 0.0)[0]
     max_h = float(h.max())
     tolerance = 5.0 * a.support.width / n

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 
-from fuzzyarith import (AlphaGrid, CorrelationFunction, FuzzyNumber, Interval, LevelResult,
+from fuzzyarith import (CorrelationFunction, FuzzyNumber, Interval, LevelResult,
                         SampledMembership, arithmetic, trapezoidal, triangular)
 from fuzzyarith.fuzzy import NEST_TOL, _scaled_slack
 from fuzzyarith.oracle import MERGE_WINDOW
@@ -73,7 +73,6 @@ def dense_levels_from_membership(s, grid, delta):
     """Level ends (los, his) rebuilt through a (K+1) x n membership mask, the
     way ``levels_from_membership`` once did; raises its ValueErrors.
     Reference only; memory grows as K * n."""
-    grid = AlphaGrid.coerce(grid)
     if s.zs.size == 0:
         raise ValueError("no samples to rebuild levels from")
     top = float(s.mus.max())
@@ -81,7 +80,7 @@ def dense_levels_from_membership(s, grid, delta):
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    mask = s.mus[None, :] >= (grid.alphas() - delta)[:, None]
+    mask = s.mus[None, :] >= (np.linspace(0.0, 1.0, grid + 1) - delta)[:, None]
     los = np.where(mask, s.zs[None, :], np.inf).min(axis=1)
     his = np.where(mask, s.zs[None, :], -np.inf).max(axis=1)
     if not np.isfinite(los).all():
@@ -94,7 +93,6 @@ def reference_levels_from_membership(s, grid, delta):
     falling membership, so each level set is a prefix of that order and its
     ends are a running min/max of z read at the prefix length.  Reference
     only; it sorts a second time."""
-    grid = AlphaGrid.coerce(grid)
     if s.zs.size == 0:
         raise ValueError("no samples to rebuild levels from")
     top = float(s.mus.max())
@@ -103,7 +101,8 @@ def reference_levels_from_membership(s, grid, delta):
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
     order = np.argsort(-s.mus, kind="stable")
-    counts = np.searchsorted(-s.mus[order], -(grid.alphas() - delta), side="right")
+    counts = np.searchsorted(-s.mus[order], -(np.linspace(0.0, 1.0, grid + 1) - delta),
+                             side="right")
     if counts.min() == 0:
         raise ValueError("a level set came out empty; inconsistent membership input")
     zs = s.zs[order]
@@ -199,7 +198,7 @@ def reference_compare_levels(x, y, tol=1e-9):
     if x.k != y.k:
         raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
     out = []
-    for i, alpha in enumerate(x.grid.alphas()):
+    for i, alpha in enumerate(x.alphas):
         li = x.level(i)
         ri = y.level(i)
         out.append(LevelResult(

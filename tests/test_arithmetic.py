@@ -217,7 +217,7 @@ def test_standard_ops_resample_mismatched_grids():
 def test_correlated_sum_linear_formula():
     a = triangular(1.0, 2.0, 3.0)
     s = correlated_sum(a, linear(2.0, 1.0))
-    alphas = a.grid.alphas()
+    alphas = a.alphas
     assert np.allclose(s.los, 4.0 + 3.0 * alphas, atol=1e-12)
     assert np.allclose(s.his, 10.0 - 3.0 * alphas, atol=1e-12)
 
@@ -225,7 +225,7 @@ def test_correlated_sum_linear_formula():
 def test_correlated_product_identity_squares_levels():
     a = triangular(1.0, 2.0, 3.0)
     p = correlated_product(a, identity())
-    alphas = a.grid.alphas()
+    alphas = a.alphas
     assert np.allclose(p.los, (1.0 + alphas) ** 2, atol=1e-12)
     assert np.allclose(p.his, (3.0 - alphas) ** 2, atol=1e-12)
 
@@ -233,7 +233,7 @@ def test_correlated_product_identity_squares_levels():
 def test_correlated_product_identity_zero_crossing_support():
     a = triangular(-2.0, 0.0, 1.0)
     p = correlated_product(a, identity())
-    alphas = a.grid.alphas()
+    alphas = a.alphas
     assert np.allclose(p.los, 0.0, atol=0)
     assert np.allclose(p.his, 4.0 * (1.0 - alphas) ** 2, atol=1e-12)
 
@@ -837,7 +837,7 @@ def test_rows_behave_as_validated_construction():
 def test_compare_levels_needs_fuzzy_numbers():
     a = triangular(1.0, 2.0, 3.0, grid=2)
     # a look-alike with every attribute compare_levels reads
-    fake = types.SimpleNamespace(k=a.k, grid=a.grid, los=np.array([3.0, 2.0, 1.0]),
+    fake = types.SimpleNamespace(k=a.k, alphas=a.alphas, los=np.array([3.0, 2.0, 1.0]),
                                  his=np.array([1.0, 2.0, 3.0]))
     for x, y in ((a, fake), (fake, a), (a, [[1.0, 3.0]] * 3)):
         with pytest.raises(TypeError, match="compare_levels needs two FuzzyNumbers"):

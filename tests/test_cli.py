@@ -9,32 +9,33 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyarith import cli
+from fuzzyarith.arithmetic import (correlated_product, correlated_sum, standard_product,
+                                   standard_sum)
 from fuzzyarith.cli import (
     MAX_GRID_K,
     MAX_ORACLE_N,
-    CorrelationSpec,
-    FuzzyLiteral,
-    Operation,
+    OPERATORS,
     ParseError,
     evaluate,
-    format_expression,
     main,
     parse_expression,
 )
+from fuzzyarith.correlation import CORRELATIONS, induced_number
+from fuzzyarith.fuzzy import SHAPES
 
 
 def test_parse_operator_expression():
     node = parse_expression("corr_sum(tri(1,2,3), negation)")
-    assert node == Operation("corr_sum", (FuzzyLiteral("tri", (1.0, 2.0, 3.0)),
-                                          CorrelationSpec("negation", ())))
+    assert node == {"corr_sum": [{"tri": [1.0, 2.0, 3.0]}, "negation"]}
 
 
 def test_parse_accepts_whitespace_and_signs():
     node = parse_expression("  std_sum( tri(-2, 0, 1) ,  tri(1, 2e0, 3.5) ) ")
-    assert node.name == "std_sum"
-    assert node.operands[1].args == (1.0, 2.0, 3.5)
+    assert node == {"std_sum": [{"tri": [-2.0, 0.0, 1.0]}, {"tri": [1.0, 2.0, 3.5]}]}
 
 
 def test_parse_bare_and_parenthesized_correlation_names():
@@ -43,17 +44,89 @@ def test_parse_bare_and_parenthesized_correlation_names():
     assert a == b
 
 
-def test_format_round_trips():
-    texts = [
-        "corr_sum(tri(1,2,3), negation)",
-        "std_prod(trap(0,1,2,4), crisp(2))",
-        "induced(tri(-2,0,1), hyperbolic(4,0))",
-        "corr_prod(tri(1,2,3), linear(2,1))",
-        "tri(1.5,2.5,3.5)",
-    ]
-    for text in texts:
-        node = parse_expression(text)
-        assert parse_expression(format_expression(node)) == node
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+_LIBRARY_OPS = {"std_sum": standard_sum, "std_prod": standard_product,
+                "corr_sum": correlated_sum, "corr_prod": correlated_product,
+                "induced": induced_number}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _expressions(draw):
+    """(text, JSON form, outcome of the library called directly on a grid of
+    K steps) for a random literal, correlation or operator expression, its
+    numbers finite floats written by repr."""
+    def term(names):
+        name = draw(st.sampled_from(sorted(names)))
+        make, count = names[name]
+        args = draw(st.lists(_FINITE, min_size=count, max_size=count))
+        if names is SHAPES:
+            args.sort()
+            return f"{name}({', '.join(map(repr, args))})", {name: args}, \
+                lambda K: make(*args, grid=K)
+        if not count:
+            return name + draw(st.sampled_from(["", "()"])), name, lambda K: make()
+        return f"{name}({', '.join(map(repr, args))})", {name: args}, lambda K: make(*args)
+
+    kind = draw(st.sampled_from(["literal", "correlation", *OPERATORS]))
+    if kind == "literal":
+        return term(SHAPES)
+    if kind == "correlation":
+        text, node, _ = term(CORRELATIONS)
+        return text, node, lambda K: (ValueError,
+                                      "a correlation function is not a fuzzy value by itself")
+    (t1, n1, build1), (t2, n2, build2) = term(SHAPES), term(
+        SHAPES if kind.startswith("std_") else CORRELATIONS)
+
+    def direct(K):
+        a, b = build1(K), build2(K)
+        outcome = _outcome(lambda: _LIBRARY_OPS[kind](a, b))
+        # an error raised while applying an operator is prefixed with its name
+        return outcome if not isinstance(outcome, tuple) else (outcome[0],
+                                                               f"{kind}: {outcome[1]}")
+    return f"{kind}({t1}, {t2})", {kind: [n1, n2]}, direct
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions(), st.sampled_from([1, 2, 7, 100]))
+def test_parse_and_evaluate_match_the_library_called_directly(expression, K):
+    text, node, direct = expression
+    assert parse_expression(text) == node
+    assert _outcome(lambda: evaluate(parse_expression(text), K)) == _outcome(lambda: direct(K))
+
+
+PARSE_ERRORS = [
+    ("corr_sum(tri(1,2,3) negation)", "expected ',', found 'negation' at position 20"),
+    ("tri(1,2,3))", "unexpected trailing input ')' at position 10"),
+    ("tri(1,2,3", "expected ',' or ')', found end of input at position 9"),
+    ("corr_sum(tri(1,2,3), ?)", "unexpected character '?' at position 21"),
+    ("frob(1,2)", "unknown function 'frob' at position 0"),
+    ("tri(1,2)", "'tri' takes 3 arguments, got 2 at position 0"),
+    ("std_sum(tri(1,2,3), identity)", "'std_sum' needs two fuzzy literals at position 0"),
+    ("corr_sum(tri(1,2,3), tri(1,2,3))",
+     "'corr_sum' needs a correlation function as its second operand at position 0"),
+    ("corr_sum(std_sum(tri(1,2,3), tri(1,2,3)), identity)",
+     "'corr_sum' needs a fuzzy literal as its first operand at position 0"),
+    ("corr_sum(1, identity)", "expected a function name, found '1' at position 9"),
+    ("", "expected a function name, found end of input at position 0"),
+    ("tri(a,2,3)", "'tri' takes numeric arguments, found 'a' at position 4"),
+    ("tri(1,2,", "'tri' takes numeric arguments, found end of input at position 8"),
+    ("identity(1)", "expected ')' (identity takes no arguments), found '1' at position 9"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_message(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == message
+    assert info.value.pos == int(message.rpartition(" ")[2])
 
 
 def test_parse_errors_carry_position():
@@ -256,6 +329,8 @@ def test_domain_error_names_operator(command, capsys):
       "--grid", "10"],
      "fuzzyarith: corr_sum: support [1.0, 1.000000000000002] is too narrow for "
      "n = 2001 distinct samples\n"),
+    (["table", "-e", "corr_sum(tri(1,2,3), identity)", "--grid", "0"],
+     "fuzzyarith: grid size must be at least 1, got 0\n"),
 ])
 def test_validation_error_names_the_cause(argv, err, capsys):
     assert main(argv) == 1
@@ -280,7 +355,7 @@ def _stub(record):
 ])
 def test_grid_cap_is_checked_before_any_array(argv, monkeypatch, capsys):
     grids = []
-    monkeypatch.setattr(cli, "AlphaGrid", _stub(grids))
+    monkeypatch.setattr(cli, "_grid_size", _stub(grids))
     assert main(argv + ["--grid", str(MAX_GRID_K)]) == 1
     assert grids == [((MAX_GRID_K,), {})]
     assert capsys.readouterr().err == "fuzzyarith: stub reached\n"
@@ -297,7 +372,7 @@ def test_oracle_n_cap_is_checked_before_any_array(monkeypatch, capsys):
     assert main(argv + [str(MAX_ORACLE_N)]) == 1
     assert calls[0][1] == {"n": MAX_ORACLE_N}
     assert capsys.readouterr().err == "fuzzyarith: corr_sum: stub reached\n"
-    monkeypatch.setattr(cli, "AlphaGrid", _stub(grids))
+    monkeypatch.setattr(cli, "_grid_size", _stub(grids))
     assert main(argv + [str(MAX_ORACLE_N + 1)]) == 1
     assert grids == [] and len(calls) == 1
     assert capsys.readouterr().err == (

@@ -139,7 +139,7 @@ def test_custom_declared_direction_must_match():
 def test_induced_linear_levels():
     a = triangular(1.0, 2.0, 3.0)
     b = induced_number(a, linear(2.0, 1.0))
-    alphas = a.grid.alphas()
+    alphas = a.alphas
     assert np.allclose(b.los, 3.0 + 2.0 * alphas, atol=1e-12)
     assert np.allclose(b.his, 7.0 - 2.0 * alphas, atol=1e-12)
 

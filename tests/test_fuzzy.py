@@ -8,12 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import (
-    AlphaGrid,
+    DEFAULT_GRID_K,
     FuzzyNumber,
     Interval,
+    SampledMembership,
     crisp,
     from_levels,
     fuzzy_from_json,
+    identity,
+    levels_from_membership,
+    oracle_check,
     trapezoidal,
     triangular,
 )
@@ -27,17 +31,29 @@ _MAX = float(np.finfo(float).max)
 
 
 def test_alpha_grid_levels():
-    g = AlphaGrid(4)
-    assert np.allclose(g.alphas(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert AlphaGrid.coerce(10) == AlphaGrid(10)
-    assert AlphaGrid.coerce(g) is g
-    with pytest.raises(ValueError):
-        AlphaGrid(0)
+    assert triangular(1.0, 2.0, 3.0, grid=4).alphas.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # a grid is its K, an int of at least 1, wherever it enters
+    s = SampledMembership(zs=np.array([1.0, 2.0]), mus=np.array([1.0, 1.0]))
+    enter = (lambda k: triangular(1.0, 2.0, 3.0, grid=k),
+             lambda k: trapezoidal(1.0, 2.0, 3.0, 4.0, grid=k),
+             lambda k: crisp(1.0, grid=k),
+             lambda k: crisp(1.0).resample(k),
+             lambda k: levels_from_membership(s, k),
+             lambda k: oracle_check(triangular(1.0, 2.0, 3.0), identity(), "sum", grid=k))
+    assert levels_from_membership(s, None) == levels_from_membership(s, DEFAULT_GRID_K)
+    for k, message in ((0, "grid size must be at least 1, got 0"),
+                       (2.0, "grid size must be an integer, got 2.0"),
+                       (True, "grid size must be an integer, got True"),
+                       ("3", "grid size must be an integer, got '3'")):
+        for make in enter:
+            with pytest.raises(ValueError) as info:
+                make(k)
+            assert str(info.value) == message
 
 
 def test_triangular_levels_follow_side_lines():
     a = triangular(-2.0, 0.0, 1.0)
-    alphas = a.grid.alphas()
+    alphas = a.alphas
     assert np.allclose(a.los, -2.0 + 2.0 * alphas)
     assert np.allclose(a.his, 1.0 - 1.0 * alphas)
     assert a.support == Interval(-2.0, 1.0)
@@ -55,6 +71,14 @@ def test_crisp_is_constant():
     a = crisp(2.5, grid=5)
     assert np.all(a.los == 2.5)
     assert np.all(a.his == 2.5)
+
+
+def test_a_float32_parameter_builds_what_its_float_builds():
+    # no errstate: the suite turns a RuntimeWarning into an error
+    p = np.float32(0.1)
+    assert triangular(p, 2, 3) == triangular(float(p), 2.0, 3.0)
+    assert trapezoidal(1, 2, 3, np.float32(4)) == trapezoidal(1.0, 2.0, 3.0, 4.0)
+    assert fuzzy_from_json({"tri": [np.float32(1), 2, 3]}) == triangular(1.0, 2.0, 3.0)
 
 
 def test_shape_validation():
@@ -223,12 +247,12 @@ def test_from_levels_round_trip():
 
 def test_resample_preserves_piecewise_linear_shapes():
     a = triangular(1.0, 2.0, 3.0, grid=10)
-    b = a.resample(AlphaGrid(100))
+    b = a.resample(100)
     c = triangular(1.0, 2.0, 3.0, grid=100)
     assert b.approx_equal(c, tol=1e-12)
     assert a.resample(10) is a
     # downsampling a piecewise-linear shape is exact too
-    assert c.resample(AlphaGrid(10)).approx_equal(a, tol=1e-12)
+    assert c.resample(10).approx_equal(a, tol=1e-12)
 
 
 def test_json_round_trip():
@@ -354,7 +378,7 @@ def test_alpha_cuts_match_alpha_cut_bit_for_bit(rng):
     shapes += [crisp(-0.0, grid=3), triangular(-1.0, 0.0, 1.0, grid=10)]
     for a in shapes:
         alphas = np.concatenate([rng.random(64), [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
-                                 a.grid.alphas()])
+                                 a.alphas])
         los, his = a.alpha_cuts(alphas)
         assert los.shape == his.shape == alphas.shape
         for alpha, lo, hi in zip(alphas.tolist(), los.tolist(), his.tolist()):

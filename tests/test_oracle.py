@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import (
-    AlphaGrid,
     DomainError,
     FuzzyNumber,
     Interval,
@@ -16,6 +15,7 @@ from fuzzyarith import (
     RangeMethod,
     SampledMembership,
     build_joint,
+    check_monotone,
     correlated_sum,
     crisp,
     custom,
@@ -91,6 +91,23 @@ def test_build_joint_names_a_support_too_narrow_for_n_distinct_samples():
         oracle_check(a, linear(2.0, 1.0), "sum")
     with pytest.raises(ValueError, match=message):
         build_joint(a, linear(2.0, 1.0))
+
+
+def test_a_support_wider_than_the_float_range_is_sampled_without_nan():
+    # no errstate: the suite turns a RuntimeWarning into an error
+    a = triangular(-1.5e308, 0.0, 1.6e308, grid=4)
+    f = custom(lambda x: -x / 4, "decreasing")
+    assert check_monotone(f, a.support) == "decreasing"
+    # x - x/4 is not provably monotone from f's direction, so the engine scans
+    total = correlated_sum(a, f)
+    assert np.allclose(total.los, 0.75 * a.los, rtol=1e-15, atol=0.0)
+    assert np.allclose(total.his, 0.75 * a.his, rtol=1e-15, atol=0.0)
+    joint = build_joint(a, f, 101)
+    assert joint.xs[0] == -1.5e308 and joint.xs[-1] == 1.6e308
+    assert (joint.xs[1:] > joint.xs[:-1]).all()
+    report = oracle_check(a, f, "sum")
+    assert report.method == "numeric"
+    assert report.max_hausdorff < 1e-3 * a.support.hi
 
 
 def test_build_joint_checks_domain_and_direction():
@@ -314,7 +331,7 @@ def membership_samples(draw):
     n = draw(st.integers(1, 40))
     zs = np.sort(np.array(draw(st.lists(
         st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n, unique=True))))
-    thresholds = AlphaGrid(K).alphas() - delta
+    thresholds = np.linspace(0.0, 1.0, K + 1) - delta
     mu = st.one_of(
         st.floats(0.0, 1.0),
         st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
