@@ -8,10 +8,10 @@ built straight from the sup-min extension provides independent reference
 values for both.
 """
 
-from .arithmetic import (Affine, CLOSED_FORM_KINDS, LevelResult, Quadratic,
-                         RangeMethod, ReciprocalSum, closed_form,
-                         compare_levels, correlated_product, correlated_sum,
-                         range_over_interval, standard_product, standard_sum)
+from .arithmetic import (CLOSED_FORM_KINDS, LevelResult, RangeMethod,
+                         closed_form, compare_levels, correlated_product,
+                         correlated_sum, range_over_interval,
+                         standard_product, standard_sum)
 from .correlation import (CorrelationFunction, check_monotone,
                           correlation_from_json, custom, hyperbolic, identity,
                           induced_number, linear, negation, reciprocal)
@@ -25,7 +25,6 @@ from .oracle import (JointDistribution, OracleReport, SampledMembership,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Affine",
     "CLOSED_FORM_KINDS",
     "CorrelationFunction",
     "DEFAULT_GRID_K",
@@ -36,9 +35,7 @@ __all__ = [
     "LevelResult",
     "MonotonicityError",
     "OracleReport",
-    "Quadratic",
     "RangeMethod",
-    "ReciprocalSum",
     "SampledMembership",
     "build_joint",
     "check_monotone",

@@ -67,102 +67,7 @@ class RangeMethod:
             raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
 
 
-# -- profile shapes with stated extrema -----------------------------------------
-# Each takes arrays, and extrema() returns its interior minima and maxima
-# as two tuples of (x, g(x)) pairs.
-
-
-@dataclass(frozen=True)
-class Affine:
-    """g(x) = c1*x + c0."""
-
-    c1: float
-    c0: float
-
-    def __call__(self, x):
-        return self.c1 * x + self.c0
-
-    def extrema(self):
-        return (), ()
-
-
-@dataclass(frozen=True)
-class Quadratic:
-    """g(x) = a*x**2 + b*x, the product profile of a linear correlation."""
-
-    a: float
-    b: float
-
-    def __call__(self, x):
-        return self.a * x * x + self.b * x
-
-    def extrema(self):
-        if self.a == 0.0:
-            return (), ()
-        xv = -self.b / (2.0 * self.a)
-        vertex = ((xv, self(xv)),)
-        return (vertex, ()) if self.a > 0 else ((), vertex)
-
-
-@dataclass(frozen=True)
-class ReciprocalSum:
-    """g(x) = x + q/x + r on intervals that avoid zero.
-
-    For q > 0 there are stationary points at +-sqrt(q): a local minimum on
-    the positive side, a local maximum on the negative side.  For q < 0 the
-    function is strictly increasing on either side of zero.
-    """
-
-    q: float
-    r: float
-
-    def __call__(self, x):
-        return x + self.q / x + self.r
-
-    def extrema(self):
-        if self.q <= 0:
-            return (), ()
-        s = math.sqrt(self.q)
-        return ((s, 2.0 * s + self.r),), ((-s, -2.0 * s + self.r),)
-
-
-@dataclass(frozen=True)
-class Composite:
-    """g(x) = x + f(x) or x * f(x) for a custom f, which states no extrema.
-
-    Called on one float, as the golden-section refinement does, it calls
-    f.fn once.  ``values`` takes an array and evaluates f through
-    CorrelationFunction.values, so g at a point is the same IEEE add or
-    multiply of x and float(f.fn(x)) either way.
-    """
-
-    f: CorrelationFunction
-    op: str
-
-    def __call__(self, x):
-        return x + self.f.fn(x) if self.op == "sum" else x * self.f.fn(x)
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        ys = self.f.values(xs)
-        # past the float range x + f(x) is inf, as with Python floats, and
-        # the caller reports the non-finite level
-        with np.errstate(over="ignore", invalid="ignore"):
-            return xs + ys if self.op == "sum" else xs * ys
-
-
 # -- range search ---------------------------------------------------------------
-
-
-def _values(g, xs: np.ndarray) -> np.ndarray:
-    """g at every point of xs.  The profiles above take arrays, a Composite
-    evaluates its f through the one per-point loop of
-    CorrelationFunction.values, and any other callable is only promised to
-    take one float at a time."""
-    if isinstance(g, Composite):
-        return g.values(xs)
-    if hasattr(g, "extrema"):
-        return np.asarray(g(xs), dtype=float)
-    return np.fromiter(map(g, xs.tolist()), float, xs.size)
 
 
 def _golden_min(g, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -238,21 +143,6 @@ def _refined_minima(g, xs: np.ndarray, ys: np.ndarray, tol: float):
     return np.array(found).T
 
 
-def _stated_extrema(g, method: RangeMethod | None):
-    """The interior extrema g states, unless a numeric method is passed;
-    None when g is to be scanned.  An analytic method on a g that states
-    none raises ValueError."""
-    if method is not None and method.mode == "numeric":
-        return None
-    if hasattr(g, "extrema"):
-        return g.extrema()
-    if method is not None:
-        raise ValueError(
-            "analytic range requested but the function states no extrema; "
-            "use a numeric RangeMethod")
-    return None
-
-
 def _nan_error(xs: np.ndarray, ys: np.ndarray, what: str,
                support: tuple[float, float]) -> DomainError:
     """The error naming the first x at which the values ys of g are NaN.
@@ -262,24 +152,36 @@ def _nan_error(xs: np.ndarray, ys: np.ndarray, what: str,
                        f"on [{support[0]:g}, {support[1]:g}]")
 
 
-def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
+def _scanned(method: RangeMethod | None):
+    """None, the extrema of a g that states none, which is scanned; an
+    analytic method raises ValueError."""
+    if method is not None and method.mode == "analytic":
+        raise ValueError(
+            "analytic range requested but the function states no extrema; "
+            "use a numeric RangeMethod")
+    return None
+
+
+def _range_levels(plan, los: np.ndarray, his: np.ndarray,
                   method: RangeMethod | None) -> tuple[np.ndarray, np.ndarray]:
     """Range of g over every level [los[i], his[i]] of a nested family.
 
-    Each level starts from the extremes of g at its two endpoints.  Given
-    ``extrema``, g's interior minima and maxima as (x, g(x)) pairs, a
-    stated value is exact, so it replaces that end on every level holding
-    its argument (a prefix of the family); ((), ()) ranges a monotone g
-    from its ends alone.  With extrema None, one scan of the support
+    ``plan`` is (values, point, extrema): g on an array, g on one float,
+    and g's interior minima and maxima as (x, g(x)) pairs, or None.  Each
+    level starts from the extremes of g at its two endpoints.  A stated
+    value is exact, so it replaces that end on every level holding its
+    argument (a prefix of the family); ((), ()) ranges a monotone g from
+    its ends alone.  With extrema None, one scan of the support
     [los[0], his[0]] by ``method`` (default RangeMethod()) finds the local
-    extrema of g, each refined once; each refined value is folded into the
-    last level j(x) holding it, and a reverse running min/max hands every
-    level the extremes over itself and the levels inside it.  Every
-    reported value is taken by g inside its level.  Time and memory are
-    O(samples + K).
+    extrema of g, each refined once through ``point``; each refined value
+    is folded into the last level j(x) holding it, and a reverse running
+    min/max hands every level the extremes over itself and the levels
+    inside it.  Every reported value is taken by g inside its level.  Time
+    and memory are O(samples + K).
     """
-    at_lo = _values(g, los)
-    at_hi = _values(g, his)
+    values, point, extrema = plan
+    at_lo = values(los)
+    at_hi = values(his)
     lows = np.minimum(at_lo, at_hi)
     highs = np.maximum(at_lo, at_hi)
     if extrema is not None:
@@ -290,12 +192,9 @@ def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
     method = method or RangeMethod()
     if his[0] > los[0]:
         xs = _linspace(los[0], his[0], method.samples)
-        ys = _values(g, xs)
+        ys = values(xs)
         if np.isnan(ys).any():
             raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
-        # the refinement calls g one float at a time, and a bound __call__
-        # skips the slower call of the Composite instance itself
-        point = g.__call__ if isinstance(g, Composite) else g
         neg = lambda x: -point(x)
         neg_his = -his
         for slot, fold, h, hs, sign in ((lows, np.minimum, point, ys, 1.0),
@@ -314,19 +213,19 @@ def _range_levels(g, los: np.ndarray, his: np.ndarray, extrema,
 def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> Interval:
     """Closure of {g(x) : x in iv} as an interval.
 
-    ``g`` is any real function of one variable.  With method=None a profile
-    that states its extrema (Affine, Quadratic, ReciprocalSum) is ranged
-    analytically and anything else numerically; an explicit analytic
-    request on a plain callable is an error.
+    ``g`` is any real function of one variable, called on one float at a
+    time.  It states no extrema, so it is scanned by ``method`` (default
+    RangeMethod()); an analytic method raises ValueError.
 
     This is the one-level case of the correlated engine (see _range_levels):
-    the values at the two ends plus the stated extrema inside iv, or plus
-    the refined extrema of a ``method.samples``-point scan of iv, whose
-    resolution is iv.width / (samples - 1).  Both ends of the result are
-    values g takes on iv.
+    the values at the two ends plus the refined extrema of a
+    ``method.samples``-point scan of iv, whose resolution is
+    iv.width / (samples - 1).  Both ends of the result are values g takes
+    on iv.
     """
-    lo, hi = _range_levels(g, np.array([iv.lo]), np.array([iv.hi]),
-                           _stated_extrema(g, method), method)
+    values = lambda xs: np.fromiter(map(g, xs.tolist()), float, xs.size)
+    lo, hi = _range_levels((values, g, _scanned(method)), np.array([iv.lo]),
+                           np.array([iv.hi]), method)
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -361,15 +260,6 @@ def standard_product(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
 # -- correlated operations -------------------------------------------------------
 
 
-def _profile(f: CorrelationFunction, op: str):
-    if f.family == "linear":
-        return Affine(1.0 + f.q, f.r) if op == "sum" else Quadratic(f.q, f.r)
-    if f.family == "hyperbolic":
-        # x * (q/x + r) collapses to r*x + q
-        return ReciprocalSum(f.q, f.r) if op == "sum" else Affine(f.r, f.q)
-    return None
-
-
 def _one_sign(u: float, v: float) -> int:
     """1 or -1 when u and v both have that sign or are zero, else 0."""
     if u >= 0.0 and v >= 0.0:
@@ -400,32 +290,60 @@ def _monotone_on(f: CorrelationFunction, op: str, support: Interval) -> bool:
 
 
 def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMethod | None):
-    """The range plan for op under f on the support: the function g the
-    engine ranges and the interior extrema it ranges g from, None when g
-    is scanned.
+    """The range plan for op under f on the support, as _range_levels
+    takes it: g = x + f(x) or x * f(x) on an array, g on one float, and
+    the interior extrema g is ranged from, None when g is scanned.
 
-    A linear or hyperbolic f gives a profile whose stated extrema are
-    taken, with no scan, unless a numeric method is passed.  A custom f
-    whose declared direction proves g monotone (see _monotone_on) has no
+    A linear or hyperbolic f gives one expression in x, q and r, taking
+    arrays and floats alike, whose stationary points are stated and taken,
+    with no scan, unless a numeric method is passed.  A custom f whose
+    declared direction proves g monotone (see _monotone_on) has no
     interior extrema, ((), ()), when the method is None or analytic.  Any
     other custom f is scanned by the numeric method passed, or by the
     default one; an analytic method raises ValueError for it.  The
     operations and oracle_check ask this one function.
     """
-    g = _profile(f, op)
-    if g is None:
-        g = Composite(f, op)
-        if (method is None or method.mode == "analytic") and _monotone_on(f, op, support):
-            return g, ((), ())
-    return g, _stated_extrema(g, method)
+    numeric = method is not None and method.mode == "numeric"
+    if f.family == "custom":
+        fn = f.fn
+
+        def values(xs):
+            ys = f.values(xs)
+            # past the float range x + f(x) is inf, as with Python floats, and
+            # the caller reports the non-finite level
+            with np.errstate(over="ignore", invalid="ignore"):
+                return xs + ys if op == "sum" else xs * ys
+
+        point = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
+        if not numeric and _monotone_on(f, op, support):
+            return values, point, ((), ())
+        return values, point, _scanned(method)
+    q, r = f.q, f.r
+    minima = maxima = ()
+    if f.family == "linear" and op == "sum":
+        c = 1.0 + q
+        g = lambda x: c * x + r
+    elif f.family == "linear":
+        g = lambda x: q * x * x + r * x
+        xv = -r / (2.0 * q)
+        vertex = ((xv, g(xv)),)
+        minima, maxima = (vertex, ()) if q > 0 else ((), vertex)
+    elif op == "sum":
+        g = lambda x: x + q / x + r
+        if q > 0:  # a local minimum at sqrt(q), a local maximum at -sqrt(q)
+            s = math.sqrt(q)
+            minima, maxima = ((s, 2.0 * s + r),), ((-s, -2.0 * s + r),)
+    else:
+        # x * (q/x + r) collapses to r*x + q
+        g = lambda x: r * x + q
+    return g, g, None if numeric else (minima, maxima)
 
 
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
     sup = a.support
     f.check_on(sup)
-    g, extrema = _route(f, op, sup, method)
-    return FuzzyNumber(*_range_levels(g, a.los, a.his, extrema, method))
+    return FuzzyNumber(*_range_levels(_route(f, op, sup, method), a.los, a.his, method))
 
 
 def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,

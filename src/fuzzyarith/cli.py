@@ -124,19 +124,28 @@ class _ExprParser:
             return name
         if name not in OPERATORS:
             raise ParseError(f"unknown function {name!r}", at)
+        needs = (f"{name!r} needs a fuzzy literal as its first operand",
+                 f"{name!r} needs two fuzzy literals" if name.startswith("std_")
+                 else f"{name!r} needs a correlation function as its second operand")
         self.take("(", f"'(' after {name!r}")
-        first = self.expr()
+        first = self.operand(needs[0], at)
         self.take(",", "','")
-        second = self.expr()
+        second = self.operand(needs[1], at)
         self.take(")", "')'")
         if _name(first) not in SHAPES:
-            raise ParseError(f"{name!r} needs a fuzzy literal as its first operand", at)
-        if name.startswith("std_"):
-            if _name(second) not in SHAPES:
-                raise ParseError(f"{name!r} needs two fuzzy literals", at)
-        elif _name(second) not in CORRELATIONS:
-            raise ParseError(f"{name!r} needs a correlation function as its second operand", at)
+            raise ParseError(needs[0], at)
+        if _name(second) not in (SHAPES if name.startswith("std_") else CORRELATIONS):
+            raise ParseError(needs[1], at)
         return {name: [first, second]}
+
+    def operand(self, need: str, at: int):
+        """An operator's operand: a literal or a correlation, never an
+        operator, which is rejected with ``need`` where its name is read.
+        So the parser recurses at most one level however deep the input
+        nests."""
+        if self.tokens[self.i][1] in OPERATORS:
+            raise ParseError(need, at)
+        return self.expr()
 
     def numbers(self, name: str, count: int, at: int) -> list[float]:
         self.take("(", f"'(' after {name!r}")

@@ -380,12 +380,21 @@ def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
 # -- constructors -------------------------------------------------------------
 
 
+def _finite(shape: str, **params) -> None:
+    """ValueError naming the first of the parameters of ``shape`` that is
+    not finite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{shape} parameter {name} must be finite, got {float(value)!r}")
+
+
 def triangular(a: float, b: float, c: float,
                grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Triangular fuzzy number with support [a, c] and peak b.
 
     Level endpoints are a + alpha*(b - a) and c - alpha*(c - b).
     """
+    _finite("triangular", a=a, b=b, c=c)
     if not a <= b <= c:
         raise ValueError(f"triangular parameters must satisfy a <= b <= c, got {(a, b, c)}")
     return FuzzyNumber(*_sides(a, b, b, c, grid))
@@ -394,6 +403,7 @@ def triangular(a: float, b: float, c: float,
 def trapezoidal(a: float, b: float, c: float, d: float,
                 grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Trapezoidal fuzzy number with support [a, d] and plateau [b, c]."""
+    _finite("trapezoidal", a=a, b=b, c=c, d=d)
     if not a <= b <= c <= d:
         raise ValueError(
             f"trapezoidal parameters must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
@@ -426,6 +436,7 @@ def _sides(a: float, b: float, c: float, d: float,
 
 def crisp(a: float, grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Degenerate fuzzy number concentrated at the single value a."""
+    _finite("crisp", a=a)
     n = _grid_size(grid) + 1
     return FuzzyNumber(np.full(n, float(a)), np.full(n, float(a)))
 
@@ -479,7 +490,7 @@ def fuzzy_from_json(obj) -> FuzzyNumber:
             return make(*_parameters(name, args, count), grid=grid)
     if "levels" in obj:
         fn = from_levels(obj["levels"])
-        if "K" in obj and fn.k != obj["K"]:
+        if "K" in obj and fn.k != _grid_size(obj["K"]):
             raise ValueError(f"levels length {fn.k + 1} does not match K={obj['K']}")
         return fn
     raise ValueError(f"unrecognized fuzzy number object: {obj!r}")

@@ -255,6 +255,6 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     tolerance = 5.0 * a.support.width / n
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
-                        method="numeric" if _route(f, op, a.support, method)[1] is None
+                        method="numeric" if _route(f, op, a.support, method)[2] is None
                         else "analytic",
                         termwise=_minkowski_sum_reading(a, f) if op == "sum" else None)

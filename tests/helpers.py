@@ -224,15 +224,6 @@ def reference_alpha_cut(x, alpha):
             float(x.his[i] + t * (x.his[i + 1] - x.his[i])))
 
 
-def reference_values(g, xs):
-    """g at every point of xs, one ``g(float(x))`` per point through a
-    generator, the way ``arithmetic._values`` once evaluated every g that
-    states no extrema.  Reference only."""
-    if hasattr(g, "extrema"):
-        return np.asarray(g(xs), dtype=float)
-    return np.fromiter((g(float(x)) for x in xs), float, xs.size)
-
-
 def reference_correlation_values(f, xs):
     """``CorrelationFunction.values`` as it once was: a custom fn called
     through a generator, one ``float(fn(float(x)))`` per point.  Reference
@@ -246,9 +237,19 @@ def reference_correlation_values(f, xs):
 def per_point_evaluation():
     """Within the block the library evaluates custom functions the way it
     once did: the check, the induced number and the oracle through
-    ``reference_correlation_values``, the engine through
-    ``reference_values``, which calls a custom g at one point at a time
-    (x + fn(x) or x * fn(x) on a Python float)."""
-    with mock.patch.object(arithmetic, "_values", reference_values), \
+    ``reference_correlation_values``, and the range engine point by point,
+    one ``point(float(x))`` per array element through a generator, where
+    ``point`` is the one-float g of the plan it runs (x + fn(x) or
+    x * fn(x) for a custom f).  The plans of the correlated operations and
+    of range_over_interval are all run by ``_range_levels``, so wrapping it
+    covers both."""
+    range_levels = arithmetic._range_levels
+
+    def per_point(plan, los, his, method):
+        _, point, extrema = plan
+        values = lambda xs: np.fromiter((point(float(x)) for x in xs), float, xs.size)
+        return range_levels((values, point, extrema), los, his, method)
+
+    with mock.patch.object(arithmetic, "_range_levels", per_point), \
             mock.patch.object(CorrelationFunction, "values", reference_correlation_values):
         yield

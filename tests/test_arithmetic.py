@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 
 from fuzzyarith import (
     CLOSED_FORM_KINDS,
-    Affine,
     DomainError,
     FuzzyNumber,
     Interval,
     LevelResult,
     MonotonicityError,
-    Quadratic,
     RangeMethod,
-    ReciprocalSum,
     check_monotone,
     closed_form,
     compare_levels,
@@ -28,6 +25,7 @@ from fuzzyarith import (
     correlated_sum,
     crisp,
     custom,
+    from_levels,
     hyperbolic,
     identity,
     induced_number,
@@ -63,31 +61,40 @@ def test_range_method_validation():
     assert RangeMethod(samples=np.int64(100)).samples == 100
 
 
+def _one_level(op, f, lo, hi):
+    """op(A, f) for A = [lo, hi] at every alpha, as the Interval of its
+    one level."""
+    res = op(from_levels([[lo, hi], [lo, hi]]), f)
+    assert res.level(0) == res.level(1)
+    return res.level(0)
+
+
 def test_affine_profile_bounds():
-    g = Affine(3.0, 1.0)
-    assert g(2.0) == 7.0
-    assert range_over_interval(g, Interval(1.0, 3.0)) == Interval(4.0, 10.0)
-    assert range_over_interval(Affine(-2.0, 0.0), Interval(1.0, 3.0)) == Interval(-6.0, -2.0)
-    assert range_over_interval(Affine(0.0, 5.0), Interval(-9.0, 9.0)) == Interval(5.0, 5.0)
+    # x + (q*x + r) and x * (q/x + r) are affine
+    assert _one_level(correlated_sum, linear(2.0, 1.0), 2.0, 2.0) == Interval(7.0, 7.0)
+    assert _one_level(correlated_sum, linear(2.0, 1.0), 1.0, 3.0) == Interval(4.0, 10.0)
+    assert _one_level(correlated_sum, linear(-3.0, 0.0), 1.0, 3.0) == Interval(-6.0, -2.0)
+    assert _one_level(correlated_sum, linear(-1.0, 5.0), -9.0, 9.0) == Interval(5.0, 5.0)
+    assert _one_level(correlated_product, hyperbolic(1.0, 3.0), 1.0, 3.0) == Interval(4.0, 10.0)
 
 
 def test_quadratic_profile_bounds_interior_vertex():
-    g = Quadratic(1.0, 0.0)  # x^2, vertex at 0
-    assert range_over_interval(g, Interval(-2.0, 1.0)) == Interval(0.0, 4.0)
-    assert range_over_interval(g, Interval(1.0, 3.0)) == Interval(1.0, 9.0)
-    down = Quadratic(-1.0, 2.0)  # -x^2 + 2x, peak at 1
-    assert range_over_interval(down, Interval(0.0, 3.0)) == Interval(-3.0, 1.0)
+    square = linear(1.0, 0.0)  # x * x, vertex at 0
+    assert _one_level(correlated_product, square, -2.0, 1.0) == Interval(0.0, 4.0)
+    assert _one_level(correlated_product, square, 1.0, 3.0) == Interval(1.0, 9.0)
+    down = linear(-1.0, 2.0)  # -x^2 + 2x, peak at 1
+    assert _one_level(correlated_product, down, 0.0, 3.0) == Interval(-3.0, 1.0)
 
 
 def test_reciprocal_sum_profile_bounds():
-    g = ReciprocalSum(4.0, 0.0)  # x + 4/x, local min at 2
-    got = range_over_interval(g, Interval(1.0, 3.0))
+    f = hyperbolic(4.0, 0.0)  # x + 4/x, local min at 2
+    got = _one_level(correlated_sum, f, 1.0, 3.0)
     assert got.approx_equal(Interval(4.0, 5.0), tol=1e-12)
     # negative side: local max at -2
-    got = range_over_interval(g, Interval(-3.0, -1.0))
+    got = _one_level(correlated_sum, f, -3.0, -1.0)
     assert got.approx_equal(Interval(-5.0, -4.0), tol=1e-12)
     # q < 0 keeps the map monotone on each side
-    got = range_over_interval(ReciprocalSum(-4.0, 1.0), Interval(1.0, 2.0))
+    got = _one_level(correlated_sum, hyperbolic(-4.0, 1.0), 1.0, 2.0)
     assert got.approx_equal(Interval(-2.0, 1.0), tol=1e-12)
 
 
@@ -95,28 +102,31 @@ def test_profiles_match_dense_scan(rng):
     for _ in range(25):
         lo, hi = np.sort(rng.uniform(0.3, 8.0, 2))
         qs = rng.uniform(-5.0, 5.0, 3)
-        profiles = [
-            Affine(qs[0] if qs[0] != 0 else 1.0, qs[1]),
-            Quadratic(qs[0] if qs[0] != 0 else 1.0, qs[1]),
-            ReciprocalSum(qs[2] if qs[2] != 0 else 1.0, qs[0]),
+        q0 = qs[0] if qs[0] != 0 else 1.0
+        q1 = qs[1] if qs[1] != 0 else 1.0
+        q2 = qs[2] if qs[2] != 0 else 1.0
+        cases = [
+            (correlated_product, hyperbolic(q1, q0), lambda x: q0 * x + q1),
+            (correlated_product, linear(q0, qs[1]), lambda x: q0 * x * x + qs[1] * x),
+            (correlated_sum, hyperbolic(q2, qs[0]), lambda x: x + q2 / x + qs[0]),
         ]
-        for g in profiles:
+        for op, f, g in cases:
             want_lo, want_hi = dense_range(g, lo, hi, n=20001)
-            got = range_over_interval(g, Interval(lo, hi))
+            got = _one_level(op, f, lo, hi)
             assert got.lo == pytest.approx(want_lo, abs=1e-6)
             assert got.hi == pytest.approx(want_hi, abs=1e-6)
 
 
 def test_range_over_interval_analytic_and_numeric_agree():
     iv = Interval(1.0, 3.0)
-    analytic = range_over_interval(ReciprocalSum(4.0, 0.0), iv)
+    analytic = _one_level(correlated_sum, hyperbolic(4.0, 0.0), iv.lo, iv.hi)
     numeric = range_over_interval(lambda x: x + 4.0 / x, iv)
     assert analytic.approx_equal(Interval(4.0, 5.0), tol=1e-12)
     assert numeric.approx_equal(analytic, tol=1e-9)
 
 
 def test_range_over_interval_quadratic():
-    got = range_over_interval(Quadratic(1.0, 0.0), Interval(-2.0, 1.0))
+    got = _one_level(correlated_product, linear(1.0, 0.0), -2.0, 1.0)
     assert got == Interval(0.0, 4.0)
     num = range_over_interval(lambda x: x * x, Interval(-2.0, 1.0))
     assert num.approx_equal(got, tol=1e-9)
@@ -124,7 +134,7 @@ def test_range_over_interval_quadratic():
 
 def test_range_over_interval_constant_map():
     # x + (-x) collapses to a point
-    got = range_over_interval(Affine(0.0, 0.0), Interval(-5.0, 7.0))
+    got = _one_level(correlated_sum, negation(), -5.0, 7.0)
     assert got == Interval(0.0, 0.0)
 
 
@@ -525,7 +535,7 @@ def test_stated_extrema_replace_the_end_on_every_level_holding_them():
         held = (a.los <= xv) & (xv <= a.his)
         assert 0 < held.sum() < a.k + 1
         ends = res.los if q > 0 else res.his
-        assert np.all(ends[held] == Quadratic(q, r)(xv))
+        assert np.all(ends[held] == q * xv * xv + r * xv)
     for q, r, h in ((4.0, 0.0, 0.5), (2.0, -1.5, 0.3), (2.0, 0.0, 3e-8)):
         s = math.sqrt(q)
         for x, value in ((s, 2.0 * s + r), (-s, -2.0 * s + r)):

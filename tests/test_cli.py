@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import cli
@@ -127,6 +127,21 @@ def test_parse_error_message(text, message):
         parse_expression(text)
     assert str(info.value) == message
     assert info.value.pos == int(message.rpartition(" ")[2])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("corr_sum(" * 3000, "'corr_sum' needs a fuzzy literal as its first operand at position 0"),
+    ("corr_prod(tri(1,2,3), " * 3000,
+     "'corr_prod' needs a correlation function as its second operand at position 0"),
+    ("std_prod(tri(1,2,3), corr_sum(frob(1)", "'std_prod' needs two fuzzy literals at position 0"),
+    ("  induced(identity, corr_sum(", "'induced' needs a correlation function as its "
+                                      "second operand at position 2"),
+], ids=["deep-first-operand", "deep-second-operand", "nested-in-std", "after-a-correlation"])
+def test_an_operator_as_an_operand_is_rejected_where_its_name_is_read(text, message):
+    # the parser never descends into the operand, however deep it nests
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == message
 
 
 def test_parse_errors_carry_position():
@@ -427,3 +442,47 @@ def test_readme_shows_every_command():
 def test_readme_console_examples_print_what_they_show(command, lines, capsys):
     assert main(shlex.split(command)[2:]) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+# Tokens of the expression language, some of them out of place or out of range.
+_TOKENS = [*OPERATORS, *SHAPES, *CORRELATIONS, "frob", "(", ")", ",", " ", "1", "-2", "3.5",
+           "0", "1e400", "-1e400", "?"]
+
+
+@st.composite
+def _mutated_expressions(draw):
+    """A grammar-built expression with one of its tokens replaced by a
+    drawn one."""
+    tokens = re.findall(r"[A-Za-z_]\w*|-?[\d.]+(?:e[-+]?\d+)?|\S", draw(_expressions())[0])
+    tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+    return " ".join(tokens)
+
+
+@st.composite
+def _argvs(draw):
+    """An argument vector for one subcommand: a token soup, a
+    grammar-built expression or a mutated one, and small random options."""
+    command = draw(st.sampled_from(["eval", "check", "table"]))
+    text = draw(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join),
+                          _expressions().map(lambda e: e[0]), _mutated_expressions()))
+    argv = [command, "-e", text, "--grid", str(draw(st.integers(-1, 8)))]
+    if command == "check":
+        argv += ["--oracle-n", str(draw(st.integers(0, 300)))]
+    elif draw(st.booleans()):
+        alphas = st.sampled_from(["0", "0.25", "1", "1.5", "-0.1", "", "x"])
+        argv += ["--alphas", ",".join(draw(st.lists(alphas, max_size=3)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+@example(["eval", "-e", "corr_sum(" * 3000])
+def test_main_exits_with_a_code_and_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc in (1, 2):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("fuzzyarith: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -289,6 +289,28 @@ def test_json_shorthands_reject_a_parameter_that_is_not_a_number(obj, arg):
     assert fuzzy_from_json({"tri": [np.int64(1), 2, np.float64(3)]}) == triangular(1.0, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: triangular(-1e400, 2.0, 3.0), "triangular parameter a must be finite, got -inf"),
+    (lambda: triangular(1e400, 2.0, 3.0), "triangular parameter a must be finite, got inf"),
+    (lambda: triangular(1.0, math.nan, 3.0, grid=0), "triangular parameter b must be finite, "
+                                                     "got nan"),
+    (lambda: trapezoidal(0.0, 1.0, 2.0, np.float64(math.inf)),
+     "trapezoidal parameter d must be finite, got inf"),
+    (lambda: crisp(1e400), "crisp parameter a must be finite, got inf"),
+])
+def test_shapes_reject_a_non_finite_parameter_by_name(make, message):
+    # before anything else: the order of the parameters and the grid size
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1"])
+def test_json_levels_form_reads_k_as_a_grid_size(k):
+    with pytest.raises(ValueError, match=f"^grid size must be an integer, got {re.escape(repr(k))}$"):
+        fuzzy_from_json({"levels": [[1, 3], [2, 2]], "K": k})
+    assert fuzzy_from_json({"levels": [[1, 3], [2, 2]], "K": 1}) == from_levels([[1, 3], [2, 2]])
+
+
 def test_equality_and_approx_equal():
     a = triangular(1.0, 2.0, 3.0)
     b = triangular(1.0, 2.0, 3.0)
