@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,6 +331,7 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
         vertex = ((xv, g(xv)),)
         minima, maxima = (vertex, ()) if q > 0 else ((), vertex)
     elif op == "sum":
+        f.require_finite_on(support)
         g = lambda x: x + q / x + r
         if q > 0:  # a local minimum at sqrt(q), a local maximum at -sqrt(q)
             s = math.sqrt(q)
@@ -453,8 +456,7 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
 # -- comparison -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(NamedTuple):
     """Per-alpha comparison of two level intervals."""
 
     alpha: float
@@ -466,16 +468,9 @@ class LevelResult:
     method: str | None = None
 
     def to_json(self) -> dict:
-        obj = {
-            "alpha": self.alpha,
-            "left": [self.left.lo, self.left.hi],
-            "right": [self.right.lo, self.right.hi],
-            "hausdorff": self.hausdorff,
-            "subset": self.subset,
-            "equal": self.equal,
-        }
-        if self.method is not None:
-            obj["method"] = self.method
+        obj = self._asdict() | {"left": list(self.left), "right": list(self.right)}
+        if self.method is None:
+            del obj["method"]
         return obj
 
 
@@ -488,30 +483,17 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
     level finite with lo <= hi and made the arrays read-only, and
     ``.tolist()`` yields Python floats and bools, which is all that
     Interval's validation would establish.  So the rows and their intervals
-    are built without the dataclass constructors: each field is set in
-    declaration order, as __init__ sets it, on the same frozen classes.
+    are made by ``tuple.__new__`` straight from the zipped columns, without
+    the validating constructor, and all of them are built before the call
+    returns.
     """
-    cols = (x.alphas, x.los, x.his, y.los, y.his, hausdorff, subset, equal)
-    new = object.__new__
-    put = object.__setattr__
-    rows = []
-    for alpha, xlo, xhi, ylo, yhi, h, sub, eq in zip(*(c.tolist() for c in cols)):
-        left = new(Interval)
-        put(left, "lo", xlo)
-        put(left, "hi", xhi)
-        right = new(Interval)
-        put(right, "lo", ylo)
-        put(right, "hi", yhi)
-        row = new(LevelResult)
-        put(row, "alpha", alpha)
-        put(row, "left", left)
-        put(row, "right", right)
-        put(row, "hausdorff", h)
-        put(row, "subset", sub)
-        put(row, "equal", eq)
-        put(row, "method", method)
-        rows.append(row)
-    return rows
+    alphas, xlo, xhi, ylo, yhi, h, sub, eq = (
+        c.tolist() for c in (x.alphas, x.los, x.his, y.los, y.his, hausdorff, subset, equal))
+    new = tuple.__new__
+    lefts = map(new, repeat(Interval), zip(xlo, xhi))
+    rights = map(new, repeat(Interval), zip(ylo, yhi))
+    return list(map(new, repeat(LevelResult),
+                    zip(alphas, lefts, rights, h, sub, eq, repeat(method))))
 
 
 def _compared(x: FuzzyNumber, y: FuzzyNumber, tol: float):
@@ -532,10 +514,10 @@ def compare_levels(x: FuzzyNumber, y: FuzzyNumber,
     Reports, per grid alpha, the Hausdorff distance between the levels,
     whether the level of x is contained in the level of y (within tol) and
     whether the two are equal (within tol).  The three are computed for
-    every level at once, as arrays; only the rows are built per level,
-    from the levels x and y hold, which are not validated again.  Both
-    operands must be FuzzyNumbers (TypeError otherwise); a negative or NaN
-    tol raises ValueError.
+    every level at once, as arrays, and the rows are made from those
+    arrays and the levels x and y hold, which are not validated again.
+    Both operands must be FuzzyNumbers (TypeError otherwise); a negative
+    or NaN tol raises ValueError.
     """
     if not (isinstance(x, FuzzyNumber) and isinstance(y, FuzzyNumber)):
         raise TypeError(f"compare_levels needs two FuzzyNumbers, got "

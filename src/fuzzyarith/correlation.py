@@ -92,6 +92,16 @@ class CorrelationFunction:
                 f"interval [{iv.lo:g}, {iv.hi:g}] leaves the declared domain "
                 f"[{self.domain.lo:g}, {self.domain.hi:g}]")
 
+    def require_finite_on(self, iv: Interval) -> None:
+        """Raise DomainError if a hyperbolic f passes the float range on iv, as
+        q/x does at a subnormal x; q/x is monotone there, so the ends decide.
+        Only evaluations of f check it: x * (q/x + r) is r*x + q, finite."""
+        if self.family == "hyperbolic" and not (math.isfinite(self(iv.lo))
+                                                and math.isfinite(self(iv.hi))):
+            raise DomainError(
+                f"{self.name or self.family} correlation leaves the float range "
+                f"on [{iv.lo:g}, {iv.hi:g}]")
+
     def check_on(self, iv: Interval) -> None:
         """Raise unless the function may be applied on iv: DomainError
         outside its domain, and for a custom function, sample-checked by
@@ -242,7 +252,9 @@ def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:
     Each level of B is the monotone image of the matching level of A, so
     B lives on the same alpha grid as A.
     """
-    f.check_on(a.support)
+    sup = a.support
+    f.check_on(sup)
+    f.require_finite_on(sup)
     lo_img = f.values(a.los)
     hi_img = f.values(a.his)
     if f.direction == DECREASING:

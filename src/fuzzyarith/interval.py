@@ -3,29 +3,35 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", ("lo", "hi"))):
     """A closed interval [lo, hi] with finite endpoints and lo <= hi.
 
-    Instances are immutable.  Degenerate intervals (lo == hi) are allowed,
-    they represent crisp values.
+    Instances are immutable (lo, hi) tuples of Python floats.  Degenerate
+    intervals (lo == hi) are allowed, they represent crisp values.  Every
+    way to make one from values, _make and _replace included, validates.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        self = tuple.__new__(cls, (float(lo), float(hi)))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        # perfbench/tracing.py patches this hook by name to count validated intervals
+        lo, hi = self
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: lo={lo!r} > hi={hi!r}")
+
+    @classmethod
+    def _make(cls, iterable) -> "Interval":
+        return cls(*iterable)
 
     @property
     def width(self) -> float:
@@ -47,4 +53,3 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"Interval({self.lo:g}, {self.hi:g})"
-

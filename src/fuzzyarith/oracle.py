@@ -81,6 +81,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
     mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
+    f.require_finite_on(sup)
     ys = f.values(xs)
     return JointDistribution(xs=xs, mu=mu, ys=ys)
 

@@ -1,9 +1,9 @@
 import copy
-import dataclasses
 import math
 import pickle
 import types
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -819,7 +819,7 @@ def test_oracle_report_rows_match_a_validated_per_level_reference():
                          (triangular(-1.0, 0.5, 2.0, grid=20),
                           custom(lambda x: -x**3 - x, "decreasing"), "numeric")):
         report = oracle_check(a, f, "sum", n=401)
-        want = [dataclasses.replace(r, method=method)
+        want = [r._replace(method=method)
                 for r in reference_compare_levels(report.engine, report.oracle, 0.0)]
         assert report.method == method
         assert [_row_key(r) for r in report.levels] == [_row_key(r) for r in want]
@@ -829,19 +829,48 @@ def test_rows_behave_as_validated_construction():
     for row in _rows_under_test():
         ref = _validated(row)
         assert _row_key(row) == _row_key(ref)
-        assert list(vars(row)) == list(vars(ref))
-        assert list(vars(row.left)) == list(vars(ref.left)) == ["lo", "hi"]
+        assert row._fields == ref._fields == ("alpha", "left", "right", "hausdorff", "subset",
+                                              "equal", "method")
+        assert row.left._fields == ref.left._fields == ("lo", "hi")
         assert pickle.dumps(row) == pickle.dumps(ref)
         assert _row_key(pickle.loads(pickle.dumps(row))) == _row_key(ref)
         for twin in (copy.copy(row), copy.deepcopy(row)):
             assert twin == ref and _row_key(twin) == _row_key(ref)
-        assert dataclasses.replace(row, method="numeric") == dataclasses.replace(ref, method="numeric")
+        assert row._replace(method="numeric") == ref._replace(method="numeric")
         assert hash(row) == hash(ref) and hash(row.left) == hash(ref.left)
         assert repr(row) == repr(ref)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        for obj in (row, row.left, row.right):
+            assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
             row.hausdorff = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             row.left.lo = 0.0
+
+
+def test_rows_are_built_without_running_interval_validation():
+    # the rows come from levels FuzzyNumber has already validated; only the
+    # public constructor runs __post_init__ (which the benchmark's trace counts)
+    a = triangular(1.0, 2.0, 3.0, grid=10000)
+    corr = correlated_sum(a, hyperbolic(4.0))
+    std = standard_sum(a, induced_number(a, hyperbolic(4.0)))
+    report = oracle_check(triangular(1.0, 2.0, 3.0, grid=20), hyperbolic(4.0), "sum", n=401)
+    post_init = Interval.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+    with mock.patch.object(Interval, "__post_init__", counted):
+        rows = compare_levels(corr, std)
+        levels = report.levels
+        assert calls == []
+        iv = Interval(np.float64(1), 2)
+    assert len(calls) == 1
+    assert type(iv.lo) is float and type(iv.hi) is float
+    assert len(rows) == 10001 and len(levels) == 21
+    for row in rows + levels:
+        assert type(row) is LevelResult
+        assert type(row.left) is type(row.right) is Interval
 
 
 def test_compare_levels_needs_fuzzy_numbers():
@@ -935,6 +964,25 @@ def test_custom_level_ends_past_the_float_range_fail_without_a_warning():
             with pytest.raises(ValueError, match=r"^level endpoints must be finite; "
                                                  r"the level at alpha 0 is \[.*inf\]$"):
                 op(a, custom(fn, "increasing"), method)
+
+
+def test_hyperbolic_past_the_float_range_is_a_domain_error_where_q_over_x_is_evaluated():
+    # q/x passes the float max at a subnormal x; raised before any numpy warning
+    tiny = crisp(2.225073858507203e-309, grid=1)
+    message = r"^hyperbolic correlation leaves the float range on \[2\.22507e-309, 2\.22507e-309\]$"
+    for call in (lambda f: correlated_sum(tiny, f), lambda f: induced_number(tiny, f),
+                 lambda f: oracle_check(tiny, f, "sum", n=101),
+                 lambda f: oracle_check(tiny, f, "product", n=101)):
+        for f in (hyperbolic(1.0), hyperbolic(-1.0, 5.0)):
+            with pytest.raises(DomainError, match=message):
+                call(f)
+    # x * (q/x + r) is r*x + q, finite on the same support
+    for f, want in ((hyperbolic(1.0), 1.0), (hyperbolic(-1.0, 5.0), -1.0)):
+        for method in (None, RangeMethod(samples=65)):
+            assert correlated_product(tiny, f, method) == crisp(want, grid=1)
+        assert closed_form("corr-prod-hyperbolic", tiny, f.q, f.r) == crisp(want, grid=1)
+    huge = crisp(1e308, grid=1)
+    assert correlated_sum(huge, hyperbolic(1.0)).support == Interval(1e308, 1e308)
 
 
 # Strictly monotone inner functions and their direction; np.arctan and the

@@ -1,6 +1,9 @@
 """Closed intervals, and the interval arithmetic that the standard ops apply
 level by level, checked here on operands whose levels are all one interval."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +32,30 @@ def test_construction_rejects_bad_endpoints():
         Interval(0.0, float("nan"))
     with pytest.raises(ValueError):
         Interval(float("-inf"), 0.0)
+
+
+def test_every_construction_from_values_validates():
+    iv = Interval(1.0, 2.0)
+    with pytest.raises(ValueError, match="out of order: lo=5.0 > hi=2.0"):
+        iv._replace(lo=5)
+    with pytest.raises(ValueError, match="must be finite"):
+        iv._replace(hi=float("nan"))
+    with pytest.raises(ValueError, match="must be finite"):
+        Interval._make([float("inf"), 0.0])
+    assert iv._replace(hi=3) == Interval._make([1, 3]) == Interval(1.0, 3.0)
+    # pickle and copy rebuild through __new__, so an unchecked tuple does not survive them
+    raw = tuple.__new__(Interval, (3.0, 2.0))
+    for rebuild in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        assert rebuild(iv) == iv
+        with pytest.raises(ValueError, match="out of order"):
+            rebuild(raw)
+
+
+def test_intervals_are_tuples():
+    lo, hi = iv = Interval(1, 3)
+    assert (lo, hi) == (iv[0], iv[1]) == iv == (1.0, 3.0)
+    assert Interval(1, 2) < Interval(1, 3) and hash(iv) == hash((1.0, 3.0))
+    assert iv._asdict() == {"lo": 1.0, "hi": 3.0}
 
 
 def test_width_midpoint_contains():
