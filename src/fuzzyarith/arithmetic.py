@@ -52,60 +52,49 @@ class RangeMethod:
     correlation raises ValueError.
     ``samples``: equispaced scan points across the support, an integer of
     at least 65; extrema closer together than the scan step can be missed.
-    ``refine_tol``: the bracket width at which the golden-section search
-    refining each local extremum of the scan stops.
+    Each local extremum of the scan is refined by golden section to a
+    bracket of 1e-10, or the float resolution where wider (_golden_min).
     """
 
     mode: str = "numeric"
     samples: int = 1025
-    refine_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.mode not in ("analytic", "numeric"):
             raise ValueError(f"mode must be 'analytic' or 'numeric', got {self.mode!r}")
         if _integer(self.samples, "samples") < 65:
             raise ValueError(f"numeric range needs at least 65 samples, got {self.samples}")
-        if not self.refine_tol > 0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
 
 
 # -- range search ---------------------------------------------------------------
 
 
-def _golden_min(g, a: float, b: float, tol: float) -> tuple[float, float]:
+def _golden_min(g, a: float, b: float) -> tuple[float, float]:
     """(x, g(x)) at the smallest value of g found on [a, b] by golden-section
-    bracketing, or at the first NaN value met, which ends the search: a
-    comparison with NaN is false, so the bracket would drop it.
-
-    The best interior point seen is always kept as one of c, d, so the
-    answer is the best of the two ends and the final c, d.
+    bracketing, stopped at a bracket of 1e-10 or, where wider, of 64 ulps
+    of the larger |end|, below which it could not shrink.  Every point is
+    clamped into the current bracket (a step up from a, which rounding
+    cannot carry below a, capped at b), and the bracket only moves onto
+    such points, so g is never evaluated outside [a, b].  The best interior
+    point seen is kept as one of c, d: the answer is the best of a, b, c, d.
     """
     h = b - a
+    tol = max(1e-10, 64.0 * math.ulp(max(abs(a), abs(b))))
     inner = (0.5 * (a + b),) if h <= tol else (a + _INV_PHI2 * h, a + _INV_PHI * h)
-    found = []
-    for x in (a, b, *inner):
-        y = g(x)
-        if y != y:
-            return x, float(y)
-        found.append((y, x))
+    found = [(g(x), x) for x in (a, b, *(min(max(x, a), b) for x in inner))]
     if h > tol:
         (yc, c), (yd, d) = found[2:]
         del found[2:]
-        steps = max(1, math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-        for _ in range(steps):
+        for _ in range(max(1, math.ceil(math.log(tol / h) / math.log(_INV_PHI)))):
             h *= _INV_PHI
             if yc < yd:
                 b, d, yd = d, c, yc
-                c = a + _INV_PHI2 * h
+                c = min(a + _INV_PHI2 * h, b)
                 yc = g(c)
-                if yc != yc:
-                    return c, float(yc)
             else:
                 a, c, yc = c, d, yd
-                d = a + _INV_PHI * h
+                d = min(a + _INV_PHI * h, b)
                 yd = g(d)
-                if yd != yd:
-                    return d, float(yd)
         found += [(yc, c), (yd, d)]
     y, x = min(found)
     return x, float(y)
@@ -115,7 +104,8 @@ def _local_min_indices(ys: np.ndarray) -> np.ndarray:
     """Sample indices worth refining, plateau runs collapsed to one entry.
 
     Boundary samples count as local minima too: an interior extremum less
-    than one sample gap from an endpoint shows up only there.
+    than one sample gap from an endpoint shows up only there.  The first
+    index of the smallest sample is always kept: its predecessor is larger.
     """
     n = ys.size
     inner = np.arange(1, n - 1)
@@ -130,17 +120,14 @@ def _local_min_indices(ys: np.ndarray) -> np.ndarray:
         keep[0] = True
         keep[1:] = np.diff(idx) > 1
         idx = idx[keep]
-    gmin = int(np.argmin(ys))
-    if gmin not in idx:
-        idx = np.append(idx, gmin)
     return idx
 
 
-def _refined_minima(g, xs: np.ndarray, ys: np.ndarray, tol: float):
+def _refined_minima(g, xs: np.ndarray, ys: np.ndarray):
     """Arguments and values of g at every local minimum of the scan ys =
     g(xs), each refined within its two neighbouring sample gaps."""
     last = xs.size - 1
-    found = [_golden_min(g, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)]), tol)
+    found = [_golden_min(g, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, last)]))
              for i in _local_min_indices(ys)]
     return np.array(found).T
 
@@ -148,7 +135,7 @@ def _refined_minima(g, xs: np.ndarray, ys: np.ndarray, tol: float):
 def _nan_error(xs: np.ndarray, ys: np.ndarray, what: str,
                support: tuple[float, float]) -> DomainError:
     """The error naming the first x at which the values ys of g are NaN.
-    A comparison with NaN is false, so the scan would drop the value."""
+    A comparison with NaN is false, so a scan or search would drop the value."""
     i = int(np.argmax(np.isnan(ys)))
     return DomainError(f"g gives nan at x = {xs[i]:.12g}, the first NaN {what} "
                        f"on [{support[0]:g}, {support[1]:g}]")
@@ -175,11 +162,11 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
     argument (a prefix of the family); ((), ()) ranges a monotone g from
     its ends alone.  With extrema None, one scan of the support
     [los[0], his[0]] by ``method`` (default RangeMethod()) finds the local
-    extrema of g, each refined once through ``point``; each refined value
-    is folded into the last level j(x) holding it, and a reverse running
-    min/max hands every level the extremes over itself and the levels
-    inside it.  Every reported value is taken by g inside its level.  Time
-    and memory are O(samples + K).
+    extrema of g, each refined once through ``point`` (a NaN raises
+    DomainError); each refined value is folded into the last level j(x)
+    holding it, and a reverse running min/max hands every level the
+    extremes over itself and the levels inside it.  Every reported value
+    is taken by g inside its level.  Time and memory are O(samples + K).
     """
     values, point, extrema = plan
     at_lo = values(los)
@@ -197,13 +184,18 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
         ys = values(xs)
         if np.isnan(ys).any():
             raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
-        neg = lambda x: -point(x)
+
+        def checked(x):
+            y = point(x)
+            if y != y:
+                raise _nan_error((x,), (y,), "refined value", (los[0], his[0]))
+            return y
+
+        neg = lambda x: -checked(x)
         neg_his = -his
-        for slot, fold, h, hs, sign in ((lows, np.minimum, point, ys, 1.0),
+        for slot, fold, h, hs, sign in ((lows, np.minimum, checked, ys, 1.0),
                                         (highs, np.maximum, neg, -ys, -1.0)):
-            x, v = _refined_minima(h, xs, hs, method.refine_tol)
-            if np.isnan(v).any():
-                raise _nan_error(x, v, "refined value", (los[0], his[0]))
+            x, v = _refined_minima(h, xs, hs)
             # every x lies on the support, so j >= 0
             j = np.minimum(np.searchsorted(los, x, side="right"),
                            np.searchsorted(neg_his, -x, side="right")) - 1

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -43,8 +42,9 @@ class CorrelationFunction:
     linear(1, 0), linear(-1, 0) and hyperbolic(1, 0) carrying their
     ``name`` (shown by repr, to_json and domain errors) and an exact
     evaluator ``fn``: x, -x and 1/x keep the signed zeros that q*x + r and
-    q/x + r with r = 0 would turn into +0.0.  An alias is not equal to the
-    plain function it aliases.
+    q/x + r with r = 0 would turn into +0.0.  Equality and hashing take
+    ``fn`` too: an alias is not equal to the plain function it aliases,
+    and a custom with an unhashable ``fn`` does not hash.
 
     Instances are built through the factory functions below rather than
     directly.
@@ -53,7 +53,7 @@ class CorrelationFunction:
     family: str
     q: float = 0.0
     r: float = 0.0
-    fn: Callable[[float], float] | None = field(default=None, compare=False)
+    fn: Callable[[float], float] | None = None
     direction: str = INCREASING
     domain: Interval | None = None
     name: str | None = None
@@ -168,9 +168,13 @@ def negation() -> CorrelationFunction:
     return replace(linear(-1.0), fn=operator.neg, name="negation")
 
 
+def _reciprocal(x):
+    return 1.0 / x
+
+
 def reciprocal() -> CorrelationFunction:
     """1/x: hyperbolic(1, 0) named ``reciprocal``."""
-    return replace(hyperbolic(1.0), fn=partial(operator.truediv, 1.0), name="reciprocal")
+    return replace(hyperbolic(1.0), fn=_reciprocal, name="reciprocal")
 
 
 def custom(fn: Callable[[float], float], direction: str,

@@ -231,29 +231,28 @@ def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> tuple | No
 
 
 def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
-                 n: int = DEFAULT_SAMPLES, grid: int | None = None,
-                 delta: float | None = None,
+                 n: int = DEFAULT_SAMPLES,
                  method: RangeMethod | None = None) -> OracleReport:
-    """Run the engine and the brute-force oracle side by side.
+    """Run the engine, by ``method``, and the brute-force oracle side by
+    side on a's grid (resample a first for another K).
 
-    The acceptance tolerance is 5 * support_width / n; the report records
-    per-level Hausdorff distances and whether they all fit.  For sums of
-    reciprocal-shaped correlations the report also carries the termwise
-    interval reading of each level, which genuinely differs from the range.
+    The acceptance tolerance is 5 * support_width / n, from the halved ends
+    past the float range; the report records per-level Hausdorff distances
+    and whether they all fit.  For sums of reciprocal-shaped correlations
+    the report also carries the termwise interval reading of each level.
     """
     _check_op(op)
     n = _integer(n, "sample count")
-    if grid is not None:
-        a = a.resample(grid)
     engine_op = correlated_sum if op == "sum" else correlated_product
     engine = engine_op(a, f, method)  # checks f on the support, as build_joint would
     joint = build_joint(a, f, n, _checked=True)
-    if delta is None:
-        delta = _auto_delta(joint)
-    approx = levels_from_membership(extend(joint, op), a.k, delta)
+    approx = levels_from_membership(extend(joint, op), a.k, _auto_delta(joint))
     h = _compared(engine, approx, 0.0)[0]
     max_h = float(h.max())
-    tolerance = 5.0 * a.support.width / n
+    lo, hi = a.support
+    tolerance = 5.0 * (hi - lo) / n
+    if not np.isfinite(tolerance):
+        tolerance = 10.0 * ((0.5 * hi - 0.5 * lo) / n)
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
                         method="numeric" if _route(f, op, a.support, method)[2] is None

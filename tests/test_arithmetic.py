@@ -53,8 +53,6 @@ def test_range_method_validation():
         RangeMethod(mode="exhaustive")
     with pytest.raises(ValueError):
         RangeMethod(samples=64)
-    with pytest.raises(ValueError):
-        RangeMethod(refine_tol=0.0)
     for samples in (100.5, True, "100"):
         with pytest.raises(ValueError, match="samples must be an integer"):
             RangeMethod(samples=samples)
@@ -917,6 +915,68 @@ def test_nan_the_refinement_meets_but_does_not_return_raises_domain_error():
         correlated_sum(triangular(-1.0, 0.5, 2.0), custom(fn, "decreasing"))
     assert str(info.value) == (f"g gives nan at x = {calls[1489]:.12g}, the first NaN "
                                f"refined value on [-1, 2]")
+
+
+def test_refinement_near_a_support_end_past_1e6_keeps_g_inside_the_support():
+    # a bracket of 1e-10 is below the float resolution at |x| ~ 1e6: a search
+    # that kept stepping towards it drifted an ulp past x = 2e6 and folded that
+    # value of g, below g's minimum on the support, into the core level
+    res = correlated_sum(triangular(-3e6, -1e6, 2e6, grid=10),
+                         custom(lambda x: -(x / 1e6) ** 3 * 1e6 - x, "decreasing"))
+    assert res.core == Interval(1e6, 1e6)
+    assert res.support.lo == -8e6
+
+
+# Strictly monotone shapes h(u) of u = x / scale and their direction.
+_SHAPES = {
+    "cubic": (lambda u: -u**3 - u, "decreasing"),
+    "line": (lambda u: -2.0 * u, "decreasing"),
+    "atan": (math.atan, "increasing"),
+    "exp": (lambda u: math.exp(-u), "decreasing"),
+}
+
+
+def _scaled_custom(shape, scale, op, log):
+    """The custom correlation scale * h(x / scale) for a sum, h(x / scale)
+    for a product, so that g is scale times a function of u; it logs every x."""
+    h, direction = _SHAPES[shape]
+    c = scale if op is correlated_sum else 1.0
+
+    def fn(x):
+        log.append(x)
+        return c * h(x / scale)
+    return custom(fn, direction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 300), st.floats(-3.0, 5.0), st.floats(0.01, 4.0), st.floats(0.01, 4.0),
+       st.sampled_from([-8.0, 0.0, 8.0]), st.sampled_from(sorted(_SHAPES)),
+       st.sampled_from([correlated_sum, correlated_product]),
+       st.sampled_from([None, RangeMethod()]), st.sampled_from([1, 7]))
+@example(6, -3.0, 2.0, 3.0, 0.0, "cubic", correlated_sum, None, 10)
+def test_every_call_of_f_lies_on_the_support_at_any_magnitude(exponent, lo, left, right, shift,
+                                                              shape, op, method, grid):
+    scale = 10.0 ** exponent
+    a = triangular((lo + shift) * scale, (lo + shift + left) * scale,
+                   (lo + shift + left + right) * scale, grid=grid)
+    log = []
+    res = op(a, _scaled_custom(shape, scale, op, log), method)
+    sup = a.support
+    assert all(sup.lo <= x <= sup.hi for x in log)
+    # the core is the peak, or the peak and its neighbouring float where
+    # c - (c - b) rounds past b
+    f = _scaled_custom(shape, scale, op, [])
+    g = [x + float(f(x)) if op is correlated_sum else x * float(f(x)) for x in a.core]
+    assert res.core == Interval(min(g), max(g))
+
+
+def test_refinement_work_does_not_grow_with_the_magnitude_of_the_support():
+    calls = {}
+    for scale in (1.0, 1e300):
+        log = calls[scale] = []
+        correlated_sum(triangular(-3.0 * scale, -1.0 * scale, 2.0 * scale, grid=10),
+                       _scaled_custom("cubic", scale, correlated_sum, log), RangeMethod())
+    assert len(calls[1e300]) <= 1.25 * len(calls[1.0])
 
 
 def _float_only(fn):

@@ -236,6 +236,13 @@ def test_named_aliases_are_linear_and_hyperbolic_functions_that_keep_their_names
         reciprocal().require_on(Interval(-1.0, 1.0))
 
 
+def test_custom_correlations_compare_by_their_evaluator():
+    exp, sin = custom(math.exp, "increasing"), custom(math.sin, "increasing")
+    assert exp != sin
+    assert len({exp, sin}) == 2
+    assert exp == custom(math.exp, "increasing")
+
+
 def test_named_aliases_evaluate_exactly_down_to_signed_zeros():
     # q*x + r with r = 0 would turn these zeros into +0.0
     assert np.signbit(negation()(0.0))

@@ -267,13 +267,10 @@ def test_oracle_check_checks_a_custom_function_once():
 
 def test_delta_must_lie_in_the_unit_interval():
     s = SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([0.0, 1.0, 0.5]))
-    a = triangular(1.0, 2.0, 3.0, grid=10)
     for bad in (math.nan, -0.5, -1e-300, 1.0, 2.0, math.inf):
         message = f"^delta must lie in \\[0, 1\\), got {bad!r}$"
         with pytest.raises(ValueError, match=message):
             levels_from_membership(s, 2, bad)
-        with pytest.raises(ValueError, match=message):
-            oracle_check(a, linear(2.0, 1.0), "sum", delta=bad)
     assert levels_from_membership(s, 2, 0.0).level(2) == Interval(1.0, 1.0)
     wide = levels_from_membership(s, 2, np.nextafter(1.0, 0.0))
     assert wide.level(0) == Interval(0.0, 2.0) and wide.level(2) == Interval(1.0, 2.0)
@@ -498,19 +495,13 @@ def test_oracle_check_flags_unresolvable_shape():
     assert report.max_hausdorff > report.tolerance
 
 
-def test_oracle_check_resamples_onto_requested_grid():
-    report = oracle_check(triangular(1.0, 2.0, 3.0), identity(), "sum", grid=20, n=501)
-    assert len(report.levels) == 21
-    assert report.levels[-1].left.approx_equal(Interval(4.0, 4.0), tol=1e-12)
-
-
 def test_oracle_check_custom_correlation_numeric_path():
     # x * x^3 stretches the output axis ~100x relative to the input, so the
     # input-width tolerance is out of reach at any n; the oracle still has
     # to land within the same 5/n factor of the output width
-    a = triangular(1.0, 2.0, 3.0)
+    a = triangular(1.0, 2.0, 3.0, grid=20)
     f = custom(lambda x: x**3, "increasing")
-    report = oracle_check(a, f, "product", n=501, grid=20, method=RangeMethod())
+    report = oracle_check(a, f, "product", n=501, method=RangeMethod())
     assert report.levels[0].method == "numeric"
     assert report.levels[0].left.approx_equal(Interval(1.0, 81.0), tol=1e-6)
     assert report.max_hausdorff <= 5.0 * report.levels[0].left.width / report.n
@@ -520,13 +511,26 @@ def test_oracle_check_labels_the_route_the_engine_takes():
     # x * x^3 on a positive support with a positive increasing f is
     # monotone, so by default the engine ranges it from the level ends with
     # no scan; a decreasing f proves nothing about x + f(x), which is scanned
-    a = triangular(1.0, 2.0, 3.0)
+    a = triangular(1.0, 2.0, 3.0, grid=20)
     f = custom(lambda x: x**3, "increasing")
-    report = oracle_check(a, f, "product", n=501, grid=20)
+    report = oracle_check(a, f, "product", n=501)
     assert report.method == "analytic"
     assert report.levels[0].left.approx_equal(Interval(1.0, 81.0), tol=1e-12)
     assert report.max_hausdorff <= 5.0 * report.levels[0].left.width / report.n
     assert oracle_check(a, custom(lambda x: -x**3, "decreasing"), "sum", n=501).method == "numeric"
+
+
+def test_oracle_tolerance_stays_finite_past_the_float_range():
+    # 5 * width / n passes the float max for these supports, the first one's
+    # width too; the halved ends give it
+    f = custom(lambda x: -x / 4, "decreasing")
+    for lo, hi, max_h in ((-1.5e308, 1.6e308, 3.0000000000000407e+304), (-8e307, 8e307, 0.0)):
+        report = oracle_check(triangular(lo, 0.0, hi, grid=4), f, "sum")
+        assert report.tolerance == pytest.approx(5.0 * (hi / 2001 - lo / 2001), rel=1e-15)
+        assert report.max_hausdorff == max_h and report.passed
+    # elsewhere it is 5 * width / n as it was, bit for bit
+    report = oracle_check(triangular(-1e307, 0.0, 2e307, grid=4), f, "sum")
+    assert report.tolerance == 5.0 * (2e307 - -1e307) / 2001
 
 
 def test_oracle_report_json_schema():
