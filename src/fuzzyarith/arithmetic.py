@@ -48,10 +48,14 @@ class RangeMethod:
     with no scan; ``numeric`` scans the support (the rules are _route's).
     With no method passed, or an analytic one, the correlated operations
     range a custom correlation whose declared direction proves g monotone
-    from its level ends; an analytic method on any other custom
-    correlation raises ValueError.
+    from its level ends, and a product across zero with f(0) = 0 from its
+    level ends and its stated extremum g(0) = 0; an analytic method on any
+    other custom correlation raises ValueError.
     ``samples``: equispaced scan points across the support, an integer of
     at least 65; extrema closer together than the scan step can be missed.
+    Where samples - 1 is a multiple of 256, as for the default 1025, the
+    scan of a custom f takes f at the 257 points of the monotonicity check
+    from that check and calls f only at the other samples - 257.
     Each local extremum of the scan is refined by golden section to a
     bracket of 1e-10, or the float resolution where wider (_golden_min).
     """
@@ -141,6 +145,24 @@ def _nan_error(xs: np.ndarray, ys: np.ndarray, what: str,
                        f"on [{support[0]:g}, {support[1]:g}]")
 
 
+def _scan_values(values, xs: np.ndarray, known) -> np.ndarray:
+    """g on the scan grid xs.  ``known`` is None or (kx, g(kx)), g at the
+    points the monotonicity check sampled.  Where kx is every step-th point
+    of xs bit for bit, those values are taken from it and ``values`` is
+    called once on the other points, in order; otherwise on all of xs."""
+    if known is not None:
+        kx, ky = known
+        step, rest = divmod(xs.size - 1, kx.size - 1)
+        if rest == 0 and xs[::step].tobytes() == kx.tobytes():
+            fresh = np.ones(xs.size, dtype=bool)
+            fresh[::step] = False
+            ys = np.empty_like(xs)
+            ys[::step] = ky
+            ys[fresh] = values(xs[fresh])
+            return ys
+    return values(xs)
+
+
 def _scanned(method: RangeMethod | None):
     """None, the extrema of a g that states none, which is scanned; an
     analytic method raises ValueError."""
@@ -155,20 +177,22 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
                   method: RangeMethod | None) -> tuple[np.ndarray, np.ndarray]:
     """Range of g over every level [los[i], his[i]] of a nested family.
 
-    ``plan`` is (values, point, extrema): g on an array, g on one float,
-    and g's interior minima and maxima as (x, g(x)) pairs, or None.  Each
+    ``plan`` is (values, point, extrema, known): g on an array, g on one
+    float, g's interior minima and maxima as (x, g(x)) pairs, or None, and
+    g's values already taken at some points, or None (see _scan_values).  Each
     level starts from the extremes of g at its two endpoints.  A stated
     value is exact, so it replaces that end on every level holding its
     argument (a prefix of the family); ((), ()) ranges a monotone g from
     its ends alone.  With extrema None, one scan of the support
-    [los[0], his[0]] by ``method`` (default RangeMethod()) finds the local
-    extrema of g, each refined once through ``point`` (a NaN raises
-    DomainError); each refined value is folded into the last level j(x)
-    holding it, and a reverse running min/max hands every level the
-    extremes over itself and the levels inside it.  Every reported value
-    is taken by g inside its level.  Time and memory are O(samples + K).
+    [los[0], his[0]] by ``method`` (default RangeMethod()), which reuses
+    ``known`` where it can, finds the local extrema of g, each refined
+    once through ``point`` (a NaN raises DomainError); each refined value
+    is folded into the last level j(x) holding it, and a reverse running
+    min/max hands every level the extremes over itself and the levels
+    inside it.  Every reported value is taken by g inside its level.
+    Time and memory are O(samples + K).
     """
-    values, point, extrema = plan
+    values, point, extrema, known = plan
     at_lo = values(los)
     at_hi = values(his)
     lows = np.minimum(at_lo, at_hi)
@@ -181,7 +205,7 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
     method = method or RangeMethod()
     if his[0] > los[0]:
         xs = _linspace(los[0], his[0], method.samples)
-        ys = values(xs)
+        ys = _scan_values(values, xs, known)
         if np.isnan(ys).any():
             raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
 
@@ -218,7 +242,7 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
     on iv.
     """
     values = lambda xs: np.fromiter(map(g, xs.tolist()), float, xs.size)
-    lo, hi = _range_levels((values, g, _scanned(method)), np.array([iv.lo]),
+    lo, hi = _range_levels((values, g, _scanned(method), None), np.array([iv.lo]),
                            np.array([iv.hi]), method)
     return Interval(float(lo[0]), float(hi[0]))
 
@@ -283,16 +307,24 @@ def _monotone_on(f: CorrelationFunction, op: str, support: Interval) -> bool:
     return sf != 0 and increasing == (sx == sf)
 
 
-def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMethod | None):
+def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMethod | None,
+           checked=None):
     """The range plan for op under f on the support, as _range_levels
-    takes it: g = x + f(x) or x * f(x) on an array, g on one float, and
-    the interior extrema g is ranged from, None when g is scanned.
+    takes it: g = x + f(x) or x * f(x) on an array, g on one float, the
+    interior extrema g is ranged from, None when g is scanned, and g at
+    the points of ``checked``, the samples (xs, f(xs)) that f.check_on
+    took, for the scan to reuse (None without them).
 
     A linear or hyperbolic f gives one expression in x, q and r, taking
     arrays and floats alike, whose stationary points are stated and taken,
-    with no scan, unless a numeric method is passed.  A custom f whose
-    declared direction proves g monotone (see _monotone_on) has no
-    interior extrema, ((), ()), when the method is None or analytic.  Any
+    with no scan, unless a numeric method is passed.  With no method or
+    an analytic one, a custom f has no scan in two cases.  Where its
+    declared direction proves g monotone (see _monotone_on) g has no
+    interior extrema, ((), ()).  For a product over a support with
+    lo < 0 < hi, fn(0.0) is called once; if it is 0, f keeps one sign on
+    each side of 0, so g = x * f(x) does too and |g| = |x| |f| grows away
+    from 0 on both sides: g(0) = 0 is g's minimum for an increasing f and
+    its maximum for a decreasing one, stated as (0.0, 0.0 * fn(0.0)).  Any
     other custom f is scanned by the numeric method passed, or by the
     default one; an analytic method raises ValueError for it.  The
     operations and oracle_check ask this one function.
@@ -301,17 +333,25 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
     if f.family == "custom":
         fn = f.fn
 
-        def values(xs):
-            ys = f.values(xs)
+        def combined(xs, ys):
             # past the float range x + f(x) is inf, as with Python floats, and
             # the caller reports the non-finite level
             with np.errstate(over="ignore", invalid="ignore"):
                 return xs + ys if op == "sum" else xs * ys
 
+        values = lambda xs: combined(xs, f.values(xs))
         point = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
-        if not numeric and _monotone_on(f, op, support):
-            return values, point, ((), ())
-        return values, point, _scanned(method)
+        if not numeric:
+            if _monotone_on(f, op, support):
+                return values, point, ((), ()), None
+            if op == "product" and support.lo < 0.0 < support.hi:
+                y0 = float(fn(0.0))
+                if y0 == 0.0:
+                    zero = ((0.0, 0.0 * y0),)
+                    extrema = (zero, ()) if f.direction == INCREASING else ((), zero)
+                    return values, point, extrema, None
+        known = None if checked is None else (checked[0], combined(*checked))
+        return values, point, _scanned(method), known
     q, r = f.q, f.r
     minima = maxima = ()
     if f.family == "linear" and op == "sum":
@@ -331,14 +371,14 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
     else:
         # x * (q/x + r) collapses to r*x + q
         g = lambda x: r * x + q
-    return g, g, None if numeric else (minima, maxima)
+    return g, g, None if numeric else (minima, maxima), None
 
 
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
     sup = a.support
-    f.check_on(sup)
-    return FuzzyNumber(*_range_levels(_route(f, op, sup, method), a.los, a.his, method))
+    plan = _route(f, op, sup, method, f.check_on(sup))
+    return FuzzyNumber(*_range_levels(plan, a.los, a.his, method))
 
 
 def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,
@@ -363,8 +403,13 @@ def correlated_product(a: FuzzyNumber, f: CorrelationFunction,
     The correlated product lies inside standard_product(a,
     induced_number(a, f)) (the paper's containment theorem).  A custom f
     is ranged from its 2(K+1) endpoint values with no scan when method is
-    None, the support and f each keep one sign on it, and |x| and |f|
-    move together, which makes x * f(x) monotone; otherwise it is scanned.
+    None or analytic, the support and f each keep one sign on it, and |x|
+    and |f| move together, which makes x * f(x) monotone.  On a support
+    across zero with f(0) = 0 (fn(0.0) is called once to read it),
+    x * f(x) keeps one sign and its size falls towards 0 from both sides:
+    the levels holding 0 take 0 as their lower end for an increasing f,
+    their upper end for a decreasing one, again with no scan.  Otherwise
+    it is scanned.
     """
     return _correlated(a, f, "product", method)
 

@@ -102,19 +102,25 @@ class CorrelationFunction:
                 f"{self.name or self.family} correlation leaves the float range "
                 f"on [{iv.lo:g}, {iv.hi:g}]")
 
-    def check_on(self, iv: Interval) -> None:
+    def check_on(self, iv: Interval):
         """Raise unless the function may be applied on iv: DomainError
         outside its domain, and for a custom function, sample-checked by
         check_monotone, MonotonicityError unless it is strictly monotone
-        in its declared direction."""
+        in its declared direction.
+
+        Returns the check's samples (xs, f(xs)) for a custom function, None
+        for the others and for a point interval: the correlated engine's
+        scan takes f at those points from them instead of calling fn again.
+        """
         if self.family != "custom":
             self.require_on(iv)
-            return
-        found = check_monotone(self, iv)
+            return None
+        found, samples = check_monotone(self, iv, _samples=True)
         if found != self.direction:
             raise MonotonicityError(
                 f"custom correlation declared {self.direction} but samples "
                 f"{found} on [{iv.lo:g}, {iv.hi:g}]")
+        return samples
 
     def to_json(self):
         """JSON form; the named aliases serialize as bare strings."""
@@ -221,17 +227,19 @@ def correlation_from_json(obj) -> CorrelationFunction:
 # -- checks and application ----------------------------------------------------
 
 
-def check_monotone(f: CorrelationFunction, iv: Interval) -> str:
+def check_monotone(f: CorrelationFunction, iv: Interval, *, _samples: bool = False):
     """Verify strict monotonicity of f on an interval by sampling it at
     MONOTONE_CHECK_SAMPLES equispaced points.
 
     Returns the detected direction.  Raises MonotonicityError when the
     sampled values are not strictly ordered, and DomainError when the
     interval leaves the function's domain or a sampled value is not finite.
+    CorrelationFunction.check_on passes _samples=True and takes the
+    direction with the samples (xs, f(xs)), None for a point interval.
     """
     f.require_on(iv)
     if iv.width == 0.0:
-        return f.direction
+        return (f.direction, None) if _samples else f.direction
     xs = _linspace(iv.lo, iv.hi, MONOTONE_CHECK_SAMPLES)
     ys = f.values(xs)
     bad = ~np.isfinite(ys)
@@ -242,12 +250,14 @@ def check_monotone(f: CorrelationFunction, iv: Interval) -> str:
             f"sample on [{iv.lo:g}, {iv.hi:g}]")
     d = np.diff(ys)
     if np.all(d > 0):
-        return INCREASING
-    if np.all(d < 0):
-        return DECREASING
-    raise MonotonicityError(
-        f"{f!r} is not strictly monotone on [{iv.lo:g}, {iv.hi:g}] "
-        f"({MONOTONE_CHECK_SAMPLES} samples)")
+        found = INCREASING
+    elif np.all(d < 0):
+        found = DECREASING
+    else:
+        raise MonotonicityError(
+            f"{f!r} is not strictly monotone on [{iv.lo:g}, {iv.hi:g}] "
+            f"({MONOTONE_CHECK_SAMPLES} samples)")
+    return (found, (xs, ys)) if _samples else found
 
 
 def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:

@@ -240,15 +240,17 @@ def per_point_evaluation():
     ``reference_correlation_values``, and the range engine point by point,
     one ``point(float(x))`` per array element through a generator, where
     ``point`` is the one-float g of the plan it runs (x + fn(x) or
-    x * fn(x) for a custom f).  The plans of the correlated operations and
-    of range_over_interval are all run by ``_range_levels``, so wrapping it
-    covers both."""
+    x * fn(x) for a custom f).  The plan keeps the values of g that the
+    monotonicity check already gave, so a scan calls ``point`` in order at
+    its points off the check's grid only, as the library calls fn.  The
+    plans of the correlated operations and of range_over_interval are all
+    run by ``_range_levels``, so wrapping it covers both."""
     range_levels = arithmetic._range_levels
 
     def per_point(plan, los, his, method):
-        _, point, extrema = plan
+        _, point, extrema, known = plan
         values = lambda xs: np.fromiter((point(float(x)) for x in xs), float, xs.size)
-        return range_levels((values, point, extrema), los, his, method)
+        return range_levels((values, point, extrema, known), los, his, method)
 
     with mock.patch.object(arithmetic, "_range_levels", per_point), \
             mock.patch.object(CorrelationFunction, "values", reference_correlation_values):

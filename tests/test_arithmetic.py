@@ -40,6 +40,7 @@ from fuzzyarith import (
     triangular,
 )
 
+from fuzzyarith import arithmetic
 from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
 
 from helpers import (assert_levels_match_scan, dense_range, per_point_evaluation, random_shape,
@@ -495,10 +496,19 @@ def test_analytic_request_takes_the_endpoint_route_when_it_proves_monotone(op):
     assert res.los.tobytes() == default.los.tobytes()
     assert res.his.tobytes() == default.his.tobytes()
     # a decreasing f proves nothing for a sum, nor for a product across zero
+    # with f(0) != 0
     with pytest.raises(ValueError, match="^analytic range requested but the function "
                                          "states no extrema; use a numeric RangeMethod$"):
-        op(triangular(-1.0, 0.0, 1.0), custom(lambda x: -x**3, "decreasing"),
+        op(triangular(-1.0, 0.0, 1.0), custom(lambda x: -x**3 - 1.0, "decreasing"),
            RangeMethod(mode="analytic"))
+    # a product across zero with f(0) = 0 states its extremum g(0)
+    across = triangular(-1.0, 0.0, 1.0)
+    cube = custom(lambda x: -x**3, "decreasing")
+    res = correlated_product(across, cube, RangeMethod(mode="analytic"))
+    default = correlated_product(across, cube)
+    assert res.los.tobytes() == default.los.tobytes()
+    assert res.his.tobytes() == default.his.tobytes()
+    assert res.his[0] == 0.0 and res.los[0] == -1.0
     doc = " ".join(RangeMethod.__doc__.split())
     assert "With no method passed, or an analytic one," in doc
     assert "analytic method on any other custom correlation raises ValueError" in doc
@@ -891,8 +901,9 @@ def test_nan_in_the_scan_raises_domain_error():
 
 def test_nan_in_the_refinement_raises_domain_error():
     a = triangular(-1.0, 0.5, 2.0)
-    # the monotonicity check, the level ends and the scan come first
-    before = MONOTONE_CHECK_SAMPLES + 2 * (a.k + 1) + RangeMethod().samples
+    # the check, the level ends and the scan's points off the check's grid
+    # come first: one call per scan point and two per level
+    before = RangeMethod().samples + 2 * (a.k + 1)
     calls = []
 
     def fn(x):
@@ -905,15 +916,15 @@ def test_nan_in_the_refinement_raises_domain_error():
 
 
 def test_nan_the_refinement_meets_but_does_not_return_raises_domain_error():
-    # calls 1485 on are the refinement's; the bracket would move past these
+    # calls 1228 on are the refinement's; the bracket would move past these
     calls = []
 
     def fn(x):
         calls.append(x)
-        return math.nan if 1490 <= len(calls) <= 1492 else -x**3 - x
+        return math.nan if 1233 <= len(calls) <= 1235 else -x**3 - x
     with pytest.raises(DomainError) as info:
         correlated_sum(triangular(-1.0, 0.5, 2.0), custom(fn, "decreasing"))
-    assert str(info.value) == (f"g gives nan at x = {calls[1489]:.12g}, the first NaN "
+    assert str(info.value) == (f"g gives nan at x = {calls[1232]:.12g}, the first NaN "
                                f"refined value on [-1, 2]")
 
 
@@ -1117,3 +1128,107 @@ def test_custom_levels_match_per_point_evaluation_bit_for_bit(case, method):
     with per_point_evaluation():
         want = _outcome(lambda: range_over_interval(ref_g, a.support, RangeMethod(samples=65)))
     assert got == want and log == ref_log
+
+
+def _logged(fn):
+    """fn and the list of the x it is called at."""
+    log = []
+
+    def call(x):
+        log.append(x)
+        return fn(x)
+    return call, log
+
+
+@pytest.mark.parametrize("samples, reused", [(1025, True), (2049, True), (257, True),
+                                             (129, False), (1000, False)])
+def test_the_scan_takes_f_at_the_check_points_from_the_check(samples, reused):
+    a = triangular(-1.0, 0.5, 2.0)
+    fn = lambda x: -x**3 - x
+    method = None if samples == 1025 else RangeMethod(samples=samples)
+    logged, log = _logged(fn)
+    res = correlated_sum(a, custom(logged, "decreasing"), method)
+    # every scan point evaluated afresh, as without the check's samples
+    parent, parent_log = _logged(fn)
+    with mock.patch.object(arithmetic, "_scan_values", lambda values, xs, known: values(xs)):
+        want = correlated_sum(a, custom(parent, "decreasing"), method)
+    assert res.los.tobytes() == want.los.tobytes()
+    assert res.his.tobytes() == want.his.tobytes()
+    if not reused:
+        assert log == parent_log
+        return
+    assert len(parent_log) - len(log) == MONOTONE_CHECK_SAMPLES
+    start = MONOTONE_CHECK_SAMPLES + 2 * (a.k + 1)
+    check, scan = log[:MONOTONE_CHECK_SAMPLES], log[start:start + samples - MONOTONE_CHECK_SAMPLES]
+    # f is called at no x twice across the check and the scan, and the scan
+    # calls it in order at the grid points the check did not take
+    assert not set(check) & set(scan)
+    assert scan == sorted(set(scan))
+    assert sorted(check + scan) == parent_log[start:start + samples]
+
+
+def test_a_product_across_zero_with_f_of_zero_zero_states_its_extremum():
+    logged, log = _logged(lambda x: x**3 + x)
+    a = triangular(-1.0, 0.3, 2.0)
+    res = correlated_product(a, custom(logged, "increasing"))
+    assert res.support == Interval(0.0, 20.0)
+    assert len(log) == MONOTONE_CHECK_SAMPLES + 1 + 2 * (a.k + 1)
+    assert log[MONOTONE_CHECK_SAMPLES] == 0.0
+    # a scan misses the minimum
+    scanned = correlated_product(a, custom(lambda x: x**3 + x, "increasing"), RangeMethod())
+    assert scanned.support.lo == 7.285324543457025e-23
+
+
+# Strictly monotone increasing h with h(0) = 0.
+_THROUGH_ZERO = {"cubic": lambda u: u**3 + u, "line": lambda u: u, "atan": math.atan,
+                 "sinh": math.sinh}
+
+
+def _product_scan(fn):
+    """x * fn(x) on an array, one float call of fn per point."""
+    return lambda xs: xs * np.array([float(fn(float(x))) for x in xs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_THROUGH_ZERO)), st.floats(0.1, 3.0), st.floats(0.1, 1.5),
+       st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+       st.floats(0.05, 4.0), st.floats(0.05, 4.0), st.floats(0.0, 1.0),
+       st.sampled_from([1, 7, 30]))
+def test_products_across_zero_with_f_of_zero_zero_hold_a_dense_scan(name, c, s, c_sign, s_sign,
+                                                                   left, right, peak, grid):
+    h = _THROUGH_ZERO[name]
+    c, s = c * c_sign, s * s_sign
+    fn = lambda x: c * h(s * x)
+    direction = "increasing" if c * s > 0 else "decreasing"
+    logged, log = _logged(fn)
+    a = triangular(-left, -left + peak * (left + right), right, grid=grid)
+    res = correlated_product(a, custom(logged, direction))
+    # the stated route: the check, f(0) and the level ends, with no scan
+    assert len(log) == MONOTONE_CHECK_SAMPLES + 1 + 2 * (a.k + 1)
+    assert_levels_match_scan(res, a, _product_scan(fn), n=401)
+    # every level holding 0 has its end on g's side of 0 exactly g(0)
+    at_zero = 0.0 * fn(0.0)
+    ends = res.los if direction == "increasing" else res.his
+    held = ends[(a.los <= 0.0) & (0.0 <= a.his)].tolist()
+    assert held
+    assert all(end == at_zero and math.copysign(1.0, end) == math.copysign(1.0, at_zero)
+               for end in held)
+
+
+def test_a_zero_cut_without_its_f_of_zero_test_fails_the_dense_scan_property():
+    route = arithmetic._route
+
+    def stated_zero(f, op, support, method, checked=None):
+        values, point, _, _ = route(f, op, support, method, checked)
+        zero = ((0.0, 0.0),)
+        return values, point, (zero, ()) if f.direction == "increasing" else ((), zero), None
+
+    # every level holds 0, so the mutant's levels still nest
+    a = triangular(-1.0, 0.0, 2.0, grid=30)
+    fn = lambda x: math.atan(x - 0.5)
+    f = custom(fn, "increasing")
+    assert_levels_match_scan(correlated_product(a, f), a, _product_scan(fn), n=401)
+    with mock.patch.object(arithmetic, "_route", stated_zero):
+        mutant = correlated_product(a, f)
+    with pytest.raises(AssertionError):
+        assert_levels_match_scan(mutant, a, _product_scan(fn), n=401)
