@@ -105,26 +105,19 @@ def _golden_min(g, a: float, b: float) -> tuple[float, float]:
 
 
 def _local_min_indices(ys: np.ndarray) -> np.ndarray:
-    """Sample indices worth refining, plateau runs collapsed to one entry.
+    """Indices of the samples no larger than either neighbour, for ys with
+    no NaN, each run of such samples collapsed to its first index.
 
-    Boundary samples count as local minima too: an interior extremum less
-    than one sample gap from an endpoint shows up only there.  The first
-    index of the smallest sample is always kept: its predecessor is larger.
+    ys is padded with +inf at both ends, so a boundary sample qualifies by
+    the same rule: an interior extremum less than one sample gap from an
+    endpoint shows up only there.  The first index of the smallest sample
+    always qualifies, so the result is never empty.
     """
-    n = ys.size
-    inner = np.arange(1, n - 1)
-    mask = (ys[1:-1] <= ys[:-2]) & (ys[1:-1] <= ys[2:])
-    idx = inner[mask]
-    if ys[0] <= ys[1]:
-        idx = np.append(0, idx)
-    if ys[n - 1] <= ys[n - 2]:
-        idx = np.append(idx, n - 1)
-    if idx.size:
-        keep = np.empty(idx.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(idx) > 1
-        idx = idx[keep]
-    return idx
+    padded = np.concatenate(([math.inf], ys, [math.inf]))
+    mid = padded[1:-1]
+    low = (mid <= padded[:-2]) & (mid <= padded[2:])
+    low[1:] &= ~low[:-1]
+    return np.flatnonzero(low)
 
 
 def _refined_minima(g, xs: np.ndarray, ys: np.ndarray):
@@ -250,23 +243,24 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
 # -- standard (non-interactive) operations --------------------------------------
 
 
-def _common_grid(a: FuzzyNumber, b: FuzzyNumber) -> tuple[FuzzyNumber, FuzzyNumber]:
-    if a.k == b.k:
-        return a, b
-    k = max(a.k, b.k)
-    return a.resample(k), b.resample(k)
+def _same_grid(x: FuzzyNumber, y: FuzzyNumber) -> None:
+    """ValueError unless x and y lie on the same alpha grid."""
+    if x.k != y.k:
+        raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
 
 
 def standard_sum(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
-    """Levelwise interval sum; operands on different grids are re-sampled
-    onto the finer one."""
-    a, b = _common_grid(a, b)
+    """Levelwise interval sum of two fuzzy numbers on the same grid;
+    operands on different grids raise ValueError (a.resample(K) changes
+    the grid)."""
+    _same_grid(a, b)
     return FuzzyNumber(a.los + b.los, a.his + b.his)
 
 
 def standard_product(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
-    """Levelwise interval product (extrema over the four endpoint products)."""
-    a, b = _common_grid(a, b)
+    """Levelwise interval product (extrema over the four endpoint products)
+    of two fuzzy numbers on the same grid, as standard_sum."""
+    _same_grid(a, b)
     p1 = a.los * b.los
     p2 = a.los * b.his
     p3 = a.his * b.los
@@ -303,7 +297,7 @@ def _monotone_on(f: CorrelationFunction, op: str, support: Interval) -> bool:
     sx = _one_sign(support.lo, support.hi)
     if sx == 0:
         return False
-    sf = _one_sign(f.fn(support.lo), f.fn(support.hi))
+    sf = _one_sign(float(f.fn(support.lo)), float(f.fn(support.hi)))
     return sf != 0 and increasing == (sx == sf)
 
 
@@ -340,7 +334,7 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
                 return xs + ys if op == "sum" else xs * ys
 
         values = lambda xs: combined(xs, f.values(xs))
-        point = (lambda x: x + fn(x)) if op == "sum" else (lambda x: x * fn(x))
+        point = (lambda x: x + float(fn(x))) if op == "sum" else (lambda x: x * float(fn(x)))
         if not numeric:
             if _monotone_on(f, op, support):
                 return values, point, ((), ()), None
@@ -559,8 +553,7 @@ def compare_levels(x: FuzzyNumber, y: FuzzyNumber,
     if not (isinstance(x, FuzzyNumber) and isinstance(y, FuzzyNumber)):
         raise TypeError(f"compare_levels needs two FuzzyNumbers, got "
                         f"{type(x).__name__} and {type(y).__name__}")
-    if x.k != y.k:
-        raise ValueError(f"grid mismatch: K={x.k} vs K={y.k}; resample first")
+    _same_grid(x, y)
     if not tol >= 0:
         raise ValueError(f"tol must be non-negative, got {tol!r}")
     return _level_rows(x, y, *_compared(x, y, tol))

@@ -124,17 +124,6 @@ class FuzzyNumber:
         """The closed level at alpha = 1."""
         return Interval(self._los[-1], self._his[-1])
 
-    @property
-    def is_nested(self) -> bool:
-        """Exact nestedness check of the stored family; neighbours are
-        compared, not subtracted, so a step past the float range is fine."""
-        los, his = self._los, self._his
-        return bool(
-            np.all(los[1:] >= los[:-1])
-            and np.all(his[1:] <= his[:-1])
-            and np.all(los <= his)
-        )
-
     def level(self, i: int) -> Interval:
         """The stored level at grid node i (alpha = i / K)."""
         return Interval(self._los[i], self._his[i])
@@ -278,17 +267,13 @@ def _checked_and_repaired(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray,
         i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
         raise ValueError(f"level endpoints must be finite; the level at alpha "
                          f"{i / (los.size - 1):g} is [{los[i]:g}, {his[i]:g}]")
-    # a sum or difference past the float range is +-inf and still
-    # compares right; the scaled slack is only worked out for ends that
-    # NEST_TOL alone would reject
+    tol = _scaled_slack(los, his)
+    # a sum or difference past the float range is +-inf and still compares right
     with np.errstate(over="ignore"):
-        if np.any(los > his + NEST_TOL) and np.any(los > his + _scaled_slack(los, his)):
+        if np.any(los > his + tol):
             raise ValueError("level lower endpoint exceeds upper endpoint")
-        dlo, dhi = np.diff(los), np.diff(his)
-        if np.any(dlo < -NEST_TOL) or np.any(dhi > NEST_TOL):
-            tol = _scaled_slack(los, his)
-            if np.any(dlo < -tol) or np.any(dhi > tol):
-                raise ValueError("levels are not nested")
+        if np.any(np.diff(los) < -tol) or np.any(np.diff(his) > tol):
+            raise ValueError("levels are not nested")
 
     # Repair float-scale slack so the stored family is exactly nested.
     los = np.maximum.accumulate(los)
@@ -420,11 +405,15 @@ def _sides(a: float, b: float, c: float, d: float,
     operands and doubled, which is exact at those magnitudes; the halved
     side is held to its halved inner end, past which rounding can carry it
     and the doubling overflow.  The parameters are taken as Python floats,
-    so that a numpy float32 one is not compared in float32."""
+    so that a numpy float32 one is not compared in float32.  Off the
+    halved path the alpha = 1 ends are b and c themselves, which
+    a + 1*(b - a) and d - 1*(d - c) can miss by rounding."""
     al = np.linspace(0.0, 1.0, _grid_size(grid) + 1)
     a, b, c, d = float(a), float(b), float(c), float(d)
     if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
-        return a + al * (b - a), d - al * (d - c)
+        lo, hi = a + al * (b - a), d - al * (d - c)
+        lo[-1], hi[-1] = b, c
+        return lo, hi
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = a + al * (b - a), d - al * (d - c)
         if not math.isfinite(lo[0]):

@@ -211,16 +211,23 @@ def test_standard_ops_cover_every_pair_of_member_points(pa, pb, grid, fractions)
     assert (p.los == corners).any(axis=0).all() and (p.his == corners).any(axis=0).all()
 
 
-def test_standard_ops_resample_mismatched_grids():
+def test_standard_ops_reject_mismatched_grids():
     a = triangular(1.0, 2.0, 3.0, grid=50)
     b = triangular(3.0, 5.0, 7.0, grid=100)
-    s = standard_sum(a, b)
+    for op in (standard_sum, standard_product):
+        with pytest.raises(ValueError, match=r"^grid mismatch: K=50 vs K=100; resample first$"):
+            op(a, b)
+        with pytest.raises(ValueError, match=r"^grid mismatch: K=100 vs K=50; resample first$"):
+            op(b, a)
+    # resampled by hand, the operands give what the finer grid gave before
+    s = standard_sum(a.resample(100), b)
     assert s.k == 100
-    want = standard_sum(a.resample(100), b)
-    assert s.approx_equal(want, tol=1e-12)
-    p = standard_product(b, a)
+    assert np.allclose(s.los, 4.0 + 3.0 * s.alphas, rtol=0.0, atol=1e-12)
+    assert np.allclose(s.his, 10.0 - 3.0 * s.alphas, rtol=0.0, atol=1e-12)
+    p = standard_product(b, a.resample(100))
     assert p.k == 100
-    assert p.approx_equal(standard_product(b, a.resample(100)), tol=1e-12)
+    assert np.allclose(p.los, (3.0 + 2.0 * p.alphas) * (1.0 + p.alphas), rtol=0.0, atol=1e-12)
+    assert np.allclose(p.his, (7.0 - 2.0 * p.alphas) * (3.0 - p.alphas), rtol=0.0, atol=1e-12)
 
 
 def test_correlated_sum_linear_formula():
@@ -294,7 +301,6 @@ def test_correlated_product_minimum_at_core_is_nested(fn, g):
     # return lower ends that wiggled past the nest repair
     a = triangular(-2.0, 0.0, 1.0)
     p = correlated_product(a, custom(fn, "increasing"))
-    assert p.is_nested
     for i in range(a.k + 1):
         want = dense_range(g, a.los[i], a.his[i], n=20001)
         assert p.los[i] == pytest.approx(want[0], abs=1e-7)
@@ -307,7 +313,6 @@ def test_correlated_sum_keeps_every_extremum_of_the_support():
     f = custom(lambda x: -x + 0.001 * x * math.sin(40.0 * x), "decreasing")
     a = triangular(0.0, 1.0, 10.0)
     s = correlated_sum(a, f)
-    assert s.is_nested
     for i in range(a.k + 1):
         want = dense_range(lambda x: 0.001 * x * np.sin(40.0 * x), a.los[i], a.his[i], n=50001)
         assert s.los[i] == pytest.approx(want[0], abs=1e-6)
@@ -366,7 +371,6 @@ def test_numeric_engine_on_random_monotone_compositions(case):
         (correlated_product, standard_product(a, b), lambda x: x * fn(x)),
     ):
         res = op(a, f)
-        assert res.is_nested
         tol = 1e-9 * (1.0 + np.maximum(np.abs(std.los), np.abs(std.his)))
         assert np.all(res.los >= std.los - tol)
         assert np.all(res.his <= std.his + tol)
@@ -587,7 +591,6 @@ def test_stated_extrema_near_stationary_points(case):
         (correlated_product, standard_product(a, b), lambda x: x * f(x)),
     ):
         res = op(a, f)
-        assert res.is_nested
         tol = 1e-9 * (1.0 + np.maximum(np.abs(std.los), np.abs(std.his)))
         assert np.all(res.los >= std.los - tol)
         assert np.all(res.his <= std.his + tol)
@@ -1025,6 +1028,33 @@ def test_custom_results_are_taken_with_float():
     assert res.los.tolist() == [x + float(f32(x)) for x in a.los.tolist()]
     res = correlated_product(a, custom(lambda x: Decimal(x) + 1, "increasing"))
     assert res.los.tolist() == [2.0, 3.75, 6.0]
+
+@pytest.mark.parametrize("lift", [float, Decimal, np.float32], ids=["float", "Decimal", "float32"])
+@pytest.mark.parametrize("a, op, h", [
+    (triangular(-1.0, 0.3, 2.0, grid=4), correlated_product, lambda t, lift: t + lift(0.5)),
+    (triangular(-1.0, 0.3, 2.0, grid=4), correlated_product, lambda t, lift: t**3 + t),
+    (triangular(0.5, 1.0, 2.0, grid=4), correlated_product, lambda t, lift: t + lift(0.5)),
+    (triangular(-1.0, 0.3, 2.0, grid=4), correlated_sum, lambda t, lift: t + lift(0.5)),
+], ids=["scanned", "zero-cut", "monotone-product", "monotone-sum"])
+def test_every_read_of_a_custom_f_takes_float(lift, a, op, h):
+    # fn computes in the number type lift gives; every value of it, at the
+    # level ends, the scan, the refinement and the sign reads, is float(fn(x))
+    fn = lambda x: h(lift(x), lift)
+    got = op(a, custom(fn, "increasing"))
+    want = op(a, custom(lambda x: float(fn(x)), "increasing"))
+    assert got.los.tobytes() == want.los.tobytes() and got.his.tobytes() == want.his.tobytes()
+
+
+def test_local_minima_match_their_definition(rng):
+    # an index qualifies when no neighbour is smaller, a missing one counting
+    # as +inf; of a run of qualifying indices only the first is kept
+    for _ in range(2000):
+        ys = rng.choice([-math.inf, -1.0, 0.0, 0.0, 1.0, 2.0, math.inf], int(rng.integers(2, 12)))
+        pad = [math.inf, *ys, math.inf]
+        low = [pad[i + 1] <= pad[i] and pad[i + 1] <= pad[i + 2] for i in range(ys.size)]
+        want = [i for i in range(ys.size) if low[i] and not (i and low[i - 1])]
+        assert arithmetic._local_min_indices(ys).tolist() == want
+
 
 def test_custom_level_ends_past_the_float_range_fail_without_a_warning():
     # no errstate: the suite turns a RuntimeWarning into an error

@@ -352,6 +352,21 @@ def test_validation_error_names_the_cause(argv, err, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["eval", "-e", "corr_sum(negation, tri(1,2,3))"],
+     "fuzzyarith: 'corr_sum' needs a fuzzy literal as its first operand at position 0\n"),
+    (["eval", "-e", "tri(1,2,3)", "--alphas", ","], "fuzzyarith: empty alpha list\n"),
+], ids=["correlation-first", "no-alphas"])
+def test_rejected_input_exits_1_naming_the_cause(argv, err, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_empty_entries_of_an_alpha_list_are_skipped(capsys):
+    assert main(["eval", "-e", "tri(1,2,3)", "--alphas", "0,,1"]) == 0
+    assert capsys.readouterr() == ("alpha\tlevel\n0\t[1, 3]\n1\t[2, 2]\n", "")
+
+
 class _Reached(ValueError):
     pass
 

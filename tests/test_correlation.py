@@ -136,6 +136,15 @@ def test_custom_declared_direction_must_match():
         induced_number(a, wrong)
 
 
+@pytest.mark.parametrize("fn, direction, message", [
+    (abs, "sideways", "direction must be 'increasing' or 'decreasing', got 'sideways'"),
+    (42, "increasing", "custom correlation needs a callable evaluator"),
+])
+def test_custom_rejects_a_bad_direction_or_evaluator(fn, direction, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        custom(fn, direction)
+
+
 def test_induced_linear_levels():
     a = triangular(1.0, 2.0, 3.0)
     b = induced_number(a, linear(2.0, 1.0))

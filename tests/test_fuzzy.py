@@ -132,7 +132,6 @@ def test_membership_crisp_point():
 
 def test_levels_are_nested_and_antitone():
     a = random_shape(np.random.default_rng(7))
-    assert a.is_nested
     for i in range(1, a.k + 1):
         assert a.level(i - 1).contains(a.level(i))
 
@@ -148,15 +147,32 @@ def test_constructor_repairs_tiny_violations():
     los = np.array([0.0, 0.5, 0.5 - 1e-13])
     his = np.array([3.0, 2.0, 1.0])
     a = FuzzyNumber(los, his)
-    assert a.is_nested
     assert a.los[2] >= a.los[1]
 
 
 def test_constructor_repairs_crossing_below_an_earlier_lower_end():
     # the crossed core's midpoint 5e-14 lies below the level before it
     a = from_levels([[0.0, 1.0], [1e-13, 0.5], [1e-13, 0.0]])
-    assert a.is_nested
     assert a.los[1] == a.los[2] == a.his[2] == 5e-14
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FuzzyNumber([0.0, 1.0], [1.0, 2.0, 3.0]),
+     "endpoint arrays must be 1-d and of equal length"),
+    (lambda: fuzzy_from_json([1, 2]), "expected an object describing a fuzzy number, got [1, 2]"),
+    (lambda: fuzzy_from_json({"K": 2, "levels": [[0, 1], [0, 1]]}),
+     "levels length 2 does not match K=2"),
+], ids=["ragged-ends", "json-list", "json-levels-vs-K"])
+def test_malformed_input_names_the_cause(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_numbers_on_other_grids_or_of_other_types_are_not_equal():
+    a = triangular(1.0, 2.0, 3.0, grid=4)
+    assert not a.approx_equal(a.resample(8))
+    assert a.__eq__(1) is NotImplemented
+    assert (a == 1) is False
 
 
 def test_constructor_rejects_crossed_endpoints():
@@ -553,10 +569,9 @@ def test_membership_merges_only_long_sorted_one_dimensional_points():
 
 @pytest.mark.parametrize("grid", [1, 2, 7, 100, 1000])
 def test_shapes_accept_their_own_rounding_at_large_magnitude(grid):
-    # the two ends of the core round about 7e-12 apart, one ulp at 1e5
+    # a + 1*(b - a) and c - 1*(c - b) round about 7e-12 apart, one ulp at 1e5
     for a in (triangular(-100000, 50000.7, 100000, grid=grid),
               trapezoidal(-100000, 50000.7, 50000.7, 100000, grid=grid)):
-        assert a.is_nested
         assert a.core.width == 0.0 and abs(a.core.lo - 50000.7) < 8 * np.spacing(1e5)
 
 
@@ -564,11 +579,11 @@ def test_crossed_ends_near_the_float_max_repair_to_a_finite_midpoint():
     # no errstate: the suite turns a RuntimeWarning into an error
     below = np.nextafter(1.7e308, 0.0)
     a = from_levels([[1e308, 1.75e308], [1.7e308, below]])
-    assert a.is_nested and np.isfinite(a.los).all() and np.isfinite(a.his).all()
+    assert np.isfinite(a.los).all() and np.isfinite(a.his).all()
     assert a.level(1) == Interval(1.7e308, 1.7e308)
     # the core ends of this triangle round one ulp apart, and sum past the float range
     b = triangular(5.177839041280705e307, 1.5201935638894034e308, 1.5798096581039267e308)
-    assert b.is_nested and b.core.width == 0.0
+    assert b.core.width == 0.0
     assert b.core.lo == np.nextafter(1.5201935638894034e308, math.inf)
 
 
@@ -597,10 +612,41 @@ def test_slack_at_the_largest_float_stays_finite():
 def test_shapes_accept_any_sorted_finite_parameters(params, grid):
     # no errstate: the suite turns a RuntimeWarning into an error
     a, b, c, d = sorted(params)
-    # a crossed core is repaired to its midpoint, which can widen the support
-    # by as much as the slack: trapezoidal(1, 1, 1, 2.0**53 + 4) rounds its
-    # upper core end to 0 and keeps [0.5, 2.0**53 + 4]
+    # a crossed level is repaired to its midpoint, which can widen the
+    # support by as much as the slack
     slack = NEST_ULPS * math.ulp(max(-a, d))
     for x in (triangular(a, b, d, grid=grid), trapezoidal(a, b, c, d, grid=grid)):
-        assert x.is_nested and np.isfinite(x.los).all() and np.isfinite(x.his).all()
+        assert np.isfinite(x.los).all() and np.isfinite(x.his).all()
         assert a - slack <= x.los[0] <= a and d <= x.his[0] <= d + slack
+
+
+def test_triangular_core_is_its_peak():
+    # a + 1*(b - a) and c - 1*(c - b) round away from b
+    assert triangular(-3.0, 0.1, 0.2, grid=4).core == Interval(0.1, 0.1)
+    assert triangular(0.0, 0.1, 3.0, grid=4).core == Interval(0.1, 0.1)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-_MAX, -1e300, -0.0, 0.0, 1e300, _MAX]),
+                min_size=4, max_size=4),
+       st.sampled_from([1, 2, 3, 7, 100]))
+@example([-3.0, 0.1, 0.1, 0.2], 4)
+@example([-100000.0, 50000.7, 50000.7, 100000.0], 100)
+@example([-6.288267534171607e16, -3.4014101754884144e16, -3.4014101754884144e16, _MAX], 2)
+def test_shape_cores_are_their_parameters_unless_repaired(params, grid):
+    # no errstate: the suite turns a RuntimeWarning into an error
+    a, b, c, d = sorted(params)
+    slack = max(NEST_TOL, NEST_ULPS * math.ulp(max(-a, d)))
+    # past half the float max a side wider than the float range is halved and
+    # held to its halved inner end, and the core ends are not set
+    halved = max(-a, d) > 0.5 * _MAX
+    for make, core in ((lambda: triangular(a, b, d, grid=grid), (b, b)),
+                       (lambda: trapezoidal(a, b, c, d, grid=grid), (b, c))):
+        with mock.patch.object(fuzzy, "_checked_and_repaired",
+                               wraps=fuzzy._checked_and_repaired) as repair:
+            x = make()
+        if repair.called or halved:
+            assert abs(x.core.lo - core[0]) <= slack and abs(x.core.hi - core[1]) <= slack
+        else:
+            assert x.core == Interval(*core)
