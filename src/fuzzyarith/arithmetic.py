@@ -8,6 +8,7 @@ over the level, either from closed-form critical points or numerically.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -517,14 +518,28 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
     are made by ``tuple.__new__`` straight from the zipped columns, without
     the validating constructor, and all of them are built before the call
     returns.
+
+    The build runs with the cyclic garbage collector paused, and its prior
+    state restored after, also when the build raises.  Rows hold only
+    floats, bools, None, a str and Intervals of floats, so they cannot form
+    a cycle and a collection during the build could free nothing.  Yet
+    CPython untracks only exact tuples, so the 3K + 3 named tuples kept
+    alive would start collections, full ones at K = 10000, that walk the
+    rows for nothing.
     """
     alphas, xlo, xhi, ylo, yhi, h, sub, eq = (
         c.tolist() for c in (x.alphas, x.los, x.his, y.los, y.his, hausdorff, subset, equal))
     new = tuple.__new__
     lefts = map(new, repeat(Interval), zip(xlo, xhi))
     rights = map(new, repeat(Interval), zip(ylo, yhi))
-    return list(map(new, repeat(LevelResult),
-                    zip(alphas, lefts, rights, h, sub, eq, repeat(method))))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(new, repeat(LevelResult),
+                        zip(alphas, lefts, rights, h, sub, eq, repeat(method))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _compared(x: FuzzyNumber, y: FuzzyNumber, tol: float):

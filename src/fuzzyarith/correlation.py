@@ -248,10 +248,10 @@ def check_monotone(f: CorrelationFunction, iv: Interval, *, _samples: bool = Fal
         raise DomainError(
             f"{f!r} gives {ys[i]} at x = {xs[i]:.12g}, the first non-finite "
             f"sample on [{iv.lo:g}, {iv.hi:g}]")
-    d = np.diff(ys)
-    if np.all(d > 0):
+    # comparing neighbours, not their differences, which can overflow
+    if np.all(ys[1:] > ys[:-1]):
         found = INCREASING
-    elif np.all(d < 0):
+    elif np.all(ys[1:] < ys[:-1]):
         found = DECREASING
     else:
         raise MonotonicityError(

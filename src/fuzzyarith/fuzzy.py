@@ -77,12 +77,16 @@ class FuzzyNumber:
         # Exactly nested input, checked in O(K): with neighbours ordered and
         # the core ordered, every end lies between the two support ends, so
         # finite support ends make every end finite (a NaN fails a
-        # comparison).  Such a family needs neither checks nor repair; the
-        # running extremes only copy it, bit for bit.
+        # comparison).  Such a family needs neither checks nor repair, and
+        # its running extremes would be the arrays themselves, bit for bit
+        # (on a tie np.maximum returns its second argument, so -0.0 after
+        # 0.0 stays -0.0).  It is stored as copies, since np.asarray may
+        # have returned the caller's own arrays and the stored ones are
+        # made read-only.
         if (los[-1] <= his[-1] and math.isfinite(los[0]) and math.isfinite(his[0])
                 and (los[1:] >= los[:-1]).all() and (his[1:] <= his[:-1]).all()):
-            los = np.maximum.accumulate(los)
-            his = np.minimum.accumulate(his)
+            los = los.copy()
+            his = his.copy()
         else:
             los, his = _checked_and_repaired(los, his)
         los.flags.writeable = False

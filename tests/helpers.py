@@ -1,6 +1,7 @@
 """Shared generators and reference computations for the test suite."""
 
 import contextlib
+import gc
 import math
 from unittest import mock
 
@@ -255,3 +256,22 @@ def per_point_evaluation():
     with mock.patch.object(arithmetic, "_range_levels", per_point), \
             mock.patch.object(CorrelationFunction, "values", reference_correlation_values):
         yield
+
+
+def collections_during(fn):
+    """fn() and the number of collections the cyclic garbage collector
+    started while it ran.  A full collection runs first, so that none is
+    due when fn starts (3.12 runs a due collection at its next check of
+    the eval loop, not at the allocation that made it due)."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        result = fn()
+    finally:
+        gc.callbacks.remove(count)
+    return result, len(starts)

@@ -125,6 +125,15 @@ def test_check_monotone_names_inf_value_and_first_sample():
         check_monotone(f, Interval(-2.0, 2.0))
 
 
+def test_check_monotone_compares_samples_whose_differences_overflow():
+    # the samples span past the float range, so their differences are +-inf
+    # with an overflow warning, which the suite turns into an error
+    f = custom(lambda x: 1.1e308 * math.atan(1e6 * x), "increasing")
+    b = induced_number(triangular(-1.0, 0.0, 1.5, grid=10), f)
+    assert b.support == Interval(1.1e308 * math.atan(-1e6), 1.1e308 * math.atan(1.5e6))
+    assert check_monotone(f, Interval(-1.0, 1.5)) == "increasing"
+
+
 def test_check_monotone_degenerate_interval():
     assert check_monotone(linear(2.0), Interval(1.0, 1.0)) == "increasing"
 

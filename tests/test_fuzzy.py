@@ -240,6 +240,50 @@ def test_constructor_matches_the_check_and_repair_reference(ends):
         assert arr.flags.writeable and arr.tobytes() == saved.tobytes()
 
 
+@st.composite
+def _nested_arrays(draw):
+    """Exactly nested ends with plateaus, equal neighbours and both signed
+    zeros: a sort keeps -0.0 and 0.0 in the order drawn."""
+    k = draw(st.sampled_from([1, 2, 5, 30]))
+    ends = st.sampled_from([-1.0, -0.0, 0.0, 2.0]) | st.floats(-4.0, 4.0)
+    pts = sorted(draw(st.lists(ends, min_size=2 * (k + 1), max_size=2 * (k + 1))))
+    return np.array(pts[:k + 1]), np.array(pts[k + 1:][::-1])
+
+
+def _assert_stored_apart_from_the_caller(los, his):
+    """FuzzyNumber(los, his) stores the running extremes of exactly nested
+    ends, sign bits included, and keeps them when the caller's arrays change
+    afterwards; those stay the caller's, writeable."""
+    a = FuzzyNumber(los, his)
+    want = np.maximum.accumulate(los).tobytes(), np.minimum.accumulate(his).tobytes()
+    assert (a.los.tobytes(), a.his.tobytes()) == want
+    assert los.flags.writeable and his.flags.writeable
+    los[:] = -7.0
+    his[:] = 7.0
+    assert (a.los.tobytes(), a.his.tobytes()) == want
+
+
+@settings(max_examples=150)
+@given(_nested_arrays())
+@example((np.array([0.0, -0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0, -0.0])))
+def test_exactly_nested_ends_are_stored_as_copies(ends):
+    _assert_stored_apart_from_the_caller(*ends)
+
+
+class _Aliased(np.ndarray):
+    """An array whose copy is itself."""
+
+    def copy(self, order="C"):
+        return self
+
+
+def test_a_constructor_that_stores_the_callers_array_fails_the_copy_check():
+    asarray = np.asarray
+    aliased = lambda a, dtype=None: asarray(a, dtype=dtype).view(_Aliased)
+    with mock.patch.object(fuzzy.np, "asarray", aliased), pytest.raises(AssertionError):
+        _assert_stored_apart_from_the_caller(np.array([0.0, 1.0]), np.array([3.0, 2.0]))
+
+
 def _outcome(fn):
     try:
         return fn()
