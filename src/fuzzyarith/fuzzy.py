@@ -189,7 +189,10 @@ class FuzzyNumber:
         with np.errstate(over="ignore", invalid="ignore"):
             nodes, base, step, seg = _curve_slots(los, his)
             at = _slot_reader(nodes, pts)
-            off = pts - at(base)
+            # at() reads into a fresh array, so each result is worked out in
+            # the array it came in, and gap is dropped before the next read
+            off = at(base)
+            np.subtract(pts, off, out=off)
             gap = at(step)
             if not math.isfinite(float(his[0]) - float(los[0])):
                 # a step or offset past the float range: the same ratio from
@@ -199,6 +202,7 @@ class FuzzyNumber:
                 gap = np.where(wide, at(half_step), gap)
                 off = np.where(wide, 0.5 * pts - at(half), off)
             off /= gap
+            del gap
             off += at(seg)
             off /= k
         undone = np.isnan(off)
@@ -336,7 +340,8 @@ def _slot_reader(nodes: np.ndarray, pts: np.ndarray):
     """
     if (pts.ndim == 1 and pts.size >= MERGE_MIN_RATIO * nodes.size
             and (pts[1:] >= pts[:-1]).all()):  # a NaN fails the order test
-        runs = np.diff(np.concatenate(([0], np.searchsorted(pts, nodes), [pts.size])))
+        ends = np.concatenate(([0], np.searchsorted(pts, nodes), [pts.size]))
+        runs = ends[1:] - ends[:-1]
         return lambda table: np.repeat(table, runs)
     j = np.searchsorted(nodes, pts, side="right")
     return lambda table: table.take(j)
@@ -358,7 +363,7 @@ def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
     reads 1 (-1 on the upper curve).
     """
     k = los.size - 1
-    rise, fall = np.diff(los), np.diff(his)[::-1]
+    rise, fall = los[1:] - los[:-1], (his[1:] - his[:-1])[::-1]
     return (np.concatenate((los, np.nextafter(his[::-1], math.inf))),
             np.concatenate((los[:1], los, his[-2::-1], his[:1])),
             np.concatenate((_INF, np.where(rise > 0.0, rise, 1.0), _INF,
@@ -409,21 +414,22 @@ def _sides(a: float, b: float, c: float, d: float,
     operands and doubled, which is exact at those magnitudes; the halved
     side is held to its halved inner end, past which rounding can carry it
     and the doubling overflow.  The parameters are taken as Python floats,
-    so that a numpy float32 one is not compared in float32.  Off the
-    halved path the alpha = 1 ends are b and c themselves, which
-    a + 1*(b - a) and d - 1*(d - c) can miss by rounding."""
+    so that a numpy float32 one is not compared in float32.  The alpha = 1
+    ends are b and c themselves, which a + 1*(b - a) and d - 1*(d - c) can
+    miss by rounding, and the halved side by far more; the clamps keep a
+    halved side within them, so the family stays nested."""
     al = np.linspace(0.0, 1.0, _grid_size(grid) + 1)
     a, b, c, d = float(a), float(b), float(c), float(d)
     if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
         lo, hi = a + al * (b - a), d - al * (d - c)
-        lo[-1], hi[-1] = b, c
-        return lo, hi
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = a + al * (b - a), d - al * (d - c)
-        if not math.isfinite(lo[0]):
-            lo = 2.0 * np.minimum(0.5 * a + al * (0.5 * b - 0.5 * a), 0.5 * b)
-        if not math.isfinite(hi[0]):
-            hi = 2.0 * np.maximum(0.5 * d - al * (0.5 * d - 0.5 * c), 0.5 * c)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = a + al * (b - a), d - al * (d - c)
+            if not math.isfinite(lo[0]):
+                lo = 2.0 * np.minimum(0.5 * a + al * (0.5 * b - 0.5 * a), 0.5 * b)
+            if not math.isfinite(hi[0]):
+                hi = 2.0 * np.maximum(0.5 * d - al * (0.5 * d - 0.5 * c), 0.5 * c)
+    lo[-1], hi[-1] = b, c
     return lo, hi
 
 

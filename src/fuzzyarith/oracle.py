@@ -40,9 +40,9 @@ class JointDistribution:
     def __post_init__(self) -> None:
         if not (self.xs.shape == self.mu.shape == self.ys.shape) or self.xs.ndim != 1:
             raise ValueError("xs, mu and ys must be 1-d arrays of one length")
-        if self.xs.size > 1 and not np.all(np.diff(self.xs) > 0):
+        if not (self.xs[1:] > self.xs[:-1]).all():  # a NaN fails the test
             raise ValueError("xs must be strictly increasing")
-        if np.any(self.mu < 0.0) or np.any(self.mu > 1.0):
+        if (self.mu < 0.0).any() or (self.mu > 1.0).any():
             raise ValueError("membership values must lie in [0, 1]")
 
 
@@ -99,17 +99,21 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     _check_op(op)
     z = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
     if z.size > 1:  # a NaN fails both tests
-        steps = np.diff(z)
+        steps = z[1:] - z[:-1]
         if (steps > MERGE_WINDOW).all():
             return SampledMembership(zs=z, mus=joint.mu)
         if (steps < -MERGE_WINDOW).all():
             return SampledMembership(zs=z[::-1], mus=joint.mu[::-1])
+        del steps
+    # each n-length array is dropped once it is read for the last time
     order = np.argsort(z, kind="stable")
     zs = z[order]
-    mus = joint.mu[order]
     if np.isnan(zs[-1:]).any():  # a NaN sorts last
         raise _nan_error(joint.xs, z, "oracle sample", (joint.xs[0], joint.xs[-1]))
-    apart = np.diff(zs) > MERGE_WINDOW
+    del z
+    mus = joint.mu[order]
+    del order
+    apart = zs[1:] - zs[:-1] > MERGE_WINDOW
     if apart.all():
         return SampledMembership(zs=zs, mus=mus)
     first = np.flatnonzero(np.concatenate(([True], apart)))
@@ -133,7 +137,9 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
     after it: the ends are found by K + 1 binary searches in the running
     maximum of the memberships from the first sample up to that peak, and
     in the one from the last sample back down to it, one pass over n + 1
-    samples in all, O(n + K log n) time and O(n + K) memory.
+    samples in all, O(n + K log n) time and O(n + K) memory.  A run that
+    is already in order is its own running maximum, since only the
+    searches read it, and is searched as it stands.
     """
     k = _grid_size(DEFAULT_GRID_K if grid is None else grid)
     if delta is None:
@@ -159,8 +165,13 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
         # the thresholds rise with alpha, so the top level is the first to empty
         if mus[peak] < thresholds[-1]:
             raise ValueError("a level set came out empty; inconsistent membership input")
-    first = np.searchsorted(np.maximum.accumulate(mus[:peak + 1]), thresholds)
-    last = mus.size - 1 - np.searchsorted(np.maximum.accumulate(mus[peak:][::-1]), thresholds)
+    rise, fall = mus[:peak + 1], mus[peak:]
+    if not (rise[1:] >= rise[:-1]).all():
+        rise = np.maximum.accumulate(rise)
+    # fall is read from its last sample back, and tested forwards, which is faster
+    fall = fall[::-1] if (fall[1:] <= fall[:-1]).all() else np.maximum.accumulate(fall[::-1])
+    first = np.searchsorted(rise, thresholds)
+    last = mus.size - 1 - np.searchsorted(fall, thresholds)
     return FuzzyNumber(zs[first], zs[last])
 
 
@@ -210,7 +221,8 @@ def _auto_delta(joint: JointDistribution) -> float:
     """
     if joint.mu.size < 2:
         return MERGE_WINDOW
-    quantum = float(np.abs(np.diff(joint.mu)).max())
+    steps = joint.mu[1:] - joint.mu[:-1]
+    quantum = float(max(steps.max(), -steps.min()))  # the largest |step|; a NaN step gives NaN
     short = 1.0 - float(joint.mu.max())
     return max(0.5 * quantum, short + MERGE_WINDOW, MERGE_WINDOW)
 

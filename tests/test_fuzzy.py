@@ -625,10 +625,21 @@ def test_crossed_ends_near_the_float_max_repair_to_a_finite_midpoint():
     a = from_levels([[1e308, 1.75e308], [1.7e308, below]])
     assert np.isfinite(a.los).all() and np.isfinite(a.his).all()
     assert a.level(1) == Interval(1.7e308, 1.7e308)
-    # the core ends of this triangle round one ulp apart, and sum past the float range
+    # a + 1*(b - a) rounds one ulp above this triangle's peak, which would
+    # cross c and sum past the float range; the core is set to the peak
     b = triangular(5.177839041280705e307, 1.5201935638894034e308, 1.5798096581039267e308)
-    assert b.core.width == 0.0
-    assert b.core.lo == np.nextafter(1.5201935638894034e308, math.inf)
+    assert b.core == Interval(1.5201935638894034e308, 1.5201935638894034e308)
+
+
+def test_a_halved_side_ends_at_its_parameter():
+    # the upper side is wider than the float range and halved, and rounding
+    # carried its alpha = 1 end from c to 0.0, 3.4e16 past the peak
+    with mock.patch.object(fuzzy, "_checked_and_repaired",
+                           wraps=fuzzy._checked_and_repaired) as repair:
+        a = triangular(-6.288267534171607e16, -3.4014101754884144e16, _MAX, grid=2)
+    assert not repair.called  # exactly nested as built
+    assert a.core == Interval(-3.4014101754884144e16, -3.4014101754884144e16)
+    assert a.support == Interval(-6.288267534171607e16, _MAX)
 
 
 def test_slack_at_the_largest_float_stays_finite():
@@ -682,15 +693,12 @@ def test_shape_cores_are_their_parameters_unless_repaired(params, grid):
     # no errstate: the suite turns a RuntimeWarning into an error
     a, b, c, d = sorted(params)
     slack = max(NEST_TOL, NEST_ULPS * math.ulp(max(-a, d)))
-    # past half the float max a side wider than the float range is halved and
-    # held to its halved inner end, and the core ends are not set
-    halved = max(-a, d) > 0.5 * _MAX
     for make, core in ((lambda: triangular(a, b, d, grid=grid), (b, b)),
                        (lambda: trapezoidal(a, b, c, d, grid=grid), (b, c))):
         with mock.patch.object(fuzzy, "_checked_and_repaired",
                                wraps=fuzzy._checked_and_repaired) as repair:
             x = make()
-        if repair.called or halved:
+        if repair.called:
             assert abs(x.core.lo - core[0]) <= slack and abs(x.core.hi - core[1]) <= slack
         else:
             assert x.core == Interval(*core)

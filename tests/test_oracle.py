@@ -127,6 +127,38 @@ def test_joint_distribution_validation():
         JointDistribution(xs=xs, mu=np.zeros(3), ys=xs)
 
 
+@st.composite
+def joint_inputs(draw):
+    """xs sorted or not, with ties, infinities or NaNs, and memberships in
+    [0, 1] or just outside, or NaN."""
+    x = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-math.inf, math.inf, math.nan]))
+    xs = draw(st.lists(x, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        xs = sorted(xs)
+    mu = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, -1e-300, np.nextafter(1.0, 2.0),
+                                                         1.5, math.nan]))
+    return np.array(xs), np.array(draw(st.lists(mu, min_size=len(xs), max_size=len(xs))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(joint_inputs())
+@example((np.array([0.0, 1.0, 1.0]), np.zeros(3)))
+@example((np.array([0.0, math.nan, 1.0]), np.zeros(3)))
+@example((np.array([-math.inf, math.inf]), np.array([0.0, math.nan])))
+@example((np.array([0.0, 1.0]), np.array([0.5, -1e-300])))
+def test_joint_distribution_rejects_unsorted_xs_and_memberships_off_the_unit_interval(case):
+    xs, mu = case
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN step, not increasing
+        increasing = bool(np.all(np.diff(xs) > 0))
+    got = _outcome(lambda: JointDistribution(xs=xs, mu=mu, ys=xs))
+    if not increasing:
+        assert got == "xs must be strictly increasing"
+    elif any(m < 0.0 or m > 1.0 for m in mu):  # a NaN membership is let through
+        assert got == "membership values must lie in [0, 1]"
+    else:
+        assert isinstance(got, JointDistribution)
+
+
 def test_extend_product_identity_squares():
     a = triangular(1.0, 2.0, 3.0)
     joint = build_joint(a, identity(), n=101)
@@ -339,6 +371,33 @@ def membership_samples(draw):
     return SampledMembership(zs=zs, mus=mus), K, delta
 
 
+# Memberships for both ways levels_from_membership reads a run: as its own
+# running maximum when it is in order, through np.maximum.accumulate when it
+# is not.  Runs with plateaus, a one-ulp dip before the peak and after it, a
+# NaN inside each run, and -0.0/0.0 ties.
+SORTED_RUN_CASES = [
+    (SampledMembership(zs=np.arange(9.0),
+                       mus=np.array([0.2, 0.2, 0.5, 0.5, 1.0, 1.0, 0.6, 0.6, 0.1])), 4, 0.1),
+    (SampledMembership(zs=np.arange(4.0),
+                       mus=np.array([0.5, np.nextafter(0.5, 0.0), 1.0, 0.3])), 2, 0.0),
+    (SampledMembership(zs=np.arange(4.0),
+                       mus=np.array([0.2, 1.0, np.nextafter(0.5, 0.0), 0.5])), 2, 0.0),
+    (SampledMembership(zs=np.arange(5.0),
+                       mus=np.array([0.2, float("nan"), 0.6, 1.0, 0.4])), 2, 0.25),
+    (SampledMembership(zs=np.arange(4.0),
+                       mus=np.array([0.3, 1.0, float("nan"), 0.2])), 2, 0.25),
+    (SampledMembership(zs=np.array([-2.0, -1.0, -0.0, 1.0, 2.0, 3.0]),
+                       mus=np.array([0.0, -0.0, 0.0, 1.0, -0.0, 0.0])), 2, 0.0),
+]
+
+
+def _sorted_run_examples(test):
+    """test with an @example for each of SORTED_RUN_CASES."""
+    for case in SORTED_RUN_CASES:
+        test = example(case)(test)
+    return test
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -366,6 +425,7 @@ def _outcome(fn):
 @example((SampledMembership(zs=np.array([0.0, 1.0]), mus=np.array([float("nan"), 0.3])),
           2, 0.25))
 @example((SampledMembership(zs=np.array([-3.0]), mus=np.array([float("nan")])), 1, 0.5))
+@_sorted_run_examples
 def test_levels_from_membership_matches_dense_mask(case):
     s, K, delta = case
     got = _outcome(lambda: levels_from_membership(s, K, delta))
@@ -382,6 +442,7 @@ def test_levels_from_membership_matches_dense_mask(case):
 @example((SampledMembership(zs=np.array([-1.0, -0.0]), mus=np.array([0.5, 1.0])), 2, 0.25))
 @example((SampledMembership(zs=np.array([0.0, 1.0, 2.0]), mus=np.array([float("nan")] * 3)),
           2, 0.25))
+@_sorted_run_examples
 def test_levels_from_membership_matches_the_argsort_rebuild(case):
     s, K, delta = case
     got = _outcome(lambda: levels_from_membership(s, K, delta))
@@ -412,6 +473,24 @@ def test_oracle_check_memory_grows_with_n_plus_k():
     finally:
         tracemalloc.stop()
     assert 8 * n < peak < 64 * 2 ** 20  # the lower bound shows numpy is traced
+
+
+@pytest.mark.parametrize("op, arrays", [("sum", 5.5), ("product", 7.5)])
+def test_oracle_check_peaks_at_a_few_arrays_of_n_floats(op, arrays):
+    # the joint's xs, mu and ys and z live through the call, and a product
+    # whose z is not monotone sorts: the order and the sorted z join them.
+    # Any other array of n floats held past its last read shows here;
+    # tracemalloc counts numpy's buffers
+    a, f, n = triangular(-1.5, 0.5, 3.0, grid=1000), linear(2.0, 1.0), 20001
+    oracle_check(a, f, op, n=n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        oracle_check(a, f, op, n=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n
 
 
 def test_oracle_report_rows_agree_with_arrays():
