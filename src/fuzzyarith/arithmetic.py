@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import INCREASING, CorrelationFunction
+from .correlation import INCREASING, CorrelationFunction, _coefficients
 from .errors import DomainError
 from .fuzzy import FuzzyNumber, _integer, _linspace
 from .interval import Interval
@@ -157,16 +157,6 @@ def _scan_values(values, xs: np.ndarray, known) -> np.ndarray:
     return values(xs)
 
 
-def _scanned(method: RangeMethod | None):
-    """None, the extrema of a g that states none, which is scanned; an
-    analytic method raises ValueError."""
-    if method is not None and method.mode == "analytic":
-        raise ValueError(
-            "analytic range requested but the function states no extrema; "
-            "use a numeric RangeMethod")
-    return None
-
-
 def _range_levels(plan, los: np.ndarray, his: np.ndarray,
                   method: RangeMethod | None) -> tuple[np.ndarray, np.ndarray]:
     """Range of g over every level [los[i], his[i]] of a nested family.
@@ -184,9 +174,15 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
     is folded into the last level j(x) holding it, and a reverse running
     min/max hands every level the extremes over itself and the levels
     inside it.  Every reported value is taken by g inside its level.
+    Extrema None with an analytic method raises ValueError before g is
+    called: this is the one place that refuses it.
     Time and memory are O(samples + K).
     """
     values, point, extrema, known = plan
+    if extrema is None and method is not None and method.mode == "analytic":
+        raise ValueError(
+            "analytic range requested but the function states no extrema; "
+            "use a numeric RangeMethod")
     at_lo = values(los)
     at_hi = values(his)
     lows = np.minimum(at_lo, at_hi)
@@ -236,8 +232,8 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
     on iv.
     """
     values = lambda xs: np.fromiter(map(g, xs.tolist()), float, xs.size)
-    lo, hi = _range_levels((values, g, _scanned(method), None), np.array([iv.lo]),
-                           np.array([iv.hi]), method)
+    lo, hi = _range_levels((values, g, None, None), np.array([iv.lo]), np.array([iv.hi]),
+                           method)
     return Interval(float(lo[0]), float(hi[0]))
 
 
@@ -320,9 +316,9 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
     each side of 0, so g = x * f(x) does too and |g| = |x| |f| grows away
     from 0 on both sides: g(0) = 0 is g's minimum for an increasing f and
     its maximum for a decreasing one, stated as (0.0, 0.0 * fn(0.0)).  Any
-    other custom f is scanned by the numeric method passed, or by the
-    default one; an analytic method raises ValueError for it.  The
-    operations and oracle_check ask this one function.
+    other custom f gets extrema None: it is scanned by the numeric method
+    passed, or by the default one, and _range_levels refuses an analytic
+    method for it.  The operations and oracle_check ask this one function.
     """
     numeric = method is not None and method.mode == "numeric"
     if f.family == "custom":
@@ -346,7 +342,7 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
                     extrema = (zero, ()) if f.direction == INCREASING else ((), zero)
                     return values, point, extrema, None
         known = None if checked is None else (checked[0], combined(*checked))
-        return values, point, _scanned(method), known
+        return values, point, None, known
     q, r = f.q, f.r
     minima = maxima = ()
     if f.family == "linear" and op == "sum":
@@ -429,16 +425,14 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
 
     ``kind`` selects one of CLOSED_FORM_KINDS; q and r parameterize the
     correlation (q*x + r for the linear kinds, q/x + r for the hyperbolic
-    ones).  These are transcription-style formulas kept separate from the
-    range engine so the two can be checked against each other.
+    ones), checked as the linear and hyperbolic factories check them.  These
+    are transcription-style formulas kept separate from the range engine so
+    the two can be checked against each other.
     """
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError(f"unknown closed form {kind!r}; expected one of "
                          f"{', '.join(CLOSED_FORM_KINDS)}")
-    q = float(q)
-    r = float(r)
-    if q == 0.0:
-        raise ValueError("closed forms need q != 0")
+    q, r = _coefficients("hyperbolic" if "hyperbolic" in kind else "linear", q, r)
     los, his = a.los, a.his
     if "hyperbolic" in kind and los[0] <= 0.0 <= his[0]:
         raise DomainError("hyperbolic closed forms need a support that avoids zero")
@@ -497,17 +491,13 @@ class LevelResult(NamedTuple):
     hausdorff: float
     subset: bool
     equal: bool
-    method: str | None = None
 
     def to_json(self) -> dict:
-        obj = self._asdict() | {"left": list(self.left), "right": list(self.right)}
-        if self.method is None:
-            del obj["method"]
-        return obj
+        return self._asdict() | {"left": list(self.left), "right": list(self.right)}
 
 
 def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: np.ndarray,
-                equal: np.ndarray, method: str | None = None) -> list[LevelResult]:
+                equal: np.ndarray) -> list[LevelResult]:
     """One LevelResult per grid alpha, read from the level arrays of x and y
     and the per-level comparison arrays as whole ``.tolist()`` columns.
 
@@ -521,8 +511,8 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
 
     The build runs with the cyclic garbage collector paused, and its prior
     state restored after, also when the build raises.  Rows hold only
-    floats, bools, None, a str and Intervals of floats, so they cannot form
-    a cycle and a collection during the build could free nothing.  Yet
+    floats, bools and Intervals of floats, so they cannot form a cycle and
+    a collection during the build could free nothing.  Yet
     CPython untracks only exact tuples, so the 3K + 3 named tuples kept
     alive would start collections, full ones at K = 10000, that walk the
     rows for nothing.
@@ -536,7 +526,7 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
     gc.disable()
     try:
         return list(map(new, repeat(LevelResult),
-                        zip(alphas, lefts, rights, h, sub, eq, repeat(method))))
+                        zip(alphas, lefts, rights, h, sub, eq)))
     finally:
         if enabled:
             gc.enable()

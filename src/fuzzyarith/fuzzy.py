@@ -94,7 +94,7 @@ class FuzzyNumber:
         object.__setattr__(self, "_los", los)
         object.__setattr__(self, "_his", his)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("FuzzyNumber instances are immutable")
 
     # -- basic accessors ----------------------------------------------------
@@ -236,14 +236,6 @@ class FuzzyNumber:
             "K": self.k,
             "levels": [[float(a), float(b)] for a, b in zip(self._los, self._his)],
         }
-
-    def approx_equal(self, other: "FuzzyNumber", tol: float = 1e-9) -> bool:
-        if self.k != other.k:
-            return False
-        return bool(
-            np.all(np.abs(self._los - other._los) <= tol)
-            and np.all(np.abs(self._his - other._his) <= tol)
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzyNumber):

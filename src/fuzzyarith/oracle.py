@@ -128,7 +128,9 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
     Level alpha collects the z samples with membership >= alpha - delta;
     delta absorbs the quantization of membership between neighbouring
     samples (default 1/(2K)) and must lie in [0, 1) (ValueError otherwise),
-    and a NaN membership is below every threshold.  The thresholds tighten
+    and a NaN membership is read as -inf, below every threshold.  A peak
+    membership below the top threshold 1 - delta raises ValueError; no
+    level can come out empty past that one test.  The thresholds tighten
     with alpha, so the levels nest.  The samples must come sorted by z,
     strictly increasing, as extend returns them; its sort is the only one.
     A level then runs from the first to the last sample that reaches its
@@ -152,19 +154,16 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
     if not (zs[1:] > zs[:-1]).all():
         raise ValueError("z samples must be strictly increasing, as extend returns them")
     peak = int(mus.argmax())
+    if mus[peak] != mus[peak]:  # argmax stops at the first NaN
+        # a NaN fails every mu >= t, so it ranks below every threshold
+        mus = np.where(np.isnan(mus), -np.inf, mus)
+        peak = int(mus.argmax())
     top = float(mus[peak])
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
     thresholds = np.linspace(0.0, 1.0, k + 1) - delta
-    if top != top:  # argmax stops at the first NaN
-        # a NaN fails every mu >= t, so it ranks below every threshold
-        mus = np.where(np.isnan(mus), -np.inf, mus)
-        peak = int(mus.argmax())
-        # the thresholds rise with alpha, so the top level is the first to empty
-        if mus[peak] < thresholds[-1]:
-            raise ValueError("a level set came out empty; inconsistent membership input")
     rise, fall = mus[:peak + 1], mus[peak:]
     if not (rise[1:] >= rise[:-1]).all():
         rise = np.maximum.accumulate(rise)
@@ -178,8 +177,11 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
 @dataclass(frozen=True)
 class OracleReport:
     """Engine-versus-oracle comparison across one full level family, as
-    arrays; ``levels``, the rows of compare_levels(engine, oracle, tol=0.0)
-    with the method attached, are built on first access."""
+    arrays; ``levels``, the rows of compare_levels(engine, oracle, tol=0.0),
+    are built on first access.  ``method`` labels the engine's route for
+    the whole report, "analytic" or "numeric" (a scan); the rows do not
+    repeat it.  ``termwise`` is None for products, non-hyperbolic f and
+    readings that pass the float range."""
 
     op: str
     n: int
@@ -194,8 +196,7 @@ class OracleReport:
 
     @cached_property
     def levels(self) -> list[LevelResult]:
-        return _level_rows(self.engine, self.oracle,
-                           *_compared(self.engine, self.oracle, 0.0), self.method)
+        return _level_rows(self.engine, self.oracle, *_compared(self.engine, self.oracle, 0.0))
 
     def to_json(self) -> dict:
         e, o, extra = self.engine, self.oracle, self.termwise or ()
@@ -233,13 +234,16 @@ def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> tuple | No
 
     This is the value a termwise interval evaluation of x + q/x + r would
     give.  It can strictly contain the true correlated sum, which is why it
-    is reported for comparison only.
+    is reported for comparison only.  None unless every end is finite, since
+    an end past the float range has no JSON form.
     """
     if f.family != "hyperbolic":
         return None
     q, r = f.q, f.r
     t1, t2 = q / a.his, q / a.los
-    return a.los + np.minimum(t1, t2) + r, a.his + np.maximum(t1, t2) + r
+    with np.errstate(over="ignore"):
+        lo, hi = a.los + np.minimum(t1, t2) + r, a.his + np.maximum(t1, t2) + r
+    return (lo, hi) if np.isfinite(lo).all() and np.isfinite(hi).all() else None
 
 
 def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
@@ -251,7 +255,8 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     The acceptance tolerance is 5 * support_width / n, from the halved ends
     past the float range; the report records per-level Hausdorff distances
     and whether they all fit.  For sums of reciprocal-shaped correlations
-    the report also carries the termwise interval reading of each level.
+    the report also carries the termwise interval reading of each level,
+    where its ends stay inside the float range.
     """
     _check_op(op)
     n = _integer(n, "sample count")

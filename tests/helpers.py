@@ -76,7 +76,8 @@ def dense_levels_from_membership(s, grid, delta):
     Reference only; memory grows as K * n."""
     if s.zs.size == 0:
         raise ValueError("no samples to rebuild levels from")
-    top = float(s.mus.max())
+    # a NaN membership is below every threshold
+    top = float(np.where(np.isnan(s.mus), -np.inf, s.mus).max())
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
@@ -84,8 +85,6 @@ def dense_levels_from_membership(s, grid, delta):
     mask = s.mus[None, :] >= (np.linspace(0.0, 1.0, grid + 1) - delta)[:, None]
     los = np.where(mask, s.zs[None, :], np.inf).min(axis=1)
     his = np.where(mask, s.zs[None, :], -np.inf).max(axis=1)
-    if not np.isfinite(los).all():
-        raise ValueError("a level set came out empty; inconsistent membership input")
     return los, his
 
 
@@ -96,7 +95,8 @@ def reference_levels_from_membership(s, grid, delta):
     only; it sorts a second time."""
     if s.zs.size == 0:
         raise ValueError("no samples to rebuild levels from")
-    top = float(s.mus.max())
+    # a NaN membership is below every threshold
+    top = float(np.where(np.isnan(s.mus), -np.inf, s.mus).max())
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
@@ -104,8 +104,6 @@ def reference_levels_from_membership(s, grid, delta):
     order = np.argsort(-s.mus, kind="stable")
     counts = np.searchsorted(-s.mus[order], -(np.linspace(0.0, 1.0, grid + 1) - delta),
                              side="right")
-    if counts.min() == 0:
-        raise ValueError("a level set came out empty; inconsistent membership input")
     zs = s.zs[order]
     return FuzzyNumber(np.minimum.accumulate(zs)[counts - 1],
                        np.maximum.accumulate(zs)[counts - 1])

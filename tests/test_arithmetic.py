@@ -2,7 +2,9 @@ import copy
 import gc
 import math
 import pickle
+import re
 import types
+import warnings
 from decimal import Decimal
 from unittest import mock
 
@@ -520,6 +522,21 @@ def test_analytic_request_takes_the_endpoint_route_when_it_proves_monotone(op):
     assert "analytic method on any other custom correlation raises ValueError" in doc
 
 
+def test_an_analytic_request_is_refused_before_g_is_called():
+    # x**3 - 1 across zero with f(0) = -1 is scanned, so an analytic method
+    # is refused after the 257-sample direction check and the one read of
+    # f(0), before any of the 2(K+1) level ends is taken
+    counted, calls = _counted(lambda x: x**3 - 1.0)
+    with pytest.raises(ValueError, match="^analytic range requested"):
+        correlated_product(triangular(-1.0, 0.3, 2.0, grid=10), custom(counted, "increasing"),
+                           RangeMethod(mode="analytic"))
+    assert calls[0] == 258
+    counted, calls = _counted(lambda x: x * x)
+    with pytest.raises(ValueError, match="^analytic range requested"):
+        range_over_interval(counted, Interval(-1.0, 2.0), RangeMethod(mode="analytic"))
+    assert calls[0] == 0
+
+
 @pytest.mark.parametrize("op", [correlated_sum, correlated_product])
 @pytest.mark.parametrize("fn, domain, error", [
     (lambda x: x if x <= 2.5 else math.nan, None, DomainError),
@@ -610,7 +627,7 @@ def test_correlated_numeric_matches_analytic(rng):
             for op in (correlated_sum, correlated_product):
                 fast = op(a, f)
                 slow = op(a, f, method)
-                assert fast.approx_equal(slow, tol=1e-7)
+                assert all(r.equal for r in compare_levels(fast, slow, 1e-7))
 
 
 def test_correlated_subset_of_standard(rng):
@@ -635,20 +652,31 @@ def test_closed_form_kind_list_omits_hyperbolic_correlated_sum():
         closed_form("std-sum-linear", a, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("kind, q, r, message", [
+    ("std-sum-linear", 0.0, 1.0, "linear correlation needs q != 0 to stay injective"),
+    ("std-sum-linear", math.inf, 0.0, "linear correlation needs a finite q, got inf"),
+    ("corr-prod-linear", 1.0, math.nan, "linear correlation needs a finite r, got nan"),
+    ("corr-prod-hyperbolic", -math.inf, 0.0, "hyperbolic correlation needs a finite q, got -inf"),
+])
+def test_closed_form_checks_its_coefficients_as_the_factories_do(kind, q, r, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        closed_form(kind, triangular(1.0, 2.0, 3.0), q, r)
+
+
 def test_closed_form_std_prod_linear_endpoint_products():
     a = triangular(1.0, 2.0, 3.0)
     got = closed_form("std-prod-linear", a, 2.0, 1.0)
     # support endpoints come from the four products {3, 7, 9, 21}
     assert got.support == Interval(3.0, 21.0)
     want = standard_product(a, induced_number(a, linear(2.0, 1.0)))
-    assert got.approx_equal(want, tol=1e-9)
+    assert all(r.equal for r in compare_levels(got, want, 1e-9))
 
 
 def test_closed_form_std_sum_negative_slope():
     a = triangular(1.0, 2.0, 3.0)
     got = closed_form("std-sum-linear", a, -1.0, 0.0)
     want = standard_sum(a, induced_number(a, negation()))
-    assert got.approx_equal(want, tol=1e-12)
+    assert all(r.equal for r in compare_levels(got, want, 1e-12))
     assert got.support == Interval(-2.0, 2.0)
 
 
@@ -671,7 +699,7 @@ def test_closed_form_matches_engine_on_reference_shapes():
     ]
     for kind, q, r, want in cases:
         got = closed_form(kind, a, q, r)
-        assert got.approx_equal(want, tol=1e-9), kind
+        assert all(r.equal for r in compare_levels(got, want, 1e-9)), kind
 
 
 def test_corr_prod_linear_closed_form_needs_co_monotone_terms():
@@ -720,7 +748,7 @@ def _row_key(r):
     """Every field of a LevelResult with its Python type, floats by their
     bits (so -0.0 and 0.0 differ)."""
     fields = (r.alpha, r.left.lo, r.left.hi, r.right.lo, r.right.hi,
-              r.hausdorff, r.subset, r.equal, r.method)
+              r.hausdorff, r.subset, r.equal)
     return tuple((type(v), v.hex() if type(v) is float else v) for v in fields)
 
 
@@ -790,6 +818,17 @@ def test_compare_levels_reference_cases():
     assert not any(r.equal for r in compare_levels(x, y, 0.0))
 
 
+def test_compare_levels_at_the_float_max_gives_no_numpy_warning():
+    # distances and tol-widened bounds past the float range read inf
+    x = triangular(-1.5e308, 0.0, 1.6e308)
+    y = triangular(1.5e308, 1.6e308, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = compare_levels(x, y, 1e-9)
+    assert rows[0].hausdorff == math.inf
+    assert not any(r.subset or r.equal for r in rows)
+
+
 def test_compare_levels_returns_a_plain_list():
     # the return type is public: callers compare results as lists
     a = triangular(1.0, 2.0, 3.0, grid=10)
@@ -823,8 +862,7 @@ def _rows_under_test():
 def _validated(r):
     """The row r built again through the public, validating constructors."""
     return LevelResult(r.alpha, Interval(r.left.lo, r.left.hi),
-                       Interval(r.right.lo, r.right.hi), r.hausdorff, r.subset, r.equal,
-                       r.method)
+                       Interval(r.right.lo, r.right.hi), r.hausdorff, r.subset, r.equal)
 
 
 def test_oracle_report_rows_match_a_validated_per_level_reference():
@@ -832,8 +870,7 @@ def test_oracle_report_rows_match_a_validated_per_level_reference():
                          (triangular(-1.0, 0.5, 2.0, grid=20),
                           custom(lambda x: -x**3 - x, "decreasing"), "numeric")):
         report = oracle_check(a, f, "sum", n=401)
-        want = [r._replace(method=method)
-                for r in reference_compare_levels(report.engine, report.oracle, 0.0)]
+        want = reference_compare_levels(report.engine, report.oracle, 0.0)
         assert report.method == method
         assert [_row_key(r) for r in report.levels] == [_row_key(r) for r in want]
 
@@ -843,13 +880,13 @@ def test_rows_behave_as_validated_construction():
         ref = _validated(row)
         assert _row_key(row) == _row_key(ref)
         assert row._fields == ref._fields == ("alpha", "left", "right", "hausdorff", "subset",
-                                              "equal", "method")
+                                              "equal")
         assert row.left._fields == ref.left._fields == ("lo", "hi")
         assert pickle.dumps(row) == pickle.dumps(ref)
         assert _row_key(pickle.loads(pickle.dumps(row))) == _row_key(ref)
         for twin in (copy.copy(row), copy.deepcopy(row)):
             assert twin == ref and _row_key(twin) == _row_key(ref)
-        assert row._replace(method="numeric") == ref._replace(method="numeric")
+        assert row._replace(equal=False) == ref._replace(equal=False)
         assert hash(row) == hash(ref) and hash(row.left) == hash(ref.left)
         assert repr(row) == repr(ref)
         for obj in (row, row.left, row.right):

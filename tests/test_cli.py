@@ -362,6 +362,30 @@ def test_rejected_input_exits_1_naming_the_cause(argv, err, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("argv, alpha", [
+    (["eval", "-e", "tri(1,2,3)", "--alphas", "1.5"], "1.5"),
+    (["table", "-e", "corr_sum(tri(1,2,3), identity)", "--alphas", "-0.1"], "-0.1"),
+])
+def test_an_alpha_outside_the_unit_interval_exits_1_before_any_output(argv, alpha, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"fuzzyarith: alpha must lie in [0, 1], got {alpha}\n")
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_check_prints_strict_json_where_the_termwise_reading_passes_the_float_range(capsys):
+    rc = main(["check", "-e", "corr_sum(tri(0.1, 1, 1e308), hyperbolic(1e307, 0))",
+               "--grid", "2"])
+    # the verdict is the oracle's; the output must parse either way
+    assert rc in (0, 3)
+    rows = [_strict_json(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 4 and not any("minkowski" in row for row in rows)
+
+
 def test_empty_entries_of_an_alpha_list_are_skipped(capsys):
     assert main(["eval", "-e", "tri(1,2,3)", "--alphas", "0,,1"]) == 0
     assert capsys.readouterr() == ("alpha\tlevel\n0\t[1, 3]\n1\t[2, 2]\n", "")

@@ -12,6 +12,7 @@ from fuzzyarith import (
     FuzzyNumber,
     Interval,
     SampledMembership,
+    compare_levels,
     crisp,
     from_levels,
     fuzzy_from_json,
@@ -170,9 +171,18 @@ def test_malformed_input_names_the_cause(make, message):
 
 def test_numbers_on_other_grids_or_of_other_types_are_not_equal():
     a = triangular(1.0, 2.0, 3.0, grid=4)
-    assert not a.approx_equal(a.resample(8))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        compare_levels(a, a.resample(8))
     assert a.__eq__(1) is NotImplemented
     assert (a == 1) is False
+
+
+def test_attributes_cannot_be_set():
+    a = triangular(1.0, 2.0, 3.0, grid=4)
+    for name, value in (("_los", a.his), ("extra", 1)):
+        with pytest.raises(AttributeError, match="^FuzzyNumber instances are immutable$"):
+            setattr(a, name, value)
+    assert a == triangular(1.0, 2.0, 3.0, grid=4)
 
 
 def test_constructor_rejects_crossed_endpoints():
@@ -306,10 +316,10 @@ def test_resample_preserves_piecewise_linear_shapes():
     a = triangular(1.0, 2.0, 3.0, grid=10)
     b = a.resample(100)
     c = triangular(1.0, 2.0, 3.0, grid=100)
-    assert b.approx_equal(c, tol=1e-12)
+    assert all(r.equal for r in compare_levels(b, c, 1e-12))
     assert a.resample(10) is a
     # downsampling a piecewise-linear shape is exact too
-    assert c.resample(10).approx_equal(a, tol=1e-12)
+    assert all(r.equal for r in compare_levels(c.resample(10), a, 1e-12))
 
 
 def test_json_round_trip():
@@ -374,8 +384,8 @@ def test_equality_and_approx_equal():
     assert a == b
     assert a != triangular(1.0, 2.0, 3.0, grid=50)
     shifted = FuzzyNumber(b.los + 1e-12, b.his)
-    assert a.approx_equal(shifted, tol=1e-9)
-    assert not a.approx_equal(shifted, tol=1e-14)
+    assert all(r.equal for r in compare_levels(a, shifted, 1e-9))
+    assert not all(r.equal for r in compare_levels(a, shifted, 1e-14))
 
 
 strict_params = st.tuples(

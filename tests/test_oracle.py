@@ -516,7 +516,7 @@ def test_oracle_check_linear_sum_within_tolerance():
     assert report.max_hausdorff <= report.tolerance
     assert len(report.levels) == a.k + 1
     assert report.levels[0].left.approx_equal(Interval(4.0, 10.0), tol=1e-9)
-    assert report.levels[0].method == "analytic"
+    assert report.method == "analytic"
 
 
 def test_oracle_samples_stay_inside_engine_range():
@@ -552,6 +552,13 @@ def test_oracle_check_product_has_no_termwise_reading():
     assert "minkowski" not in report.to_json()["levels"][0]
 
 
+def test_a_termwise_reading_past_the_float_range_is_not_reported():
+    # 0.1 + 1e307/0.1 passes the float max; no numpy warning is raised
+    report = oracle_check(triangular(0.1, 1.0, 1e308, grid=2), hyperbolic(1e307, 0.0), "sum")
+    assert report.termwise is None
+    assert not any("minkowski" in row for row in report.to_json()["levels"])
+
+
 def test_oracle_check_negation_sum_exact():
     report = oracle_check(triangular(-2.0, 0.0, 1.0), negation(), "sum", n=501)
     assert report.max_hausdorff == 0.0
@@ -581,7 +588,7 @@ def test_oracle_check_custom_correlation_numeric_path():
     a = triangular(1.0, 2.0, 3.0, grid=20)
     f = custom(lambda x: x**3, "increasing")
     report = oracle_check(a, f, "product", n=501, method=RangeMethod())
-    assert report.levels[0].method == "numeric"
+    assert report.method == "numeric"
     assert report.levels[0].left.approx_equal(Interval(1.0, 81.0), tol=1e-6)
     assert report.max_hausdorff <= 5.0 * report.levels[0].left.width / report.n
 
