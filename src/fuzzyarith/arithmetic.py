@@ -492,9 +492,6 @@ class LevelResult(NamedTuple):
     subset: bool
     equal: bool
 
-    def to_json(self) -> dict:
-        return self._asdict() | {"left": list(self.left), "right": list(self.right)}
-
 
 def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: np.ndarray,
                 equal: np.ndarray) -> list[LevelResult]:

@@ -55,21 +55,24 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
 class FuzzyNumber:
     """A fuzzy quantity described by K + 1 nested alpha-level intervals.
 
-    The constructor takes the lower and upper endpoint arrays sampled at
-    the grid nodes.  It first checks in O(K) comparisons whether they are
-    exactly nested (lower endpoints non-decreasing in alpha, upper endpoints
-    non-increasing, the core ordered, the support ends finite); such ends
-    are stored as given.  Only when that check fails does it validate
-    finiteness, per-level ordering and nestedness, repairing violations up
-    to NEST_TOL, or NEST_ULPS ulps of the largest |end| where that is more,
-    and rejecting anything larger.
+    It holds nothing but ``los`` and ``his``, the lower and upper ends at
+    the grid nodes alpha_i = i / K, as read-only float arrays.  The
+    constructor copies the arrays it is given once.  It first checks in
+    O(K) comparisons whether they are exactly nested (lower endpoints
+    non-decreasing in alpha, upper endpoints non-increasing, the core
+    ordered, the support ends finite); such ends are stored as given.  Only
+    when that check fails does it validate finiteness, per-level ordering
+    and nestedness, repairing violations up to NEST_TOL, or NEST_ULPS ulps
+    of the largest |end| where that is more, and rejecting anything larger.
+    Two numbers are equal when their arrays are; being array-backed, a
+    number is not hashable.
     """
 
-    __slots__ = ("_los", "_his")
+    __slots__ = ("los", "his")
 
     def __init__(self, los, his) -> None:
-        los = np.asarray(los, dtype=float)
-        his = np.asarray(his, dtype=float)
+        los = np.array(los, dtype=float)
+        his = np.array(his, dtype=float)
         if los.ndim != 1 or his.ndim != 1 or los.shape != his.shape:
             raise ValueError("endpoint arrays must be 1-d and of equal length")
         if los.size < 2:
@@ -80,38 +83,25 @@ class FuzzyNumber:
         # comparison).  Such a family needs neither checks nor repair, and
         # its running extremes would be the arrays themselves, bit for bit
         # (on a tie np.maximum returns its second argument, so -0.0 after
-        # 0.0 stays -0.0).  It is stored as copies, since np.asarray may
-        # have returned the caller's own arrays and the stored ones are
-        # made read-only.
-        if (los[-1] <= his[-1] and math.isfinite(los[0]) and math.isfinite(his[0])
+        # 0.0 stays -0.0).
+        if not (los[-1] <= his[-1] and math.isfinite(los[0]) and math.isfinite(his[0])
                 and (los[1:] >= los[:-1]).all() and (his[1:] <= his[:-1]).all()):
-            los = los.copy()
-            his = his.copy()
-        else:
             los, his = _checked_and_repaired(los, his)
         los.flags.writeable = False
         his.flags.writeable = False
-        object.__setattr__(self, "_los", los)
-        object.__setattr__(self, "_his", his)
+        object.__setattr__(self, "los", los)
+        object.__setattr__(self, "his", his)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("FuzzyNumber instances are immutable")
+
+    __delattr__ = __setattr__
 
     # -- basic accessors ----------------------------------------------------
 
     @property
-    def los(self) -> np.ndarray:
-        """Lower endpoints at the grid nodes (read-only view)."""
-        return self._los
-
-    @property
-    def his(self) -> np.ndarray:
-        """Upper endpoints at the grid nodes (read-only view)."""
-        return self._his
-
-    @property
     def k(self) -> int:
-        return self._los.size - 1
+        return self.los.size - 1
 
     @property
     def alphas(self) -> np.ndarray:
@@ -121,16 +111,16 @@ class FuzzyNumber:
     @property
     def support(self) -> Interval:
         """Closure of the support, the level at alpha = 0."""
-        return Interval(self._los[0], self._his[0])
+        return Interval(self.los[0], self.his[0])
 
     @property
     def core(self) -> Interval:
         """The closed level at alpha = 1."""
-        return Interval(self._los[-1], self._his[-1])
+        return Interval(self.los[-1], self.his[-1])
 
     def level(self, i: int) -> Interval:
         """The stored level at grid node i (alpha = i / K)."""
-        return Interval(self._los[i], self._his[i])
+        return Interval(self.los[i], self.his[i])
 
     def alpha_cut(self, alpha: float) -> Interval:
         """Level set at an arbitrary alpha in [0, 1], the one-element case
@@ -139,12 +129,16 @@ class FuzzyNumber:
         return Interval(lo, hi)
 
     def alpha_cuts(self, alphas) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of the level sets at a 1-d sequence of
-        alphas in [0, 1], as two arrays.
+        """Lower and upper ends of the level sets at alphas in [0, 1], as two
+        arrays of the shape of ``alphas``.
 
-        Exact at grid nodes; between nodes the endpoints are linearly
-        interpolated.  An alpha outside [0, 1] or NaN raises ValueError, as
-        does a level whose interpolated ends are not finite or out of order.
+        Where alpha * K is an exact integer i, the ends equal the stored
+        level i under == (a stored -0.0 can come back as 0.0); elsewhere
+        they are linearly interpolated between the neighbouring nodes.  A
+        grid alpha i / K as np.linspace rounds it need not give i back:
+        there the ends are interpolated, a few ulps off the stored ones.
+        An alpha outside [0, 1] or NaN raises ValueError, as does a level
+        whose interpolated ends are not finite or out of order.
         """
         alphas = np.asarray(alphas, dtype=float)
         bad = ~((0.0 <= alphas) & (alphas <= 1.0))
@@ -155,7 +149,7 @@ class FuzzyNumber:
         top = pos >= k
         i = np.where(top, k - 1, pos.astype(np.intp))
         t = pos - i
-        los, his = self._los, self._his
+        los, his = self.los, self.his
         # a step too wide for a float gives a non-finite end, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             lo = np.where(top, los[k], _interpolated(los, i, t))
@@ -163,7 +157,7 @@ class FuzzyNumber:
         bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
         if bad.any():
             j = int(np.argmax(bad))
-            Interval(float(lo[j]), float(hi[j]))  # raises the Interval's own error
+            Interval(float(lo.flat[j]), float(hi.flat[j]))  # raises the Interval's own error
         return lo, hi
 
     def membership(self, x):
@@ -183,7 +177,7 @@ class FuzzyNumber:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
-        los, his, k = self._los, self._his, self.k
+        los, his, k = self.los, self.his, self.k
         # an offset past the float range below the support, on the core or
         # above the support gives inf / inf, and its alpha is set below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -221,34 +215,28 @@ class FuzzyNumber:
 
     def resample(self, grid: int) -> "FuzzyNumber":
         """The same fuzzy number re-sampled onto the alpha grid of K = grid
-        steps."""
+        steps: its level ends read by alpha_cuts at the new grid's alphas,
+        or the number itself when K = grid already."""
         k = _grid_size(grid)
         if k == self.k:
             return self
-        old = self.alphas
-        new = np.linspace(0.0, 1.0, k + 1)
-        return FuzzyNumber(np.interp(new, old, self._los),
-                           np.interp(new, old, self._his))
+        return FuzzyNumber(*self.alpha_cuts(np.linspace(0.0, 1.0, k + 1)))
 
     def to_json(self) -> dict:
         """Plain-object form: {"K": K, "levels": [[lo, hi], ...]}."""
         return {
             "K": self.k,
-            "levels": [[float(a), float(b)] for a, b in zip(self._los, self._his)],
+            "levels": [[float(a), float(b)] for a, b in zip(self.los, self.his)],
         }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzyNumber):
             return NotImplemented
-        return (self.k == other.k
-                and np.array_equal(self._los, other._los)
-                and np.array_equal(self._his, other._his))
-
-    __hash__ = None  # array-backed, not hashable
+        return np.array_equal(self.los, other.los) and np.array_equal(self.his, other.his)
 
     def __repr__(self) -> str:
-        return (f"FuzzyNumber(K={self.k}, support=[{self._los[0]:g}, {self._his[0]:g}], "
-                f"core=[{self._los[-1]:g}, {self._his[-1]:g}])")
+        return (f"FuzzyNumber(K={self.k}, support=[{self.los[0]:g}, {self.his[0]:g}], "
+                f"core=[{self.los[-1]:g}, {self.his[-1]:g}])")
 
 
 def _interpolated(ends: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -63,7 +63,9 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
                 _checked: bool = False) -> JointDistribution:
     """Sample the graph coupling of (A, f(A)) at n equispaced support points.
 
-    A crisp operand collapses to the single sample it carries.  f is first
+    A crisp operand collapses to the single sample it carries.  The sample
+    points are always a 1-d array, so their memberships are a.membership's
+    float array as returned.  f is first
     checked with f.check_on(a.support); oracle_check passes _checked=True,
     since its engine call has just made that check.  A support too narrow
     to hold n distinct floats raises ValueError naming the support and n.
@@ -80,7 +82,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
-    mu = np.atleast_1d(np.asarray(a.membership(xs), dtype=float))
+    mu = a.membership(xs)
     f.require_finite_on(sup)
     ys = f.values(xs)
     return JointDistribution(xs=xs, mu=mu, ys=ys)

@@ -280,17 +280,9 @@ def test_exactly_nested_ends_are_stored_as_copies(ends):
     _assert_stored_apart_from_the_caller(*ends)
 
 
-class _Aliased(np.ndarray):
-    """An array whose copy is itself."""
-
-    def copy(self, order="C"):
-        return self
-
-
 def test_a_constructor_that_stores_the_callers_array_fails_the_copy_check():
-    asarray = np.asarray
-    aliased = lambda a, dtype=None: asarray(a, dtype=dtype).view(_Aliased)
-    with mock.patch.object(fuzzy.np, "asarray", aliased), pytest.raises(AssertionError):
+    aliased = lambda a, dtype=None: np.asarray(a, dtype=dtype).view()
+    with mock.patch.object(fuzzy.np, "array", aliased), pytest.raises(AssertionError):
         _assert_stored_apart_from_the_caller(np.array([0.0, 1.0]), np.array([3.0, 2.0]))
 
 
@@ -619,6 +611,76 @@ def test_membership_merges_only_long_sorted_one_dimensional_points():
             got = a.membership(pts)
         assert spread.called == merged
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=200)
+@given(_families(), st.sampled_from([1, 2, 7, 11, 100]))
+@example(triangular(-1.3, 0.7, 2.9, grid=7), 11)  # np.interp moves 13 of 24 ends
+@example(crisp(-0.0, grid=3), 7)
+def test_resample_reads_the_levels_through_alpha_cuts(a, k):
+    """a.resample(k) is the number whose ends alpha_cuts reads at the new
+    grid's alphas, bit for bit, or the same error; on its own grid it is a."""
+    if k == a.k:
+        assert a.resample(k) is a
+        return
+    got = _outcome(lambda: a.resample(k))
+    want = _outcome(lambda: FuzzyNumber(*a.alpha_cuts(np.linspace(0.0, 1.0, k + 1))))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _bits(*got.los, *got.his) == _bits(*want.los, *want.his)
+
+
+@settings(max_examples=200)
+@given(_families())
+@example(crisp(-0.0, grid=3))
+@example(triangular(-1.0, 0.4, 4.5))  # K = 100: at 8 grid alphas alpha * K is not i
+@example(FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]))
+def test_alpha_cuts_read_the_stored_level_where_alpha_times_k_is_an_integer(a):
+    """Wherever alpha * K is an exact integer i, alpha_cuts gives the stored
+    level i under ==, which counts -0.0 as 0.0.  The candidates are the grid
+    alphas, as np.linspace and as i / K round them, and their neighbouring
+    floats; a grid alpha whose alpha * K is not i is interpolated instead."""
+    k = a.k
+    near = np.concatenate((a.alphas, np.arange(k + 1) / k))
+    pool = np.concatenate((near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)))
+    pos = pool * k
+    alphas = pool[pos == np.floor(pos)]
+    lo, hi = a.alpha_cuts(alphas)
+    i = (alphas * k).astype(int)
+    assert (lo == a.los[i]).all() and (hi == a.his[i]).all()
+
+
+def test_alpha_cuts_take_alphas_of_any_shape():
+    a = triangular(-1.3, 0.7, 2.9, grid=7)
+    alphas = np.array([[0.0, 0.3], [0.55, 1.0]])
+    lo, hi = a.alpha_cuts(alphas)
+    flat = a.alpha_cuts(alphas.ravel())
+    assert lo.shape == hi.shape == alphas.shape
+    assert _bits(*lo.ravel(), *hi.ravel()) == _bits(*flat[0], *flat[1])
+    assert _bits(*a.alpha_cuts(0.3)) == _bits(flat[0][1], flat[1][1])
+    # a level past the float range raises the Interval's error at any shape
+    with np.errstate(over="ignore"):
+        wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
+    for bad in (np.array(0.5), np.array([[1.0, 0.5]])):
+        with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[inf, "):
+            wide.alpha_cuts(bad)
+
+
+def test_a_number_is_its_two_read_only_arrays():
+    a = triangular(1.0, 2.0, 3.0, grid=4)
+    assert a.los is a.los and a.his is a.his
+    assert not a.los.flags.writeable and not a.his.flags.writeable
+    immutable = "^FuzzyNumber instances are immutable$"
+    with pytest.raises(AttributeError, match=immutable):
+        a.los = a.his
+    with pytest.raises(AttributeError, match=immutable):
+        del a.his
+    with pytest.raises(TypeError):
+        hash(a)
+    finer = triangular(1.0, 2.0, 3.0, grid=8)
+    assert (a == finer) is False and (a != finer) is True
+    assert a == triangular(1.0, 2.0, 3.0, grid=4)
 
 
 @pytest.mark.parametrize("grid", [1, 2, 7, 100, 1000])
