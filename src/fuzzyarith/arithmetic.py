@@ -43,15 +43,14 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 @dataclass(frozen=True)
 class RangeMethod:
-    """How to compute the range of a function over the levels of a family.
+    """A request to scan the support when ranging a function over levels.
 
-    ``mode``: ``analytic`` takes the interior extrema the function states,
-    with no scan; ``numeric`` scans the support (the rules are _route's).
-    With no method passed, or an analytic one, the correlated operations
-    range a custom correlation whose declared direction proves g monotone
-    from its level ends, and a product across zero with f(0) = 0 from its
-    level ends and its stated extremum g(0) = 0; an analytic method on any
-    other custom correlation raises ValueError.
+    A correlated operation takes one of two requests.  None takes the
+    stated extrema of a built-in family, the level ends of a custom
+    correlation whose declared direction proves g monotone, or the zero
+    cut of a custom product across zero with f(0) = 0, all with no scan,
+    and scans any other custom correlation by RangeMethod() (the rules
+    are _route's).  A RangeMethod always scans.
     ``samples``: equispaced scan points across the support, an integer of
     at least 65; extrema closer together than the scan step can be missed.
     Where samples - 1 is a multiple of 256, as for the default 1025, the
@@ -61,14 +60,16 @@ class RangeMethod:
     bracket of 1e-10, or the float resolution where wider (_golden_min).
     """
 
-    mode: str = "numeric"
     samples: int = 1025
+    # a class constant, not a field, so it cannot be set; its one reader is
+    # perfbench/tracing.py corr_span
+    mode = "numeric"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("analytic", "numeric"):
-            raise ValueError(f"mode must be 'analytic' or 'numeric', got {self.mode!r}")
-        if _integer(self.samples, "samples") < 65:
-            raise ValueError(f"numeric range needs at least 65 samples, got {self.samples}")
+        samples = _integer(self.samples, "samples")
+        if samples < 65:
+            raise ValueError(f"numeric range needs at least 65 samples, got {samples}")
+        object.__setattr__(self, "samples", samples)
 
 
 # -- range search ---------------------------------------------------------------
@@ -174,15 +175,9 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
     is folded into the last level j(x) holding it, and a reverse running
     min/max hands every level the extremes over itself and the levels
     inside it.  Every reported value is taken by g inside its level.
-    Extrema None with an analytic method raises ValueError before g is
-    called: this is the one place that refuses it.
     Time and memory are O(samples + K).
     """
     values, point, extrema, known = plan
-    if extrema is None and method is not None and method.mode == "analytic":
-        raise ValueError(
-            "analytic range requested but the function states no extrema; "
-            "use a numeric RangeMethod")
     at_lo = values(los)
     at_hi = values(his)
     lows = np.minimum(at_lo, at_hi)
@@ -223,7 +218,7 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
 
     ``g`` is any real function of one variable, called on one float at a
     time.  It states no extrema, so it is scanned by ``method`` (default
-    RangeMethod()); an analytic method raises ValueError.
+    RangeMethod()).
 
     This is the one-level case of the correlated engine (see _range_levels):
     the values at the two ends plus the refined extrema of a
@@ -308,19 +303,19 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
 
     A linear or hyperbolic f gives one expression in x, q and r, taking
     arrays and floats alike, whose stationary points are stated and taken,
-    with no scan, unless a numeric method is passed.  With no method or
-    an analytic one, a custom f has no scan in two cases.  Where its
-    declared direction proves g monotone (see _monotone_on) g has no
-    interior extrema, ((), ()).  For a product over a support with
+    with no scan, unless a method is passed.  With no method, a custom f
+    has no scan in two cases.  Where its declared direction proves g
+    monotone (see _monotone_on) g has no interior extrema, ((), ()).
+    For a product over a support with
     lo < 0 < hi, fn(0.0) is called once; if it is 0, f keeps one sign on
     each side of 0, so g = x * f(x) does too and |g| = |x| |f| grows away
     from 0 on both sides: g(0) = 0 is g's minimum for an increasing f and
     its maximum for a decreasing one, stated as (0.0, 0.0 * fn(0.0)).  Any
-    other custom f gets extrema None: it is scanned by the numeric method
-    passed, or by the default one, and _range_levels refuses an analytic
-    method for it.  The operations and oracle_check ask this one function.
+    other custom f gets extrema None: it is scanned by the method passed,
+    or by the default one.  The operations and oracle_check ask this one
+    function.
     """
-    numeric = method is not None and method.mode == "numeric"
+    numeric = method is not None
     if f.family == "custom":
         fn = f.fn
 
@@ -381,8 +376,7 @@ def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,
     increasing f, x + f(x) increases, so each level is [g(lo), g(hi)] and
     the result coincides with standard_sum(a, induced_number(a, f)) (the
     paper's theorem); a custom increasing f is then ranged from its
-    2(K+1) endpoint values with no scan, unless a numeric method is
-    passed.
+    2(K+1) endpoint values with no scan, unless a method is passed.
     """
     return _correlated(a, f, "sum", method)
 
@@ -394,8 +388,8 @@ def correlated_product(a: FuzzyNumber, f: CorrelationFunction,
     The correlated product lies inside standard_product(a,
     induced_number(a, f)) (the paper's containment theorem).  A custom f
     is ranged from its 2(K+1) endpoint values with no scan when method is
-    None or analytic, the support and f each keep one sign on it, and |x|
-    and |f| move together, which makes x * f(x) monotone.  On a support
+    None, the support and f each keep one sign on it, and |x| and |f|
+    move together, which makes x * f(x) monotone.  On a support
     across zero with f(0) = 0 (fn(0.0) is called once to read it),
     x * f(x) keeps one sign and its size falls towards 0 from both sides:
     the levels holding 0 take 0 as their lower end for an increasing f,

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import math
 import pickle
@@ -53,15 +54,18 @@ from helpers import (assert_levels_match_scan, collections_during, dense_range,
 
 def test_range_method_validation():
     RangeMethod()
-    RangeMethod(mode="analytic")
-    with pytest.raises(ValueError):
-        RangeMethod(mode="exhaustive")
+    assert [field.name for field in dataclasses.fields(RangeMethod)] == ["samples"]
+    assert RangeMethod.mode == "numeric"
+    with pytest.raises(TypeError):
+        RangeMethod(mode="analytic")
     with pytest.raises(ValueError):
         RangeMethod(samples=64)
     for samples in (100.5, True, "100"):
         with pytest.raises(ValueError, match="samples must be an integer"):
             RangeMethod(samples=samples)
-    assert RangeMethod(samples=np.int64(100)).samples == 100
+    method = RangeMethod(samples=np.int64(100))
+    assert type(method.samples) is int and method.samples == 100
+    assert repr(method) == "RangeMethod(samples=100)"
 
 
 def _one_level(op, f, lo, hi):
@@ -139,11 +143,6 @@ def test_range_over_interval_constant_map():
     # x + (-x) collapses to a point
     got = _one_level(correlated_sum, negation(), -5.0, 7.0)
     assert got == Interval(0.0, 0.0)
-
-
-def test_range_over_interval_rejects_analytic_on_plain_callable():
-    with pytest.raises(ValueError):
-        range_over_interval(lambda x: x, Interval(0.0, 1.0), RangeMethod(mode="analytic"))
 
 
 def test_range_over_interval_degenerate_interval():
@@ -493,48 +492,6 @@ def test_increasing_custom_sum_is_ranged_from_its_endpoints():
     num = correlated_sum(a, custom(counted, "increasing"), RangeMethod())
     assert calls[0] > 1025
     assert np.array_equal(res.los, num.los) and np.array_equal(res.his, num.his)
-
-
-@pytest.mark.parametrize("op", [correlated_sum, correlated_product])
-def test_analytic_request_takes_the_endpoint_route_when_it_proves_monotone(op):
-    a = triangular(1.0, 2.0, 3.0)
-    f = custom(math.exp, "increasing")
-    res = op(a, f, RangeMethod(mode="analytic"))
-    default = op(a, f)
-    assert res.los.tobytes() == default.los.tobytes()
-    assert res.his.tobytes() == default.his.tobytes()
-    # a decreasing f proves nothing for a sum, nor for a product across zero
-    # with f(0) != 0
-    with pytest.raises(ValueError, match="^analytic range requested but the function "
-                                         "states no extrema; use a numeric RangeMethod$"):
-        op(triangular(-1.0, 0.0, 1.0), custom(lambda x: -x**3 - 1.0, "decreasing"),
-           RangeMethod(mode="analytic"))
-    # a product across zero with f(0) = 0 states its extremum g(0)
-    across = triangular(-1.0, 0.0, 1.0)
-    cube = custom(lambda x: -x**3, "decreasing")
-    res = correlated_product(across, cube, RangeMethod(mode="analytic"))
-    default = correlated_product(across, cube)
-    assert res.los.tobytes() == default.los.tobytes()
-    assert res.his.tobytes() == default.his.tobytes()
-    assert res.his[0] == 0.0 and res.los[0] == -1.0
-    doc = " ".join(RangeMethod.__doc__.split())
-    assert "With no method passed, or an analytic one," in doc
-    assert "analytic method on any other custom correlation raises ValueError" in doc
-
-
-def test_an_analytic_request_is_refused_before_g_is_called():
-    # x**3 - 1 across zero with f(0) = -1 is scanned, so an analytic method
-    # is refused after the 257-sample direction check and the one read of
-    # f(0), before any of the 2(K+1) level ends is taken
-    counted, calls = _counted(lambda x: x**3 - 1.0)
-    with pytest.raises(ValueError, match="^analytic range requested"):
-        correlated_product(triangular(-1.0, 0.3, 2.0, grid=10), custom(counted, "increasing"),
-                           RangeMethod(mode="analytic"))
-    assert calls[0] == 258
-    counted, calls = _counted(lambda x: x * x)
-    with pytest.raises(ValueError, match="^analytic range requested"):
-        range_over_interval(counted, Interval(-1.0, 2.0), RangeMethod(mode="analytic"))
-    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("op", [correlated_sum, correlated_product])
@@ -1090,7 +1047,6 @@ def test_custom_functions_are_only_called_on_one_python_float():
     mixed = triangular(-1.0, 0.5, 2.0, grid=7)
     for op in (correlated_sum, correlated_product):
         op(pos, f)  # ranged from the level ends
-        op(pos, f, RangeMethod(mode="analytic"))  # the same route, asked for
         op(pos, f, RangeMethod(samples=65))  # scanned
         op(mixed, scanned)  # scanned by the default method
     induced_number(mixed, f)

@@ -606,6 +606,16 @@ def test_oracle_check_labels_the_route_the_engine_takes():
     assert oracle_check(a, custom(lambda x: -x**3, "decreasing"), "sum", n=501).method == "numeric"
 
 
+@pytest.mark.parametrize("f", [linear(2.0, 1.0), hyperbolic(4.0, 0.0)],
+                         ids=["linear", "hyperbolic"])
+@pytest.mark.parametrize("op", ["sum", "product"])
+def test_oracle_check_labels_a_built_in_family_asked_to_scan_numeric(f, op):
+    # a built-in family states its extrema, so only a RangeMethod scans it
+    a = triangular(1.0, 2.0, 3.0, grid=20)
+    assert oracle_check(a, f, op, n=501, method=RangeMethod(samples=65)).method == "numeric"
+    assert oracle_check(a, f, op, n=501).method == "analytic"
+
+
 def test_oracle_tolerance_stays_finite_past_the_float_range():
     # 5 * width / n passes the float max for these supports, the first one's
     # width too; the halved ends give it

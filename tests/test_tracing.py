@@ -8,8 +8,8 @@ from pathlib import Path
 
 import fuzzyarith
 import fuzzyarith.cli  # loaded, so that the tracer rebinds its names too
-from fuzzyarith import (arithmetic, correlation, custom, fuzzy, hyperbolic, interval, oracle,
-                        triangular)
+from fuzzyarith import (RangeMethod, arithmetic, correlation, custom, fuzzy, hyperbolic,
+                        interval, linear, oracle, triangular)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +39,15 @@ def test_benchmark_tracer_records_the_layers_and_restores_every_name():
         now = vars(owner)
         assert now.keys() == saved.keys(), owner
         assert all(now[k] is v for k, v in saved.items()), owner
+
+
+def test_benchmark_tracer_names_a_requested_scan_numeric():
+    # corr_span reads RangeMethod.mode, a class constant kept for it
+    tracing = _load_tracing()
+    a = triangular(1.0, 2.0, 3.0, grid=20)
+    for method, span in ((RangeMethod(), "arithmetic.corr_numeric"),
+                         (None, "arithmetic.corr_analytic")):
+        with tracing.instrument(tracing.Tracer()) as tracer:
+            fuzzyarith.correlated_sum(a, linear(2.0, 1.0), method)
+        names = {s[0] for s in tracer.spans}
+        assert names & {"arithmetic.corr_numeric", "arithmetic.corr_analytic"} == {span}
