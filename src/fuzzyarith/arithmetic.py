@@ -11,14 +11,14 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import INCREASING, CorrelationFunction, _coefficients
 from .errors import DomainError
-from .fuzzy import FuzzyNumber, _integer, _linspace
+from .fuzzy import FuzzyNumber, _grid_floats, _integer, _linspace
 from .interval import Interval
 
 BINARY_OPS = ("sum", "product")
@@ -406,6 +406,14 @@ def _scaled(c: float, los: np.ndarray, his: np.ndarray):
     return (c * los, c * his) if c >= 0 else (c * his, c * los)
 
 
+def _envelope(c0, c1, c2, c3):
+    """The elementwise least and greatest of four arrays, as
+    np.minimum.reduce and np.maximum.reduce give them, in the same order,
+    without stacking a copy of the four first."""
+    return (np.minimum(np.minimum(np.minimum(c0, c1), c2), c3),
+            np.maximum(np.maximum(np.maximum(c0, c1), c2), c3))
+
+
 def _square_range(los: np.ndarray, his: np.ndarray):
     """Levelwise range of x**2, exact (zero handled)."""
     s1 = los * los
@@ -441,7 +449,7 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
                  q * his * los + r * los,
                  q * his * los + r * his,
                  q * his * his + r * his)
-        return FuzzyNumber(np.minimum.reduce(cands), np.maximum.reduce(cands))
+        return FuzzyNumber(*_envelope(*cands))
 
     if kind == "std-sum-hyperbolic":
         if q < 0:  # q/x + r increases away from zero
@@ -453,7 +461,7 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
                  his * q / los + r * his,
                  los * q / his + r * los,
                  q + r * his)
-        return FuzzyNumber(np.minimum.reduce(cands), np.maximum.reduce(cands))
+        return FuzzyNumber(*_envelope(*cands))
 
     if kind == "corr-sum-linear":
         slo, shi = _scaled(q + 1.0, los, his)
@@ -490,15 +498,17 @@ class LevelResult(NamedTuple):
 def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: np.ndarray,
                 equal: np.ndarray) -> list[LevelResult]:
     """One LevelResult per grid alpha, read from the level arrays of x and y
-    and the per-level comparison arrays as whole ``.tolist()`` columns.
+    and the per-level comparison arrays as whole ``.tolist()`` columns; the
+    alpha column is the grid's own tuple of floats, _grid_floats(K), built
+    once per K and shared by every row of that K.
 
     x and y must be FuzzyNumbers.  Their constructor has proved every stored
     level finite with lo <= hi and made the arrays read-only, and
     ``.tolist()`` yields Python floats and bools, which is all that
     Interval's validation would establish.  So the rows and their intervals
     are made by ``tuple.__new__`` straight from the zipped columns, without
-    the validating constructor, and all of them are built before the call
-    returns.
+    the validating constructor (starmap passes each zipped tuple on as it
+    is), and all of them are built before the call returns.
 
     The build runs with the cyclic garbage collector paused, and its prior
     state restored after, also when the build raises.  Rows hold only
@@ -508,16 +518,16 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
     alive would start collections, full ones at K = 10000, that walk the
     rows for nothing.
     """
-    alphas, xlo, xhi, ylo, yhi, h, sub, eq = (
-        c.tolist() for c in (x.alphas, x.los, x.his, y.los, y.his, hausdorff, subset, equal))
+    xlo, xhi, ylo, yhi, h, sub, eq = (
+        c.tolist() for c in (x.los, x.his, y.los, y.his, hausdorff, subset, equal))
     new = tuple.__new__
-    lefts = map(new, repeat(Interval), zip(xlo, xhi))
-    rights = map(new, repeat(Interval), zip(ylo, yhi))
+    lefts = starmap(new, zip(repeat(Interval), zip(xlo, xhi)))
+    rights = starmap(new, zip(repeat(Interval), zip(ylo, yhi)))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return list(map(new, repeat(LevelResult),
-                        zip(alphas, lefts, rights, h, sub, eq)))
+        return list(starmap(new, zip(repeat(LevelResult),
+                                     zip(_grid_floats(x.k), lefts, rights, h, sub, eq))))
     finally:
         if enabled:
             gc.enable()

@@ -35,7 +35,7 @@ from .arithmetic import (CLOSED_FORM_KINDS, closed_form, correlated_product,
                          correlated_sum, standard_product, standard_sum)
 from .correlation import CORRELATIONS, correlation_from_json, induced_number
 from .errors import DomainError
-from .fuzzy import DEFAULT_GRID_K, SHAPES, FuzzyNumber, _grid_size, fuzzy_from_json
+from .fuzzy import DEFAULT_GRID_K, SHAPES, FuzzyNumber, _grid_floats, _grid_size, fuzzy_from_json
 from .oracle import DEFAULT_SAMPLES, oracle_check
 
 # Caps on --grid and --oracle-n, checked before any array is built: memory
@@ -249,7 +249,7 @@ def _parse_alphas(spec: str | None, x: FuzzyNumber) -> list[float]:
     """The alphas of --alphas, or x's grid alphas; alpha_cuts checks the
     range, before anything is printed."""
     if spec is None:
-        return x.alphas.tolist()
+        return list(_grid_floats(x.k))
     out = []
     for part in spec.split(","):
         part = part.strip()

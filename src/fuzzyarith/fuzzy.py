@@ -9,6 +9,7 @@ off by linear interpolation.  The level at alpha = 1 is the closed core.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,35 @@ def _grid_size(k) -> int:
     if k < 1:
         raise ValueError(f"grid size must be at least 1, got {k}")
     return k
+
+
+# The per-K constants below are built on first use and kept for this many
+# grid sizes each, the least recently used dropped first.  All three of a K
+# hold about 56 (K + 1) bytes: 5.6 MB at K = 100 000.
+GRID_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid(k: int) -> np.ndarray:
+    """The alphas i / K, i = 0..K, of the grid of k steps, as the read-only
+    array np.linspace(0.0, 1.0, k + 1), shared by every caller."""
+    al = np.linspace(0.0, 1.0, k + 1)
+    al.flags.writeable = False
+    return al
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_floats(k: int) -> tuple[float, ...]:
+    """_grid(k) as a tuple of Python floats."""
+    return tuple(_grid(k).tolist())
+
+
+@lru_cache(maxsize=GRID_CACHE_SIZE)
+def _slot_steps(k: int) -> np.ndarray:
+    """The grid-step number of each of _curve_slots' 2K + 3 slots, read-only."""
+    seg = np.concatenate(([0.0], np.arange(k + 1.0), np.arange(k - 1.0, -1.0, -1.0), [0.0]))
+    seg.flags.writeable = False
+    return seg
 
 
 def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
@@ -105,8 +135,8 @@ class FuzzyNumber:
 
     @property
     def alphas(self) -> np.ndarray:
-        """The grid alphas i / K, i = 0..K."""
-        return np.linspace(0.0, 1.0, self.k + 1)
+        """The grid alphas i / K, i = 0..K, as a fresh array."""
+        return _grid(self.k).copy()
 
     @property
     def support(self) -> Interval:
@@ -220,7 +250,7 @@ class FuzzyNumber:
         k = _grid_size(grid)
         if k == self.k:
             return self
-        return FuzzyNumber(*self.alpha_cuts(np.linspace(0.0, 1.0, k + 1)))
+        return FuzzyNumber(*self.alpha_cuts(_grid(k)))
 
     def to_json(self) -> dict:
         """Plain-object form: {"K": K, "levels": [[lo, hi], ...]}."""
@@ -342,13 +372,12 @@ def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
     finite offset into alpha 0, 1 and 0.  A flat step holds no point and
     reads 1 (-1 on the upper curve).
     """
-    k = los.size - 1
     rise, fall = los[1:] - los[:-1], (his[1:] - his[:-1])[::-1]
     return (np.concatenate((los, np.nextafter(his[::-1], math.inf))),
             np.concatenate((los[:1], los, his[-2::-1], his[:1])),
             np.concatenate((_INF, np.where(rise > 0.0, rise, 1.0), _INF,
                             np.where(fall < 0.0, fall, -1.0), _INF)),
-            np.concatenate(([0.0], np.arange(k + 1.0), np.arange(k - 1.0, -1.0, -1.0), [0.0])))
+            _slot_steps(los.size - 1))
 
 
 # -- constructors -------------------------------------------------------------
@@ -398,7 +427,7 @@ def _sides(a: float, b: float, c: float, d: float,
     ends are b and c themselves, which a + 1*(b - a) and d - 1*(d - c) can
     miss by rounding, and the halved side by far more; the clamps keep a
     halved side within them, so the family stays nested."""
-    al = np.linspace(0.0, 1.0, _grid_size(grid) + 1)
+    al = _grid(_grid_size(grid))
     a, b, c, d = float(a), float(b), float(c), float(d)
     if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
         lo, hi = a + al * (b - a), d - al * (d - c)

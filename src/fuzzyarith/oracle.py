@@ -18,7 +18,8 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _nan_error,
                          _route, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
-from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid_size, _integer, _linspace
+from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer,
+                    _linspace)
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -165,7 +166,7 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    thresholds = np.linspace(0.0, 1.0, k + 1) - delta
+    thresholds = _grid(k) - delta
     rise, fall = mus[:peak + 1], mus[peak:]
     if not (rise[1:] >= rise[:-1]).all():
         rise = np.maximum.accumulate(rise)
@@ -202,10 +203,10 @@ class OracleReport:
 
     def to_json(self) -> dict:
         e, o, extra = self.engine, self.oracle, self.termwise or ()
-        cols = (e.alphas, e.los, e.his, o.los, o.his, self.hausdorff, *extra)
+        cols = (e.los, e.his, o.los, o.his, self.hausdorff, *extra)
         rows = [{"alpha": r[0], "engine": list(r[1:3]), "oracle": list(r[3:5]), "hausdorff": r[5]}
                 | ({"minkowski": list(r[6:])} if extra else {})
-                for r in zip(*(c.tolist() for c in cols))]
+                for r in zip(_grid_floats(e.k), *(c.tolist() for c in cols))]
         return {"op": self.op, "n": self.n, "tolerance": self.tolerance,
                 "max_hausdorff": self.max_hausdorff, "passed": self.passed, "levels": rows}
 

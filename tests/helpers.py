@@ -273,3 +273,11 @@ def collections_during(fn):
     finally:
         gc.callbacks.remove(count)
     return result, len(starts)
+
+
+def grid_builds(k, call):
+    """How many times call() builds the alpha grid of k steps as
+    np.linspace(0.0, 1.0, k + 1)."""
+    with mock.patch("numpy.linspace", wraps=np.linspace) as spy:
+        call()
+    return sum(c.args[:3] == (0.0, 1.0, k + 1) for c in spy.call_args_list)

@@ -47,7 +47,7 @@ from fuzzyarith import (
 from fuzzyarith import arithmetic
 from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
 
-from helpers import (assert_levels_match_scan, collections_during, dense_range,
+from helpers import (assert_levels_match_scan, collections_during, dense_range, grid_builds,
                      per_point_evaluation, random_shape, random_sign_definite,
                      reference_compare_levels)
 
@@ -659,6 +659,30 @@ def test_closed_form_matches_engine_on_reference_shapes():
         assert all(r.equal for r in compare_levels(got, want, 1e-9)), kind
 
 
+@settings(deadline=None)
+@given(_shape_params, st.sampled_from([1, 2, 7, 50]),
+       st.sampled_from(["std-prod-linear", "std-prod-hyperbolic"]),
+       st.sampled_from([-1.0, 1.0, 2.5]) | st.floats(-1e3, 1e3).filter(bool),
+       st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-1e3, 1e3))
+@example([-1.0, -0.0, 0.0, 1.0], 2, "std-prod-linear", -1.0, 0.0)  # ends -0.0 and 0.0
+def test_closed_form_std_prod_kinds_reduce_their_four_candidates(params, grid, kind, q, r):
+    # the least and greatest of the four candidates, bit for bit as
+    # np.minimum.reduce and np.maximum.reduce of them in this order give
+    # them: at the core of the example they are -0.0, 0.0, 0.0, 0.0
+    a = (triangular if len(params) == 3 else trapezoidal)(*params, grid=grid)
+    los, his = a.los, a.his
+    if kind == "std-prod-hyperbolic":
+        if los[0] <= 0.0 <= his[0]:
+            return
+        cands = (q + r * los, his * q / los + r * his, los * q / his + r * los, q + r * his)
+    else:
+        cands = (q * los * los + r * los, q * his * los + r * los,
+                 q * his * los + r * his, q * his * his + r * his)
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: FuzzyNumber(np.minimum.reduce(cands), np.maximum.reduce(cands)))
+        assert _outcome(lambda: closed_form(kind, a, q, r)) == want
+
+
 def test_corr_prod_linear_closed_form_needs_co_monotone_terms():
     # with q, r pulling in opposite directions the shortcut genuinely
     # overshoots the true range, so the engine must stay authoritative
@@ -792,6 +816,22 @@ def test_compare_levels_returns_a_plain_list():
     rows = compare_levels(corr, std)
     assert type(rows) is list and rows == reference_compare_levels(corr, std)
     assert all(r.subset for r in rows)
+
+
+@pytest.mark.parametrize("k", [1, 7, 100, 1000, 10000])
+def test_compare_levels_reads_its_alphas_from_the_grid_built_once(k):
+    # the alpha column is np.linspace's, bit for bit, and after the first
+    # call at a K no call builds the grid again
+    x = triangular(-1.0, 0.5, 2.0, grid=k)
+    y = correlated_product(x, linear(2.0, 1.0))
+    rows = compare_levels(x, y)
+    grid = np.linspace(0.0, 1.0, k + 1).tolist()
+    assert [r.alpha.hex() for r in rows] == [v.hex() for v in grid]
+    assert grid_builds(k, lambda: compare_levels(y, x)) == 0
+    # a caller writing into the alphas it was given changes no later row
+    alphas = x.alphas
+    alphas[:] = 0.5
+    assert compare_levels(x, y) == rows
 
 
 @pytest.mark.parametrize("tol", [-1e-9, -math.inf, math.nan])

@@ -22,9 +22,10 @@ from fuzzyarith import (
 )
 
 from fuzzyarith import fuzzy
-from fuzzyarith.fuzzy import MERGE_MIN_RATIO, NEST_TOL, NEST_ULPS
+from fuzzyarith.fuzzy import GRID_CACHE_SIZE, MERGE_MIN_RATIO, NEST_TOL, NEST_ULPS
 
-from helpers import random_shape, reference_alpha_cut, reference_fuzzy_ends, reference_membership
+from helpers import (grid_builds, random_shape, reference_alpha_cut, reference_fuzzy_ends,
+                     reference_membership)
 
 _MAX = float(np.finfo(float).max)
 
@@ -774,3 +775,55 @@ def test_shape_cores_are_their_parameters_unless_repaired(params, grid):
             assert abs(x.core.lo - core[0]) <= slack and abs(x.core.hi - core[1]) <= slack
         else:
             assert x.core == Interval(*core)
+
+
+@pytest.mark.parametrize("k", [3, 100])
+def test_each_grid_is_built_once_per_k(k):
+    a = triangular(-1.0, 0.5, 2.0, grid=k)
+    long = np.linspace(-2.0, 3.0, MERGE_MIN_RATIO * (2 * k + 2))  # merged
+    calls = {
+        "triangular": lambda: triangular(-1.0, 0.5, 2.0, grid=k),
+        "trapezoidal": lambda: trapezoidal(-1.0, 0.0, 0.5, 2.0, grid=k),
+        "resample": lambda: crisp(1.0, grid=2 * k).resample(k),
+        "membership": lambda: (a.membership(long), a.membership(long[::-1])),
+    }
+    for name, call in calls.items():
+        call()
+        assert grid_builds(k, call) == 0, name
+    # membership reads one slot-number table per K, whatever the ends
+    b = trapezoidal(5.0, 6.0, 7.0, 9.0, grid=k)
+    assert fuzzy._curve_slots(a.los, a.his)[3] is fuzzy._curve_slots(b.los, b.his)[3]
+
+
+def test_the_shared_grid_constants_are_read_only():
+    for table in (fuzzy._grid(7), fuzzy._slot_steps(7)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.5
+    assert isinstance(fuzzy._grid_floats(7), tuple)
+
+
+@pytest.mark.parametrize("k", [1, 7, 100, 1000])
+def test_alphas_is_a_fresh_writable_copy_of_the_grid(k):
+    a = triangular(1.0, 2.0, 3.0, grid=k)
+    al = a.alphas
+    assert al.flags.writeable and al is not a.alphas
+    assert al.tobytes() == np.linspace(0.0, 1.0, k + 1).tobytes()
+    al[:] = 0.25
+    assert a.alphas.tobytes() == np.linspace(0.0, 1.0, k + 1).tobytes()
+    assert triangular(1.0, 2.0, 3.0, grid=k) == a
+
+
+def test_grids_evicted_from_the_cache_are_rebuilt_with_the_same_bytes():
+    ks = range(2, 2 * GRID_CACHE_SIZE + 5)
+    pts = np.linspace(-1.5, 2.5, 41)
+    # forwards, back and forwards again, so that each K is built again after
+    # its eviction
+    for k in [*ks, *reversed(ks), *ks]:
+        al = np.linspace(0.0, 1.0, k + 1)
+        lo, hi = -1.0 + al * 1.5, 2.0 - al * 1.5
+        lo[-1] = hi[-1] = 0.5
+        a = triangular(-1.0, 0.5, 2.0, grid=k)
+        assert a.alphas.tobytes() == al.tobytes()
+        assert a.los.tobytes() == lo.tobytes() and a.his.tobytes() == hi.tobytes()
+        assert _bits(*(r.alpha for r in compare_levels(a, a))) == al.tobytes()
+        assert np.array_equal(a.membership(pts), reference_membership(a, pts))

@@ -33,7 +33,7 @@ from fuzzyarith import (
 from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
 from fuzzyarith.oracle import MERGE_WINDOW, _auto_delta
 
-from helpers import (dense_levels_from_membership, random_shape, reference_extend,
+from helpers import (dense_levels_from_membership, grid_builds, random_shape, reference_extend,
                      reference_levels_from_membership)
 
 
@@ -627,6 +627,28 @@ def test_oracle_tolerance_stays_finite_past_the_float_range():
     # elsewhere it is 5 * width / n as it was, bit for bit
     report = oracle_check(triangular(-1e307, 0.0, 2e307, grid=4), f, "sum")
     assert report.tolerance == 5.0 * (2e307 - -1e307) / 2001
+
+
+@pytest.mark.parametrize("k", [1, 7, 100])
+def test_the_oracle_reads_its_alphas_from_the_grid_built_once(k):
+    a = triangular(1.0, 2.0, 3.0, grid=k)
+    report = oracle_check(a, hyperbolic(4.0), "sum", n=501)
+    grid = np.linspace(0.0, 1.0, k + 1).tolist()
+    assert [row["alpha"].hex() for row in report.to_json()["levels"]] == [v.hex() for v in grid]
+    s = extend(build_joint(a, hyperbolic(4.0), 501), "sum")
+    want = levels_from_membership(s, k, 0.01)
+    calls = {
+        "levels": lambda: oracle_check(a, hyperbolic(4.0), "sum", n=501).levels,
+        "to_json": report.to_json,
+        "levels_from_membership": lambda: levels_from_membership(s, k, 0.01),
+    }
+    for name, call in calls.items():
+        assert grid_builds(k, call) == 0, name
+    # a caller writing into the alphas it was given moves no threshold
+    alphas = a.alphas
+    alphas[:] = 0.5
+    assert levels_from_membership(s, k, 0.01) == want
+    assert want == reference_levels_from_membership(s, k, 0.01)
 
 
 def test_oracle_report_json_schema():
