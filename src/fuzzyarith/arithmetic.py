@@ -253,12 +253,7 @@ def standard_product(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Levelwise interval product (extrema over the four endpoint products)
     of two fuzzy numbers on the same grid, as standard_sum."""
     _same_grid(a, b)
-    p1 = a.los * b.los
-    p2 = a.los * b.his
-    p3 = a.his * b.los
-    p4 = a.his * b.his
-    return FuzzyNumber(np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-                       np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+    return FuzzyNumber(*_envelope(a.los * b.los, a.los * b.his, a.his * b.los, a.his * b.his))
 
 
 # -- correlated operations -------------------------------------------------------

@@ -184,17 +184,27 @@ def reciprocal() -> CorrelationFunction:
 
 
 def custom(fn: Callable[[float], float], direction: str,
-           domain: Interval | None = None) -> CorrelationFunction:
+           domain: Interval | tuple[float, float] | None = None) -> CorrelationFunction:
     """Wrap an arbitrary evaluator with a declared monotone direction.
 
     The declaration is trusted until the function is applied to a fuzzy
-    number, at which point it is sample-checked on the support.
+    number, at which point it is sample-checked on the support.  ``domain``
+    is None or an Interval or (lo, hi) pair, stored as an Interval; any
+    other value, a pair with a non-finite end or lo > hi included, raises
+    ValueError.
     """
     if direction not in (INCREASING, DECREASING):
         raise ValueError(f"direction must be '{INCREASING}' or '{DECREASING}', "
                          f"got {direction!r}")
     if not callable(fn):
         raise ValueError("custom correlation needs a callable evaluator")
+    if domain is not None:
+        try:
+            lo, hi = domain
+            domain = Interval(lo, hi)
+        except (TypeError, ValueError):
+            raise ValueError(f"custom correlation domain must be None or a finite (lo, hi) "
+                             f"pair with lo <= hi, got {domain!r}") from None
     return CorrelationFunction("custom", fn=fn, direction=direction, domain=domain)
 
 

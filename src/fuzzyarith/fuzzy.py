@@ -208,8 +208,8 @@ class FuzzyNumber:
         scalar = arr.ndim == 0
         pts = np.atleast_1d(arr)
         los, his, k = self.los, self.his, self.k
-        # an offset past the float range below the support, on the core or
-        # above the support gives inf / inf, and its alpha is set below
+        # an infinite point, or an offset past the float range below or above
+        # the support, gives inf / inf, and its alpha is set below
         with np.errstate(over="ignore", invalid="ignore"):
             nodes, base, step, seg = _curve_slots(los, his)
             at = _slot_reader(nodes, pts)
@@ -237,8 +237,9 @@ class FuzzyNumber:
                     "; the first NaN point is x[%s]"
                     % ", ".join(map(str, np.unravel_index(int(np.argmax(nan)), pts.shape))))
                 raise ValueError(f"membership of nan is undefined{where}")
-            # 1 on the core, 0 off the support
-            off[undone] = at(np.arange(nodes.size + 1))[undone] == k + 1
+            # only points off the support get here: a core point's offset
+            # is at most the core's width, or halved on a wide support
+            off[undone] = 0.0
         return float(off[0]) if scalar else off
 
     # -- derived representations ---------------------------------------------
@@ -383,12 +384,15 @@ def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
 # -- constructors -------------------------------------------------------------
 
 
-def _finite(shape: str, **params) -> None:
+def _shape_parameters(shape: str, **params) -> None:
     """ValueError naming the first of the parameters of ``shape`` that is
-    not finite."""
+    not finite, else unless the parameters are in non-decreasing order."""
     for name, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{shape} parameter {name} must be finite, got {float(value)!r}")
+    values = tuple(params.values())
+    if values != tuple(sorted(values)):
+        raise ValueError(f"{shape} parameters must satisfy {' <= '.join(params)}, got {values}")
 
 
 def triangular(a: float, b: float, c: float,
@@ -397,54 +401,49 @@ def triangular(a: float, b: float, c: float,
 
     Level endpoints are a + alpha*(b - a) and c - alpha*(c - b).
     """
-    _finite("triangular", a=a, b=b, c=c)
-    if not a <= b <= c:
-        raise ValueError(f"triangular parameters must satisfy a <= b <= c, got {(a, b, c)}")
+    _shape_parameters("triangular", a=a, b=b, c=c)
     return FuzzyNumber(*_sides(a, b, b, c, grid))
 
 
 def trapezoidal(a: float, b: float, c: float, d: float,
                 grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Trapezoidal fuzzy number with support [a, d] and plateau [b, c]."""
-    _finite("trapezoidal", a=a, b=b, c=c, d=d)
-    if not a <= b <= c <= d:
-        raise ValueError(
-            f"trapezoidal parameters must satisfy a <= b <= c <= d, got {(a, b, c, d)}")
+    _shape_parameters("trapezoidal", a=a, b=b, c=c, d=d)
     return FuzzyNumber(*_sides(a, b, c, d, grid))
-
-
-_HALF_MAX = 0.5 * float(np.finfo(float).max)
 
 
 def _sides(a: float, b: float, c: float, d: float,
            grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The side lines a + alpha*(b - a) and d - alpha*(d - c) at the grid
-    nodes.  A side wider than the float range is worked out on halved
-    operands and doubled, which is exact at those magnitudes; the halved
-    side is held to its halved inner end, past which rounding can carry it
-    and the doubling overflow.  The parameters are taken as Python floats,
-    so that a numpy float32 one is not compared in float32.  The alpha = 1
+    nodes.  A side whose width passes the float range is worked out on
+    halved operands and doubled, which is exact at those magnitudes; the
+    halved side is held to its halved inner end, past which rounding can
+    carry it and the doubling overflow.  The parameters are taken as Python
+    floats, so that a numpy float32 one is not worked in float32 and a
+    width past the float range overflows without a warning.  The alpha = 1
     ends are b and c themselves, which a + 1*(b - a) and d - 1*(d - c) can
     miss by rounding, and the halved side by far more; the clamps keep a
     halved side within them, so the family stays nested."""
     al = _grid(_grid_size(grid))
     a, b, c, d = float(a), float(b), float(c), float(d)
-    if -a <= _HALF_MAX and d <= _HALF_MAX:  # no step can pass the float range
-        lo, hi = a + al * (b - a), d - al * (d - c)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = a + al * (b - a), d - al * (d - c)
-            if not math.isfinite(lo[0]):
-                lo = 2.0 * np.minimum(0.5 * a + al * (0.5 * b - 0.5 * a), 0.5 * b)
-            if not math.isfinite(hi[0]):
-                hi = 2.0 * np.maximum(0.5 * d - al * (0.5 * d - 0.5 * c), 0.5 * c)
+    # a side within the float range can round past it only at alpha = 1,
+    # whose end is set to b or c below
+    with np.errstate(over="ignore"):
+        if math.isfinite(b - a):
+            lo = a + al * (b - a)
+        else:
+            lo = 2.0 * np.minimum(0.5 * a + al * (0.5 * b - 0.5 * a), 0.5 * b)
+        if math.isfinite(d - c):
+            hi = d - al * (d - c)
+        else:
+            hi = 2.0 * np.maximum(0.5 * d - al * (0.5 * d - 0.5 * c), 0.5 * c)
     lo[-1], hi[-1] = b, c
     return lo, hi
 
 
 def crisp(a: float, grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Degenerate fuzzy number concentrated at the single value a."""
-    _finite("crisp", a=a)
+    _shape_parameters("crisp", a=a)
     n = _grid_size(grid) + 1
     return FuzzyNumber(np.full(n, float(a)), np.full(n, float(a)))
 

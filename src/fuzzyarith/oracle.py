@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _level_rows, _nan_error,
-                         _route, correlated_product, correlated_sum)
+from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _nan_error, _route,
+                         compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
 from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer,
                     _linspace)
@@ -29,18 +29,31 @@ MIN_SAMPLES = 101
 MERGE_WINDOW = 1e-12
 
 
+def _float_fields(record) -> None:
+    """Store each field of the frozen dataclass ``record`` as a float array
+    (np.asarray keeps a float array as it is); ValueError unless they are
+    1-d and of one length."""
+    names, shapes = list(record.__dataclass_fields__), set()
+    for name in names:
+        array = np.asarray(getattr(record, name), dtype=float)
+        object.__setattr__(record, name, array)
+        shapes.add(array.shape)
+    if len(shapes) > 1 or array.ndim != 1:
+        raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must be 1-d arrays "
+                         f"of one length")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Graph samples of the coupled pair: points (xs[i], ys[i]) with
-    possibility mu[i], ys = f(xs)."""
+    possibility mu[i], ys = f(xs); each field is taken as a float array."""
 
     xs: np.ndarray
     mu: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.xs.shape == self.mu.shape == self.ys.shape) or self.xs.ndim != 1:
-            raise ValueError("xs, mu and ys must be 1-d arrays of one length")
+        _float_fields(self)
         if not (self.xs[1:] > self.xs[:-1]).all():  # a NaN fails the test
             raise ValueError("xs must be strictly increasing")
         if (self.mu < 0.0).any() or (self.mu > 1.0).any():
@@ -49,10 +62,14 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class SampledMembership:
-    """Output samples zs with their memberships, zs strictly increasing."""
+    """Output samples zs with their memberships, zs strictly increasing;
+    each field is taken as a float array."""
 
     zs: np.ndarray
     mus: np.ndarray
+
+    def __post_init__(self) -> None:
+        _float_fields(self)
 
 
 def _check_op(op: str) -> None:
@@ -199,7 +216,7 @@ class OracleReport:
 
     @cached_property
     def levels(self) -> list[LevelResult]:
-        return _level_rows(self.engine, self.oracle, *_compared(self.engine, self.oracle, 0.0))
+        return compare_levels(self.engine, self.oracle, 0.0)
 
     def to_json(self) -> dict:
         e, o, extra = self.engine, self.oracle, self.termwise or ()

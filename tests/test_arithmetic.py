@@ -190,6 +190,23 @@ def test_standard_product_levelwise():
 # parameters of a triangular or trapezoidal number whose support often crosses zero
 _shape_params = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=4).map(sorted)
 
+# the same with signed zeros and subnormals, where the order of a tie shows
+_signed_params = st.lists(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]) | st.floats(-50.0, 50.0),
+                          min_size=3, max_size=4).map(sorted)
+
+
+@given(_signed_params, _signed_params, st.sampled_from([1, 2, 7]))
+@example([-1.0, -0.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 2)  # core products -0.0, -0.0, 0.0, 0.0
+def test_standard_product_reduces_its_four_products_in_order(pa, pb, grid):
+    # bit for bit np.minimum.reduce and np.maximum.reduce of the products in
+    # this order: the last of them to reach an extreme is kept, so the
+    # example's core is [0.0, 0.0], where the reversed order gives -0.0
+    a, b = ((triangular if len(p) == 3 else trapezoidal)(*p, grid=grid) for p in (pa, pb))
+    products = (a.los * b.los, a.los * b.his, a.his * b.los, a.his * b.his)
+    got = standard_product(a, b)
+    assert got.los.tobytes() == np.minimum.reduce(products).tobytes()
+    assert got.his.tobytes() == np.maximum.reduce(products).tobytes()
+
 
 @settings(deadline=None)
 @given(_shape_params, _shape_params, st.sampled_from([1, 2, 7, 50]),
@@ -665,20 +682,22 @@ def test_closed_form_matches_engine_on_reference_shapes():
        st.sampled_from([-1.0, 1.0, 2.5]) | st.floats(-1e3, 1e3).filter(bool),
        st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-1e3, 1e3))
 @example([-1.0, -0.0, 0.0, 1.0], 2, "std-prod-linear", -1.0, 0.0)  # ends -0.0 and 0.0
+# a subnormal end: los * q / his passes the float range
+@example([-1.0, -1.0, -2.225073858507e-311], 1, "std-prod-hyperbolic", -1.0, -0.0)
 def test_closed_form_std_prod_kinds_reduce_their_four_candidates(params, grid, kind, q, r):
     # the least and greatest of the four candidates, bit for bit as
     # np.minimum.reduce and np.maximum.reduce of them in this order give
     # them: at the core of the example they are -0.0, 0.0, 0.0, 0.0
     a = (triangular if len(params) == 3 else trapezoidal)(*params, grid=grid)
     los, his = a.los, a.his
-    if kind == "std-prod-hyperbolic":
-        if los[0] <= 0.0 <= his[0]:
-            return
-        cands = (q + r * los, his * q / los + r * his, los * q / his + r * los, q + r * his)
-    else:
-        cands = (q * los * los + r * los, q * his * los + r * los,
-                 q * his * los + r * his, q * his * his + r * his)
+    if kind == "std-prod-hyperbolic" and los[0] <= 0.0 <= his[0]:
+        return
     with np.errstate(all="ignore"):
+        if kind == "std-prod-hyperbolic":
+            cands = (q + r * los, his * q / los + r * his, los * q / his + r * los, q + r * his)
+        else:
+            cands = (q * los * los + r * los, q * his * los + r * los,
+                     q * his * los + r * his, q * his * his + r * his)
         want = _outcome(lambda: FuzzyNumber(np.minimum.reduce(cands), np.maximum.reduce(cands)))
         assert _outcome(lambda: closed_form(kind, a, q, r)) == want
 

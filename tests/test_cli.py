@@ -315,6 +315,17 @@ def test_module_entry_point_runs():
     assert proc.stdout.splitlines() == ["alpha,lo,hi", "1,2,2"]
 
 
+def test_module_entry_point_prints_the_readme_rows_and_exits_with_the_cli_code():
+    run = lambda *argv: subprocess.run([sys.executable, "-m", "fuzzyarith", *argv],
+                                       capture_output=True, text=True)
+    rows = run("eval", "-e", "corr_sum(tri(1,2,3), negation)", "--alphas", "0,0.5,1")
+    assert (rows.returncode, rows.stderr) == (0, "")
+    assert rows.stdout == "alpha\tlevel\n0\t[0, 0]\n0.5\t[0, 0]\n1\t[0, 0]\n"
+    bad = run("eval", "-e", "corr_sum(tri(1,2,3) negation)")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == "fuzzyarith: expected ',', found 'negation' at position 20\n"
+
+
 def test_overflow_names_operator_and_level_without_numpy_warnings():
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzyarith", "eval", "-e",

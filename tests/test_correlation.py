@@ -104,6 +104,25 @@ def test_require_on_custom_domain():
         f.require_on(Interval(-1.0, 4.0))
 
 
+@pytest.mark.parametrize("domain", [(0, 5), [0.0, 5.0], Interval(0.0, 5.0), np.array([0.0, 5.0])])
+def test_custom_takes_a_domain_as_an_interval_or_a_pair(domain):
+    f = custom(math.exp, "increasing", domain=domain)
+    assert type(f.domain) is Interval and f.domain == Interval(0.0, 5.0)
+    a = triangular(1.0, 2.0, 3.0, grid=4)
+    assert correlated_sum(a, f) == correlated_sum(a, custom(math.exp, "increasing"))
+    with pytest.raises(DomainError, match="leaves the declared domain"):
+        correlated_sum(triangular(-1.0, 2.0, 3.0, grid=4), f)
+
+
+@pytest.mark.parametrize("domain", [(5.0, 0.0), (math.nan, 1.0), (0.0, math.inf), [0.0, 1.0, 2.0],
+                                    3.0, (0.0,), "ab", (None, 1.0)])
+def test_custom_rejects_a_domain_it_cannot_use(domain):
+    message = (f"custom correlation domain must be None or a finite (lo, hi) pair with "
+               f"lo <= hi, got {domain!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        custom(math.exp, "increasing", domain=domain)
+
+
 def test_check_monotone_detects_direction():
     assert check_monotone(custom(lambda x: x**3, "increasing"), Interval(-2.0, 2.0)) == "increasing"
     assert check_monotone(linear(-1.0), Interval(0.0, 1.0)) == "decreasing"

@@ -89,6 +89,21 @@ def test_shape_validation():
         triangular(0.0, 1.0, 2.0, grid=0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: triangular(3, 2, 1), "triangular parameters must satisfy a <= b <= c, got (3, 2, 1)"),
+    (lambda: triangular(0.0, -0.5, 2.0, grid=0),
+     "triangular parameters must satisfy a <= b <= c, got (0.0, -0.5, 2.0)"),
+    (lambda: trapezoidal(0.0, 2.0, 1.0, 4.0),
+     "trapezoidal parameters must satisfy a <= b <= c <= d, got (0.0, 2.0, 1.0, 4.0)"),
+    (lambda: trapezoidal(1, 2, 3, 2.5),
+     "trapezoidal parameters must satisfy a <= b <= c <= d, got (1, 2, 3, 2.5)"),
+])
+def test_shapes_reject_parameters_out_of_order_naming_them(make, message):
+    # before the grid size is checked, with the parameters as given
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_alpha_cut_interpolates_between_grid_levels():
     a = triangular(1.0, 2.0, 3.0, grid=2)
     # grid alphas are 0, 0.5, 1; alpha 0.25 sits halfway up the first band
@@ -527,6 +542,25 @@ def test_membership_of_nan_raises():
     assert a.membership([-math.inf, 1.0, math.inf]).tolist() == [0.0, 1.0, 0.0]
 
 
+def test_membership_off_the_support_is_zero_where_its_offset_passes_the_float_range():
+    # no errstate: the suite turns a RuntimeWarning into an error.  A point
+    # reads 0 where it is infinite or its offset from the support passes the
+    # float range, on a support within the float range and on one wider
+    # than it; points on the core still read 1.  Long sorted points are
+    # merged with the nodes, the reversed ones searched among them.
+    high = triangular(1e308, 1.2e308, 1.5e308, grid=1)
+    cases = ((high, [-math.inf, -_MAX, -1e308, 1.2e308, math.inf]),
+             (FuzzyNumber(-high.his, -high.los), [-math.inf, -1.2e308, 1e308, _MAX, math.inf]),
+             (FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]), [-math.inf, 1.55e308, math.inf]))
+    for a, points in cases:
+        want = [1.0 if a.core.lo <= x <= a.core.hi else 0.0 for x in points]
+        assert [a.membership(x) for x in points] == want
+        n = MERGE_MIN_RATIO * (2 * a.k + 2)
+        pts, wants = np.repeat(points, n), np.repeat(want, n)
+        assert a.membership(pts).tolist() == wants.tolist()
+        assert a.membership(pts[::-1]).tolist() == wants[::-1].tolist()
+
+
 _PARAMS = st.sampled_from([-0.0, 0.0, 1.0, -2.0, 3.5]) | st.floats(-10.0, 10.0)
 
 
@@ -713,6 +747,20 @@ def test_a_halved_side_ends_at_its_parameter():
     assert not repair.called  # exactly nested as built
     assert a.core == Interval(-3.4014101754884144e16, -3.4014101754884144e16)
     assert a.support == Interval(-6.288267534171607e16, _MAX)
+
+
+@pytest.mark.parametrize("grid", [1, 2, 7])
+def test_a_side_within_the_float_range_ends_at_the_float_max_without_a_warning(grid):
+    # no errstate: the suite turns a RuntimeWarning into an error.  b - a is
+    # finite, but a + 1*(b - a) rounds past the float max; that node is b
+    a = 3 * 2.0**970
+    x = triangular(a, _MAX, _MAX, grid=grid)
+    inner = x.alphas[:-1]
+    assert x.los.tobytes() == np.append(a + inner * (_MAX - a), _MAX).tobytes()
+    assert (x.his == _MAX).all()
+    mirrored = triangular(-_MAX, -_MAX, -a, grid=grid)
+    assert mirrored.his.tobytes() == np.append(-a - inner * (-a + _MAX), -_MAX).tobytes()
+    assert (mirrored.los == -_MAX).all()
 
 
 def test_slack_at_the_largest_float_stays_finite():

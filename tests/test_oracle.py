@@ -16,6 +16,7 @@ from fuzzyarith import (
     SampledMembership,
     build_joint,
     check_monotone,
+    compare_levels,
     correlated_sum,
     crisp,
     custom,
@@ -31,7 +32,7 @@ from fuzzyarith import (
 )
 
 from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
-from fuzzyarith.oracle import MERGE_WINDOW, _auto_delta
+from fuzzyarith.oracle import MERGE_WINDOW, MIN_SAMPLES, _auto_delta
 
 from helpers import (dense_levels_from_membership, grid_builds, random_shape, reference_extend,
                      reference_levels_from_membership)
@@ -125,6 +126,47 @@ def test_joint_distribution_validation():
         JointDistribution(xs=xs, mu=np.array([0.0, 1.5]), ys=xs)
     with pytest.raises(ValueError):
         JointDistribution(xs=xs, mu=np.zeros(3), ys=xs)
+
+
+def test_the_sample_classes_take_array_likes_as_float_arrays():
+    joint = JointDistribution([1, 2, 3], (0, 1, 0.5), [2, 4, 6])
+    assert all(isinstance(v, np.ndarray) and v.dtype == float
+               for v in (joint.xs, joint.mu, joint.ys))
+    arrays = JointDistribution(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.5]),
+                               np.array([2.0, 4.0, 6.0]))
+    for op in ("sum", "product"):
+        got, want = extend(joint, op), extend(arrays, op)
+        assert got.zs.tobytes() == want.zs.tobytes() and got.mus.tobytes() == want.mus.tobytes()
+    s = SampledMembership([1, 2, 3], [0, 1, 0])
+    assert s.zs.dtype == float and s.mus.dtype == float
+    assert levels_from_membership(s, 4) == levels_from_membership(
+        SampledMembership(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0])), 4)
+
+
+def test_the_sample_classes_keep_the_float_arrays_extend_gives_them():
+    joint = build_joint(triangular(1.0, 2.0, 3.0, grid=4), linear(2.0), n=MIN_SAMPLES)
+    s = extend(joint, "sum")
+    assert JointDistribution(joint.xs, joint.mu, joint.ys).xs is joint.xs
+    assert SampledMembership(s.zs, s.mus).mus is s.mus
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: JointDistribution([[1.0, 2.0]], [[0.0, 1.0]], [[1.0, 2.0]]),
+     "xs, mu and ys must be 1-d arrays of one length"),
+    (lambda: JointDistribution([1.0, 2.0], [0.0, 1.0], [1.0]),
+     "xs, mu and ys must be 1-d arrays of one length"),
+    (lambda: JointDistribution([[1.0, 2.0], [3.0]], [0.0, 1.0], [1.0, 2.0]), None),
+    (lambda: SampledMembership([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]),
+     "zs and mus must be 1-d arrays of one length"),
+    (lambda: SampledMembership([0.0, 1.0, 2.0], [1.0, 0.5]),
+     "zs and mus must be 1-d arrays of one length"),
+    (lambda: SampledMembership(1.0, 1.0), "zs and mus must be 1-d arrays of one length"),
+    (lambda: SampledMembership([0.0, 1.0], [[1.0], [0.5]]), None),
+])
+def test_the_sample_classes_reject_ragged_or_multidimensional_fields(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert message is None or str(info.value) == message
 
 
 @st.composite
@@ -505,6 +547,12 @@ def test_oracle_report_rows_agree_with_arrays():
         assert lr.subset == lr.right.contains(lr.left)
         assert lr.equal == (lr.hausdorff == 0.0)
     assert report.max_hausdorff == max(lr.hausdorff for lr in report.levels)
+
+
+def test_oracle_report_levels_are_the_rows_of_compare_levels():
+    for f, op in ((hyperbolic(4.0), "sum"), (linear(-0.5, 3.0), "product")):
+        report = oracle_check(triangular(1.0, 2.0, 3.0, grid=20), f, op, n=501)
+        assert report.levels == compare_levels(report.engine, report.oracle, 0.0)
 
 
 def test_oracle_check_linear_sum_within_tolerance():
