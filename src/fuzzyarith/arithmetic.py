@@ -18,7 +18,7 @@ import numpy as np
 
 from .correlation import INCREASING, CorrelationFunction, _coefficients
 from .errors import DomainError
-from .fuzzy import FuzzyNumber, _grid_floats, _integer, _linspace
+from .fuzzy import FuzzyNumber, _grid_floats, _integer
 from .interval import Interval
 
 BINARY_OPS = ("sum", "product")
@@ -189,7 +189,7 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
         return lows, highs
     method = method or RangeMethod()
     if his[0] > los[0]:
-        xs = _linspace(los[0], his[0], method.samples)
+        xs = np.linspace(los[0], his[0], method.samples)
         ys = _scan_values(values, xs, known)
         if np.isnan(ys).any():
             raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
@@ -424,43 +424,62 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
     correlation (q*x + r for the linear kinds, q/x + r for the hyperbolic
     ones), checked as the linear and hyperbolic factories check them.  These
     are transcription-style formulas kept separate from the range engine so
-    the two can be checked against each other.
+    the two can be checked against each other.  An end past the float range
+    raises the constructor's ValueError, not a numpy warning.
     """
     if kind not in CLOSED_FORM_KINDS:
         raise ValueError(f"unknown closed form {kind!r}; expected one of "
                          f"{', '.join(CLOSED_FORM_KINDS)}")
-    q, r = _coefficients("hyperbolic" if "hyperbolic" in kind else "linear", q, r)
+    hyperbolic = "hyperbolic" in kind
+    q, r = _coefficients("hyperbolic" if hyperbolic else "linear", q, r)
     los, his = a.los, a.his
-    if "hyperbolic" in kind and los[0] <= 0.0 <= his[0]:
+    if hyperbolic and los[0] <= 0.0 <= his[0]:
         raise DomainError("hyperbolic closed forms need a support that avoids zero")
+    # A bound on every intermediate |value| of the kind's formulas, from the
+    # largest |end| (at least 1) and, for q/x, the smallest (at most 1),
+    # which a support that avoids zero keeps above 0.  Where twice it, a
+    # margin for rounding, stays finite, no element can overflow.
+    lo, hi = float(los[0]), float(his[0])
+    big = max(-lo, hi, 1.0)
+    if hyperbolic:
+        bound = abs(q) * big / min(abs(lo), abs(hi), 1.0) + (1.0 + abs(r)) * big
+    else:
+        bound = (1.0 + abs(q)) * big * big + abs(r) * big
+    if math.isfinite(2.0 * bound):
+        return FuzzyNumber(*_closed_levels(kind, los, his, q, r))
+    with np.errstate(all="ignore"):  # an end past the float range is reported by the constructor
+        levels = _closed_levels(kind, los, his, q, r)
+    return FuzzyNumber(*levels)
 
+
+def _closed_levels(kind: str, los: np.ndarray, his: np.ndarray, q: float, r: float):
+    """The lower and upper ends closed_form's ``kind`` gives on the levels
+    los, his."""
     if kind == "std-sum-linear":
         if q > 0:
-            return FuzzyNumber((q + 1.0) * los + r, (q + 1.0) * his + r)
-        return FuzzyNumber(los + q * his + r, his + q * los + r)
+            return (q + 1.0) * los + r, (q + 1.0) * his + r
+        return los + q * his + r, his + q * los + r
 
     if kind == "std-prod-linear":
-        cands = (q * los * los + r * los,
-                 q * his * los + r * los,
-                 q * his * los + r * his,
-                 q * his * his + r * his)
-        return FuzzyNumber(*_envelope(*cands))
+        return _envelope(q * los * los + r * los,
+                         q * his * los + r * los,
+                         q * his * los + r * his,
+                         q * his * his + r * his)
 
     if kind == "std-sum-hyperbolic":
         if q < 0:  # q/x + r increases away from zero
-            return FuzzyNumber(q / los + los + r, his + q / his + r)
-        return FuzzyNumber(q / his + los + r, q / los + his + r)
+            return q / los + los + r, his + q / his + r
+        return q / his + los + r, q / los + his + r
 
     if kind == "std-prod-hyperbolic":
-        cands = (q + r * los,
-                 his * q / los + r * his,
-                 los * q / his + r * los,
-                 q + r * his)
-        return FuzzyNumber(*_envelope(*cands))
+        return _envelope(q + r * los,
+                         his * q / los + r * his,
+                         los * q / his + r * los,
+                         q + r * his)
 
     if kind == "corr-sum-linear":
         slo, shi = _scaled(q + 1.0, los, his)
-        return FuzzyNumber(slo + r, shi + r)
+        return slo + r, shi + r
 
     if kind == "corr-prod-linear":
         # q * (range of x**2) + r * [A], two independently scaled intervals.
@@ -469,11 +488,11 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
         sq_lo, sq_hi = _square_range(los, his)
         qlo, qhi = _scaled(q, sq_lo, sq_hi)
         rlo, rhi = _scaled(r, los, his)
-        return FuzzyNumber(qlo + rlo, qhi + rhi)
+        return qlo + rlo, qhi + rhi
 
     # corr-prod-hyperbolic: x * (q/x + r) = q + r*x levelwise
     rlo, rhi = _scaled(r, los, his)
-    return FuzzyNumber(q + rlo, q + rhi)
+    return q + rlo, q + rhi
 
 
 # -- comparison -------------------------------------------------------------------

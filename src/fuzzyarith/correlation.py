@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MonotonicityError
-from .fuzzy import FuzzyNumber, _linspace, _parameters
+from .fuzzy import FuzzyNumber, _parameters
 from .interval import Interval
 
 INCREASING = "increasing"
@@ -250,7 +250,7 @@ def check_monotone(f: CorrelationFunction, iv: Interval, *, _samples: bool = Fal
     f.require_on(iv)
     if iv.width == 0.0:
         return (f.direction, None) if _samples else f.direction
-    xs = _linspace(iv.lo, iv.hi, MONOTONE_CHECK_SAMPLES)
+    xs = np.linspace(iv.lo, iv.hi, MONOTONE_CHECK_SAMPLES)
     ys = f.values(xs)
     bad = ~np.isfinite(ys)
     if bad.any():

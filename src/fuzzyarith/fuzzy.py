@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interval import Interval
+from .interval import Interval, _width_error
 
 DEFAULT_GRID_K = 100
 
@@ -73,15 +73,6 @@ def _slot_steps(k: int) -> np.ndarray:
     return seg
 
 
-def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.linspace(lo, hi, n); over a width past the float range, the
-    samples of the halved ends doubled, which is exact at those magnitudes.
-    The width is taken on Python floats, which overflow without a warning."""
-    if math.isfinite(float(hi) - float(lo)):
-        return np.linspace(lo, hi, n)
-    return 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
-
-
 class FuzzyNumber:
     """A fuzzy quantity described by K + 1 nested alpha-level intervals.
 
@@ -90,10 +81,12 @@ class FuzzyNumber:
     constructor copies the arrays it is given once.  It first checks in
     O(K) comparisons whether they are exactly nested (lower endpoints
     non-decreasing in alpha, upper endpoints non-increasing, the core
-    ordered, the support ends finite); such ends are stored as given.  Only
-    when that check fails does it validate finiteness, per-level ordering
-    and nestedness, repairing violations up to NEST_TOL, or NEST_ULPS ulps
-    of the largest |end| where that is more, and rejecting anything larger.
+    ordered, the support of finite width); such ends are stored as given.
+    Only when that check fails does it validate finiteness, per-level
+    ordering and nestedness, repairing violations up to NEST_TOL, or
+    NEST_ULPS ulps of the largest |end| where that is more, and rejecting
+    anything larger; a support wider than the float range, whose width
+    overflows, is rejected last.
     Two numbers are equal when their arrays are; being array-backed, a
     number is not hashable.
     """
@@ -109,12 +102,13 @@ class FuzzyNumber:
             raise ValueError("need at least two levels (grid size K >= 1)")
         # Exactly nested input, checked in O(K): with neighbours ordered and
         # the core ordered, every end lies between the two support ends, so
-        # finite support ends make every end finite (a NaN fails a
-        # comparison).  Such a family needs neither checks nor repair, and
-        # its running extremes would be the arrays themselves, bit for bit
-        # (on a tie np.maximum returns its second argument, so -0.0 after
-        # 0.0 stays -0.0).
-        if not (los[-1] <= his[-1] and math.isfinite(los[0]) and math.isfinite(his[0])
+        # a finite support width makes every end finite (a NaN fails a
+        # comparison; the width is taken on Python floats, which overflow
+        # without a warning).  Such a family needs neither checks nor
+        # repair, and its running extremes would be the arrays themselves,
+        # bit for bit (on a tie np.maximum returns its second argument, so
+        # -0.0 after 0.0 stays -0.0).
+        if not (los[-1] <= his[-1] and math.isfinite(float(his[0]) - float(los[0]))
                 and (los[1:] >= los[:-1]).all() and (his[1:] <= his[:-1]).all()):
             los, his = _checked_and_repaired(los, his)
         los.flags.writeable = False
@@ -180,10 +174,8 @@ class FuzzyNumber:
         i = np.where(top, k - 1, pos.astype(np.intp))
         t = pos - i
         los, his = self.los, self.his
-        # a step too wide for a float gives a non-finite end, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo = np.where(top, los[k], _interpolated(los, i, t))
-            hi = np.where(top, his[k], _interpolated(his, i, t))
+        lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
+        hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
         bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
         if bad.any():
             j = int(np.argmax(bad))
@@ -218,13 +210,6 @@ class FuzzyNumber:
             off = at(base)
             np.subtract(pts, off, out=off)
             gap = at(step)
-            if not math.isfinite(float(his[0]) - float(los[0])):
-                # a step or offset past the float range: the same ratio from
-                # halved operands, which halving keeps exact at these magnitudes
-                _, half, half_step, _ = _curve_slots(0.5 * los, 0.5 * his)
-                wide = ~(np.isfinite(gap) & np.isfinite(off))
-                gap = np.where(wide, at(half_step), gap)
-                off = np.where(wide, 0.5 * pts - at(half), off)
             off /= gap
             del gap
             off += at(seg)
@@ -238,7 +223,7 @@ class FuzzyNumber:
                     % ", ".join(map(str, np.unravel_index(int(np.argmax(nan)), pts.shape))))
                 raise ValueError(f"membership of nan is undefined{where}")
             # only points off the support get here: a core point's offset
-            # is at most the core's width, or halved on a wide support
+            # is at most the core's width
             off[undone] = 0.0
         return float(off[0]) if scalar else off
 
@@ -270,18 +255,11 @@ class FuzzyNumber:
                 f"core=[{self.los[-1]:g}, {self.his[-1]:g}])")
 
 
-def _interpolated(ends: np.ndarray, i: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """ends[i] + t * (ends[i + 1] - ends[i]); at a grid node (t = 0) a step
-    past the float range makes that increment 0 * inf, and the stored end
-    is kept instead."""
-    inc = t * (ends[i + 1] - ends[i])
-    return np.where(np.isnan(inc), ends[i], ends[i] + inc)
-
-
 def _checked_and_repaired(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """New end arrays for a family that is not exactly nested: ValueError
     unless every end is finite and the family is nested up to the slack,
-    else the family repaired to an exactly nested one."""
+    else the family repaired to an exactly nested one, ValueError unless
+    its support is narrower than the float range."""
     if not (np.isfinite(los).all() and np.isfinite(his).all()):
         i = int(np.argmin(np.isfinite(los) & np.isfinite(his)))
         raise ValueError(f"level endpoints must be finite; the level at alpha "
@@ -313,6 +291,9 @@ def _checked_and_repaired(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray,
         # every level ordered and the family nested.
         los = np.minimum.accumulate(los[::-1])[::-1]
         his = np.maximum.accumulate(his[::-1])[::-1]
+    lo, hi = float(los[0]), float(his[0])
+    if not math.isfinite(hi - lo):
+        raise _width_error("support", lo, hi)
     return los, his
 
 
@@ -386,13 +367,17 @@ def _curve_slots(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _shape_parameters(shape: str, **params) -> None:
     """ValueError naming the first of the parameters of ``shape`` that is
-    not finite, else unless the parameters are in non-decreasing order."""
+    not finite, else unless the parameters are in non-decreasing order,
+    else unless the support they span is narrower than the float range."""
     for name, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{shape} parameter {name} must be finite, got {float(value)!r}")
     values = tuple(params.values())
     if values != tuple(sorted(values)):
         raise ValueError(f"{shape} parameters must satisfy {' <= '.join(params)}, got {values}")
+    lo, hi = float(values[0]), float(values[-1])
+    if not math.isfinite(hi - lo):
+        raise _width_error(f"{shape} support", lo, hi)
 
 
 def triangular(a: float, b: float, c: float,
@@ -415,28 +400,17 @@ def trapezoidal(a: float, b: float, c: float, d: float,
 def _sides(a: float, b: float, c: float, d: float,
            grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The side lines a + alpha*(b - a) and d - alpha*(d - c) at the grid
-    nodes.  A side whose width passes the float range is worked out on
-    halved operands and doubled, which is exact at those magnitudes; the
-    halved side is held to its halved inner end, past which rounding can
-    carry it and the doubling overflow.  The parameters are taken as Python
-    floats, so that a numpy float32 one is not worked in float32 and a
-    width past the float range overflows without a warning.  The alpha = 1
-    ends are b and c themselves, which a + 1*(b - a) and d - 1*(d - c) can
-    miss by rounding, and the halved side by far more; the clamps keep a
-    halved side within them, so the family stays nested."""
+    nodes, for parameters that _shape_parameters has passed.  The
+    parameters are taken as Python floats, so that a numpy float32 one is
+    not worked in float32.  The alpha = 1 ends are b and c themselves,
+    which a + 1*(b - a) and d - 1*(d - c) can miss by rounding."""
     al = _grid(_grid_size(grid))
     a, b, c, d = float(a), float(b), float(c), float(d)
-    # a side within the float range can round past it only at alpha = 1,
-    # whose end is set to b or c below
+    # a side can round past the float range only at alpha = 1, whose end is
+    # set to b or c below
     with np.errstate(over="ignore"):
-        if math.isfinite(b - a):
-            lo = a + al * (b - a)
-        else:
-            lo = 2.0 * np.minimum(0.5 * a + al * (0.5 * b - 0.5 * a), 0.5 * b)
-        if math.isfinite(d - c):
-            hi = d - al * (d - c)
-        else:
-            hi = 2.0 * np.maximum(0.5 * d - al * (0.5 * d - 0.5 * c), 0.5 * c)
+        lo = a + al * (b - a)
+        hi = d - al * (d - c)
     lo[-1], hi[-1] = b, c
     return lo, hi
 

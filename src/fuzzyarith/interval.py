@@ -6,8 +6,15 @@ import math
 from collections import namedtuple
 
 
+def _width_error(what: str, lo: float, hi: float) -> ValueError:
+    """The error for a ``what`` [lo, hi] wider than the float range, one
+    whose width hi - lo overflows."""
+    return ValueError(f"{what} [{lo!r}, {hi!r}] is wider than the float range")
+
+
 class Interval(namedtuple("Interval", ("lo", "hi"))):
-    """A closed interval [lo, hi] with finite endpoints and lo <= hi.
+    """A closed interval [lo, hi] with finite endpoints, lo <= hi and a
+    finite width hi - lo.
 
     Instances are immutable (lo, hi) tuples of Python floats.  Degenerate
     intervals (lo == hi) are allowed, they represent crisp values.  Every
@@ -28,6 +35,8 @@ class Interval(namedtuple("Interval", ("lo", "hi"))):
             raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: lo={lo!r} > hi={hi!r}")
+        if not math.isfinite(hi - lo):
+            raise _width_error("interval", lo, hi)
 
     @classmethod
     def _make(cls, iterable) -> "Interval":

@@ -18,8 +18,7 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _nan_error, _route,
                          compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
-from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer,
-                    _linspace)
+from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -96,7 +95,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     if sup.width == 0.0:
         xs = np.array([sup.lo])
     else:
-        xs = _linspace(sup.lo, sup.hi, n)
+        xs = np.linspace(sup.lo, sup.hi, n)
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
@@ -273,10 +272,11 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     side on a's grid (resample a first for another K).
 
     The acceptance tolerance is 5 * support_width / n, from the halved ends
-    past the float range; the report records per-level Hausdorff distances
-    and whether they all fit.  For sums of reciprocal-shaped correlations
-    the report also carries the termwise interval reading of each level,
-    where its ends stay inside the float range.
+    where 5 * support_width passes the float range; the report records
+    per-level Hausdorff distances and whether they all fit.  For sums of
+    reciprocal-shaped correlations the report also carries the termwise
+    interval reading of each level, where its ends stay inside the float
+    range.
     """
     _check_op(op)
     n = _integer(n, "sample count")

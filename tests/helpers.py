@@ -3,9 +3,11 @@
 import contextlib
 import gc
 import math
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from fuzzyarith import (CorrelationFunction, FuzzyNumber, Interval, LevelResult,
                         SampledMembership, arithmetic, trapezoidal, triangular)
@@ -124,7 +126,8 @@ def reference_extend(joint, op):
 def reference_fuzzy_ends(los, his):
     """The (los, his) arrays ``FuzzyNumber(los, his)`` stores, worked out
     as its constructor once did: the finiteness and tolerance checks and the
-    repair run on every input; raises its ValueErrors.  Reference only."""
+    repair run on every input, then the test of the repaired support's
+    width; raises its ValueErrors.  Reference only."""
     los = np.array(los, dtype=float)
     his = np.array(his, dtype=float)
     if los.ndim != 1 or his.ndim != 1 or los.shape != his.shape:
@@ -156,7 +159,17 @@ def reference_fuzzy_ends(los, his):
         his[crossed] = mid
         los = np.minimum.accumulate(los[::-1])[::-1]
         his = np.maximum.accumulate(his[::-1])[::-1]
+    if math.isinf(float(his[0]) - float(los[0])):
+        raise ValueError(f"support [{float(los[0])!r}, {float(his[0])!r}] is wider than the "
+                         f"float range")
     return los, his
+
+
+def wider_than_floats(what, lo, hi):
+    """pytest.raises for the ValueError of a ``what`` [lo, hi] whose width
+    hi - lo passes the float range, naming its ends as repr gives them."""
+    ends = f"{re.escape(repr(lo))}, {re.escape(repr(hi))}"
+    return pytest.raises(ValueError, match=f"^{what} \\[{ends}\\] is wider than the float range$")
 
 
 def _reference_curve_alphas(ends, pts):
@@ -167,11 +180,6 @@ def _reference_curve_alphas(ends, pts):
     seg = np.clip(i, 0, k - 1)
     gap = ends[seg + 1] - ends[seg]
     off = pts - ends[seg]
-    if not math.isfinite(float(ends[k]) - float(ends[0])):
-        wide = ~(np.isfinite(gap) & np.isfinite(off))
-        half = 0.5 * ends[seg]
-        gap = np.where(wide, 0.5 * ends[seg + 1] - half, gap)
-        off = np.where(wide, 0.5 * pts - half, off)
     alphas = (seg + off / np.where(gap > 0, gap, 1.0)) / k
     alphas = np.where(i >= k, 1.0, alphas)
     return np.where(i < 0, -1.0, alphas)

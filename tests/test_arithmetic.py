@@ -702,6 +702,48 @@ def test_closed_form_std_prod_kinds_reduce_their_four_candidates(params, grid, k
         assert _outcome(lambda: closed_form(kind, a, q, r)) == want
 
 
+@pytest.mark.parametrize("kind, a, q, r, level", [
+    # a subnormal upper end: los * q / his passes the float range in the divide
+    ("std-prod-hyperbolic", triangular(-1.0, -1.0, -2.225073858507e-311, grid=1), -1.0, -0.0,
+     "[-inf, -2.22507e-311]"),
+    ("std-sum-linear", crisp(1e308, grid=1), 2.0, 0.0, "[inf, inf]"),
+    ("corr-prod-linear", crisp(1e200, grid=1), 2.0, 0.0, "[inf, inf]"),
+])
+def test_closed_form_past_the_float_range_raises_its_error_without_a_warning(kind, a, q, r,
+                                                                              level):
+    message = f"level endpoints must be finite; the level at alpha 0 is {level}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            closed_form(kind, a, q, r)
+
+
+_MAX = float(np.finfo(float).max)
+# ends and coefficients from subnormal to the float max
+_MAGNITUDES = (st.sampled_from([-0.0, 0.0, 5e-324, -2.225073858507e-311, 1.0, -2.0, 1e154,
+                                -1e200, 1e300, 1e308, _MAX, -_MAX])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MAGNITUDES, min_size=3, max_size=3), st.sampled_from([1, 2, 7]),
+       st.sampled_from(CLOSED_FORM_KINDS), _MAGNITUDES, _MAGNITUDES)
+@example([-1.0, -1.0, -2.225073858507e-311], 1, "std-prod-hyperbolic", -1.0, -0.0)
+@example([1e308, 1e308, 1e308], 1, "std-sum-linear", 2.0, 0.0)
+@example([1e200, 1e200, 1e200], 1, "corr-prod-linear", 2.0, 0.0)
+def test_closed_form_gives_a_number_or_an_error_at_any_magnitude(params, grid, kind, q, r):
+    # no errstate: the suite turns a RuntimeWarning into an error
+    lo, mid, hi = sorted(params)
+    if not math.isfinite(hi - lo):  # halving keeps the order and brings the width in range
+        lo, mid, hi = lo / 2, mid / 2, hi / 2
+    a = triangular(lo, mid, hi, grid=grid)
+    try:
+        got = closed_form(kind, a, q, r)
+    except ValueError:  # DomainError included
+        return
+    assert isinstance(got, FuzzyNumber)
+
+
 def test_corr_prod_linear_closed_form_needs_co_monotone_terms():
     # with q, r pulling in opposite directions the shortcut genuinely
     # overshoots the true range, so the engine must stay authoritative
@@ -818,7 +860,7 @@ def test_compare_levels_reference_cases():
 
 def test_compare_levels_at_the_float_max_gives_no_numpy_warning():
     # distances and tol-widened bounds past the float range read inf
-    x = triangular(-1.5e308, 0.0, 1.6e308)
+    x = triangular(-1.7e308, -1.6e308, -1.5e308)
     y = triangular(1.5e308, 1.6e308, 1.7e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -25,9 +25,15 @@ from fuzzyarith import fuzzy
 from fuzzyarith.fuzzy import GRID_CACHE_SIZE, MERGE_MIN_RATIO, NEST_TOL, NEST_ULPS
 
 from helpers import (grid_builds, random_shape, reference_alpha_cut, reference_fuzzy_ends,
-                     reference_membership)
+                     reference_membership, wider_than_floats)
 
 _MAX = float(np.finfo(float).max)
+_HALF = _MAX / 2
+
+# A support and a lower step exactly as wide as the float range, and the
+# same step on the upper curve.
+_WIDEST = FuzzyNumber([-_HALF, _HALF], [_HALF, _HALF])
+_WIDEST_UPPER = FuzzyNumber([-_HALF, -_HALF], [_HALF, -_HALF])
 
 
 def test_alpha_grid_levels():
@@ -448,11 +454,14 @@ def _level_arrays(draw):
 @example((np.array([-1.0, 0.5 + 4e-13]), np.array([2.0, 0.5])))  # a crossed core
 @example((np.array([-0.0, -0.0]), np.array([-0.0, -0.0])))
 @example((np.array([-1.7976931348623157e308, 1.7e308]),
-          np.array([1.7976931348623157e308, 1.7e308])))
+          np.array([1.7976931348623157e308, 1.7e308])))   # refused: wider than floats
+@example((np.array([-0.0, 1.7e308]), np.array([1.7976931348623157e308, 1.7e308])))
 def test_every_stored_level_is_a_valid_interval_of_python_floats(ends):
     # compare_levels builds its rows from the stored levels without
     # validating them again, on the strength of this property
-    a = FuzzyNumber(*ends)
+    a = _built(*ends)
+    if not isinstance(a, FuzzyNumber):
+        return
     assert not a.los.flags.writeable and not a.his.flags.writeable
     for lo, hi in zip(a.los.tolist(), a.his.tolist()):
         assert type(lo) is float and type(hi) is float
@@ -491,41 +500,39 @@ def test_alpha_cuts_reject_what_alpha_cut_rejects():
             a.alpha_cut(bad)
         with pytest.raises(ValueError, match=message):
             a.alpha_cuts([0.5, bad, 2.0])
-    # a step wider than the largest float interpolates to a non-finite end
-    with np.errstate(over="ignore"):
-        wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
-    with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[inf, 1\.6e\+308\]$"):
-        wide.alpha_cuts([0.5, 1.0])
-    with pytest.raises(ValueError, match="^interval endpoints must be finite"):
-        wide.alpha_cut(0.5)
+    # a step wider than the largest float, which interpolated to a
+    # non-finite end, is refused when the number is built
+    with wider_than_floats("support", -1.5e308, 1.6e308):
+        FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
 
 
 def test_levels_more_than_the_float_range_apart_build_without_warnings():
-    # no errstate here: the suite turns a RuntimeWarning into an error
-    wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
-    assert wide.level(0) == Interval(-1.5e308, 1.6e308)
+    # no errstate here: the suite turns a RuntimeWarning into an error.  A
+    # support wider than the float range is refused, after the order and
+    # nesting tests; one as wide as it builds.
+    with wider_than_floats("support", -1.5e308, 1.6e308):
+        FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
     with pytest.raises(ValueError, match="^levels are not nested$"):
         FuzzyNumber([1.5e308, -1.5e308], [1.6e308, 1.6e308])
+    assert _WIDEST.level(0) == Interval(-_HALF, _HALF)
 
 
 def test_grid_nodes_keep_their_stored_level_across_a_step_wider_than_floats():
-    with np.errstate(over="ignore"):  # the constructor is the test above's
-        wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
-    assert wide.alpha_cut(0.0) == wide.level(0)
-    los, his = wide.alpha_cuts([0.0, 1.0])
-    assert los.tolist() == [-1.5e308, 1.5e308] and his.tolist() == [1.6e308, 1.6e308]
+    # the widest step a number can hold: as wide as the float range
+    assert _WIDEST.alpha_cut(0.0) == _WIDEST.level(0)
+    los, his = _WIDEST.alpha_cuts([0.0, 1.0])
+    assert los.tolist() == [-_HALF, _HALF] and his.tolist() == [_HALF, _HALF]
 
 
 def test_membership_across_a_step_wider_than_floats():
-    # no errstate: the suite turns a RuntimeWarning into an error
-    pts = np.array([0.0, 1e308, -1.5e308, 1.55e308])
-    want = [0.5, 2.5 / 3, 0.0, 1.0]
-    wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
-    assert wide.membership(pts).tolist() == want
-    assert wide.membership(0.0) == 0.5
+    # no errstate: the suite turns a RuntimeWarning into an error.  The
+    # widest step a number can hold is as wide as the float range.
+    pts = np.array([0.0, _HALF / 2, -_HALF, _HALF])
+    want = [0.5, 0.75, 0.0, 1.0]
+    assert _WIDEST.membership(pts).tolist() == want
+    assert _WIDEST.membership(0.0) == 0.5
     # the same step on the upper curve
-    mirrored = FuzzyNumber([-1.6e308, -1.6e308], [1.5e308, -1.5e308])
-    assert mirrored.membership(-pts).tolist() == want
+    assert _WIDEST_UPPER.membership(-pts).tolist() == want
 
 
 def test_membership_of_nan_raises():
@@ -545,13 +552,13 @@ def test_membership_of_nan_raises():
 def test_membership_off_the_support_is_zero_where_its_offset_passes_the_float_range():
     # no errstate: the suite turns a RuntimeWarning into an error.  A point
     # reads 0 where it is infinite or its offset from the support passes the
-    # float range, on a support within the float range and on one wider
-    # than it; points on the core still read 1.  Long sorted points are
+    # float range, on a narrow support and on one as wide as the float
+    # range; points on the core still read 1.  Long sorted points are
     # merged with the nodes, the reversed ones searched among them.
     high = triangular(1e308, 1.2e308, 1.5e308, grid=1)
     cases = ((high, [-math.inf, -_MAX, -1e308, 1.2e308, math.inf]),
              (FuzzyNumber(-high.his, -high.los), [-math.inf, -1.2e308, 1e308, _MAX, math.inf]),
-             (FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]), [-math.inf, 1.55e308, math.inf]))
+             (_WIDEST, [-math.inf, -_MAX, _HALF, _MAX, math.inf]))
     for a, points in cases:
         want = [1.0 if a.core.lo <= x <= a.core.hi else 0.0 for x in points]
         assert [a.membership(x) for x in points] == want
@@ -564,15 +571,29 @@ def test_membership_off_the_support_is_zero_where_its_offset_passes_the_float_ra
 _PARAMS = st.sampled_from([-0.0, 0.0, 1.0, -2.0, 3.5]) | st.floats(-10.0, 10.0)
 
 
+def _built(los, his):
+    """FuzzyNumber(los, his) for ends drawn by _level_arrays, or, where
+    their support is wider than the float range, the ValueError naming it
+    that the constructor raises."""
+    lo, hi = float(los[0]), float(his[0])
+    if math.isfinite(hi - lo):
+        return FuzzyNumber(los, his)
+    with wider_than_floats("support", lo, hi) as refused:
+        FuzzyNumber(los, his)
+    return refused.value
+
+
 @st.composite
 def _families(draw):
     """Triangular, trapezoidal and crisp numbers, with plateaus where
     parameters tie and -0.0 ends, and the stored families of
-    _level_arrays, whose steps can be wider than the float range."""
+    _level_arrays, whose steps can be as wide as the float range; a draw of
+    _level_arrays wider than that is the constructor's ValueError (_built),
+    and the properties below stop at it."""
     kind = draw(st.sampled_from(["tri", "trap", "crisp", "levels"]))
     grid = draw(st.sampled_from([1, 2, 7, 100]))
     if kind == "levels":
-        return FuzzyNumber(*draw(_level_arrays()))
+        return _built(*draw(_level_arrays()))
     if kind == "crisp":
         return crisp(draw(_PARAMS), grid=grid)
     params = sorted(draw(st.lists(_PARAMS, min_size=3 + (kind == "trap"),
@@ -583,16 +604,17 @@ def _families(draw):
 @settings(max_examples=200)
 @given(_families(), st.data())
 @example(crisp(-0.0, grid=3), None)
-@example(FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]), None)
-@example(FuzzyNumber([-1.6e308, -1.6e308], [1.5e308, -1.5e308]), None)
+@example(_WIDEST, None)
+@example(_WIDEST_UPPER, None)
 def test_membership_matches_the_two_curve_reference(a, data):
     """Each point read off the one curve that decides it gives the bits of
     the minimum over both curves, at every node, at +-inf and between."""
+    if not isinstance(a, FuzzyNumber):
+        return
     lo, hi = float(a.los[0]), float(a.his[0])
     pts = [*a.los.tolist(), *a.his.tolist(), math.inf, -math.inf, -0.0, 0.0]
     if data is not None:
-        pts += data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0) if math.isfinite(hi - lo)
-                                  else st.floats(allow_nan=False), max_size=30))
+        pts += data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0), max_size=30))
         pts = data.draw(st.permutations(pts))
     pts = np.array(pts)
     got, want = a.membership(pts), reference_membership(a, pts)
@@ -608,22 +630,22 @@ def test_membership_matches_the_two_curve_reference(a, data):
 @given(_families(), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.data())
 @example(trapezoidal(-1.0, 0.0, 0.0, 3.0, grid=2), 0, 1.0, None)
 @example(crisp(-0.0, grid=1), 1, 0.0, None)
-@example(FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]), 2, 2.0, None)
+@example(_WIDEST, 2, 2.0, None)
 def test_membership_of_sorted_points_matches_the_search_and_the_reference(a, seed, scale, data):
     """Sorted 1-d points, merged with the nodes once there are at least
     MERGE_MIN_RATIO times as many, read the bits the binary search and the
     two-curve reference read: every lower and upper end, its neighbouring
     floats, +-inf and +-0 are among the points, each repeated at random, and
     the count runs from below the merge threshold to twice it."""
+    if not isinstance(a, FuzzyNumber):
+        return
     nodes = np.concatenate((a.los, a.his))
     with np.errstate(over="ignore"):  # the neighbour of the largest float is inf
         pool = np.concatenate((nodes, np.nextafter(nodes, -math.inf),
                                np.nextafter(nodes, math.inf), [-math.inf, math.inf, -0.0, 0.0]))
     if data is not None:
         lo, hi = float(a.los[0]), float(a.his[0])
-        pool = np.append(pool, data.draw(st.lists(
-            st.floats(lo - 1.0, hi + 1.0) if math.isfinite(hi - lo) else st.floats(allow_nan=False),
-            max_size=10)))
+        pool = np.append(pool, data.draw(st.lists(st.floats(lo - 1.0, hi + 1.0), max_size=10)))
     threshold = MERGE_MIN_RATIO * 2 * (a.k + 1)
     extra = int(scale * threshold)
     rng = np.random.default_rng(seed)
@@ -655,6 +677,8 @@ def test_membership_merges_only_long_sorted_one_dimensional_points():
 def test_resample_reads_the_levels_through_alpha_cuts(a, k):
     """a.resample(k) is the number whose ends alpha_cuts reads at the new
     grid's alphas, bit for bit, or the same error; on its own grid it is a."""
+    if not isinstance(a, FuzzyNumber):
+        return
     if k == a.k:
         assert a.resample(k) is a
         return
@@ -670,12 +694,14 @@ def test_resample_reads_the_levels_through_alpha_cuts(a, k):
 @given(_families())
 @example(crisp(-0.0, grid=3))
 @example(triangular(-1.0, 0.4, 4.5))  # K = 100: at 8 grid alphas alpha * K is not i
-@example(FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308]))
+@example(_WIDEST)
 def test_alpha_cuts_read_the_stored_level_where_alpha_times_k_is_an_integer(a):
     """Wherever alpha * K is an exact integer i, alpha_cuts gives the stored
     level i under ==, which counts -0.0 as 0.0.  The candidates are the grid
     alphas, as np.linspace and as i / K round them, and their neighbouring
     floats; a grid alpha whose alpha * K is not i is interpolated instead."""
+    if not isinstance(a, FuzzyNumber):
+        return
     k = a.k
     near = np.concatenate((a.alphas, np.arange(k + 1) / k))
     pool = np.concatenate((near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)))
@@ -694,12 +720,10 @@ def test_alpha_cuts_take_alphas_of_any_shape():
     assert lo.shape == hi.shape == alphas.shape
     assert _bits(*lo.ravel(), *hi.ravel()) == _bits(*flat[0], *flat[1])
     assert _bits(*a.alpha_cuts(0.3)) == _bits(flat[0][1], flat[1][1])
-    # a level past the float range raises the Interval's error at any shape
-    with np.errstate(over="ignore"):
-        wide = FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
-    for bad in (np.array(0.5), np.array([[1.0, 0.5]])):
-        with pytest.raises(ValueError, match=r"^interval endpoints must be finite, got \[inf, "):
-            wide.alpha_cuts(bad)
+    # an alpha outside [0, 1] raises at any shape
+    for bad in (np.array(1.5), np.array([[1.0, 1.5]])):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.5$"):
+            a.alpha_cuts(bad)
 
 
 def test_a_number_is_its_two_read_only_arrays():
@@ -739,8 +763,8 @@ def test_crossed_ends_near_the_float_max_repair_to_a_finite_midpoint():
 
 
 def test_a_halved_side_ends_at_its_parameter():
-    # the upper side is wider than the float range and halved, and rounding
-    # carried its alpha = 1 end from c to 0.0, 3.4e16 past the peak
+    # the upper side is as wide as the float range, and its alpha = 1 end
+    # is the peak, not d - 1*(d - c), which rounds to 0.0, 3.4e16 past it
     with mock.patch.object(fuzzy, "_checked_and_repaired",
                            wraps=fuzzy._checked_and_repaired) as repair:
         a = triangular(-6.288267534171607e16, -3.4014101754884144e16, _MAX, grid=2)
@@ -774,6 +798,19 @@ def test_slack_at_the_largest_float_stays_finite():
         from_levels([[0.0, big], [-big, big]])
 
 
+def _shapes_refused_as_too_wide(a, b, c, d, grid) -> bool:
+    """Whether the support [a, d] is wider than the float range, in which
+    case triangular(a, b, d) and trapezoidal(a, b, c, d) are checked to
+    raise the error that names it."""
+    if math.isfinite(d - a):
+        return False
+    with wider_than_floats("triangular support", a, d):
+        triangular(a, b, d, grid=grid)
+    with wider_than_floats("trapezoidal support", a, d):
+        trapezoidal(a, b, c, d, grid=grid)
+    return True
+
+
 @settings(max_examples=300)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                 | st.sampled_from([-_MAX, -1e300, -0.0, 0.0, 1e300, _MAX]),
@@ -785,9 +822,12 @@ def test_slack_at_the_largest_float_stays_finite():
 @example([-_MAX, 1e300, 1e300, _MAX], 7)
 @example([1.0, 1.0, 1.0, 2.0**53 + 4], 1)
 @example([0.0, 2.275257952869581e+294, -_MAX, -_MAX], 1)
+@example([-_HALF, 1e300, 1e300, _HALF], 7)
 def test_shapes_accept_any_sorted_finite_parameters(params, grid):
     # no errstate: the suite turns a RuntimeWarning into an error
     a, b, c, d = sorted(params)
+    if _shapes_refused_as_too_wide(a, b, c, d, grid):
+        return
     # a crossed level is repaired to its midpoint, which can widen the
     # support by as much as the slack
     slack = NEST_ULPS * math.ulp(max(-a, d))
@@ -810,9 +850,12 @@ def test_triangular_core_is_its_peak():
 @example([-3.0, 0.1, 0.1, 0.2], 4)
 @example([-100000.0, 50000.7, 50000.7, 100000.0], 100)
 @example([-6.288267534171607e16, -3.4014101754884144e16, -3.4014101754884144e16, _MAX], 2)
+@example([-_MAX, -1e300, 1e300, _MAX], 7)
 def test_shape_cores_are_their_parameters_unless_repaired(params, grid):
     # no errstate: the suite turns a RuntimeWarning into an error
     a, b, c, d = sorted(params)
+    if _shapes_refused_as_too_wide(a, b, c, d, grid):
+        return
     slack = max(NEST_TOL, NEST_ULPS * math.ulp(max(-a, d)))
     for make, core in ((lambda: triangular(a, b, d, grid=grid), (b, b)),
                        (lambda: trapezoidal(a, b, c, d, grid=grid), (b, c))):

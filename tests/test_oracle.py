@@ -35,7 +35,7 @@ from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
 from fuzzyarith.oracle import MERGE_WINDOW, MIN_SAMPLES, _auto_delta
 
 from helpers import (dense_levels_from_membership, grid_builds, random_shape, reference_extend,
-                     reference_levels_from_membership)
+                     reference_levels_from_membership, wider_than_floats)
 
 
 def test_build_joint_enforces_sample_floor():
@@ -95,8 +95,12 @@ def test_build_joint_names_a_support_too_narrow_for_n_distinct_samples():
 
 
 def test_a_support_wider_than_the_float_range_is_sampled_without_nan():
-    # no errstate: the suite turns a RuntimeWarning into an error
-    a = triangular(-1.5e308, 0.0, 1.6e308, grid=4)
+    # no errstate: the suite turns a RuntimeWarning into an error.  A
+    # support wider than the float range is refused; one 1.65e308 wide, near
+    # the float max, is sampled without NaN
+    with wider_than_floats("triangular support", -1.5e308, 1.6e308):
+        triangular(-1.5e308, 0.0, 1.6e308, grid=4)
+    a = triangular(-8e307, 0.0, 8.5e307, grid=4)
     f = custom(lambda x: -x / 4, "decreasing")
     assert check_monotone(f, a.support) == "decreasing"
     # x - x/4 is not provably monotone from f's direction, so the engine scans
@@ -104,7 +108,7 @@ def test_a_support_wider_than_the_float_range_is_sampled_without_nan():
     assert np.allclose(total.los, 0.75 * a.los, rtol=1e-15, atol=0.0)
     assert np.allclose(total.his, 0.75 * a.his, rtol=1e-15, atol=0.0)
     joint = build_joint(a, f, 101)
-    assert joint.xs[0] == -1.5e308 and joint.xs[-1] == 1.6e308
+    assert joint.xs[0] == -8e307 and joint.xs[-1] == 8.5e307
     assert (joint.xs[1:] > joint.xs[:-1]).all()
     report = oracle_check(a, f, "sum")
     assert report.method == "numeric"
@@ -665,13 +669,13 @@ def test_oracle_check_labels_a_built_in_family_asked_to_scan_numeric(f, op):
 
 
 def test_oracle_tolerance_stays_finite_past_the_float_range():
-    # 5 * width / n passes the float max for these supports, the first one's
-    # width too; the halved ends give it
+    # 5 * width / n passes the float max for this support, whose width does
+    # not; the halved ends give it
     f = custom(lambda x: -x / 4, "decreasing")
-    for lo, hi, max_h in ((-1.5e308, 1.6e308, 3.0000000000000407e+304), (-8e307, 8e307, 0.0)):
-        report = oracle_check(triangular(lo, 0.0, hi, grid=4), f, "sum")
-        assert report.tolerance == pytest.approx(5.0 * (hi / 2001 - lo / 2001), rel=1e-15)
-        assert report.max_hausdorff == max_h and report.passed
+    lo, hi = -8e307, 8e307
+    report = oracle_check(triangular(lo, 0.0, hi, grid=4), f, "sum")
+    assert report.tolerance == pytest.approx(5.0 * (hi / 2001 - lo / 2001), rel=1e-15)
+    assert report.max_hausdorff == 0.0 and report.passed
     # elsewhere it is 5 * width / n as it was, bit for bit
     report = oracle_check(triangular(-1e307, 0.0, 2e307, grid=4), f, "sum")
     assert report.tolerance == 5.0 * (2e307 - -1e307) / 2001
