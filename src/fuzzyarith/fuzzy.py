@@ -174,8 +174,11 @@ class FuzzyNumber:
         i = np.where(top, k - 1, pos.astype(np.intp))
         t = pos - i
         los, his = self.los, self.his
-        lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
-        hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
+        # at alpha = 1 the discarded interpolation can round past the float
+        # max, as a shape's side can; np.where takes the stored end there
+        with np.errstate(over="ignore"):
+            lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
+            hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
         bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
         if bad.any():
             j = int(np.argmax(bad))

@@ -785,6 +785,8 @@ def test_a_side_within_the_float_range_ends_at_the_float_max_without_a_warning(g
     mirrored = triangular(-_MAX, -_MAX, -a, grid=grid)
     assert mirrored.his.tobytes() == np.append(-a - inner * (-a + _MAX), -_MAX).tobytes()
     assert (mirrored.los == -_MAX).all()
+    # alpha_cuts reads the alpha = 1 end from the stored level, also there
+    assert x.alpha_cut(1.0) == x.core and mirrored.alpha_cut(1.0) == mirrored.core
 
 
 def test_slack_at_the_largest_float_stays_finite():
