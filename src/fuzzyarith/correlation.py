@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, MonotonicityError
 from .fuzzy import FuzzyNumber, _parameters
-from .interval import Interval
+from .interval import Interval, _width_error
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -191,7 +191,7 @@ def custom(fn: Callable[[float], float], direction: str,
     number, at which point it is sample-checked on the support.  ``domain``
     is None or an Interval or (lo, hi) pair, stored as an Interval; any
     other value, a pair with a non-finite end or lo > hi included, raises
-    ValueError.
+    ValueError, and so does a pair wider than the float range, saying so.
     """
     if direction not in (INCREASING, DECREASING):
         raise ValueError(f"direction must be '{INCREASING}' or '{DECREASING}', "
@@ -199,10 +199,13 @@ def custom(fn: Callable[[float], float], direction: str,
     if not callable(fn):
         raise ValueError("custom correlation needs a callable evaluator")
     if domain is not None:
+        lo = hi = math.nan
         try:
-            lo, hi = domain
+            lo, hi = map(float, domain)
             domain = Interval(lo, hi)
         except (TypeError, ValueError):
+            if -math.inf < lo <= hi < math.inf:  # finite and ordered: too wide
+                raise _width_error("custom correlation domain", lo, hi) from None
             raise ValueError(f"custom correlation domain must be None or a finite (lo, hi) "
                              f"pair with lo <= hi, got {domain!r}") from None
     return CorrelationFunction("custom", fn=fn, direction=direction, domain=domain)

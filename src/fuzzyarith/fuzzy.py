@@ -158,11 +158,11 @@ class FuzzyNumber:
 
         Where alpha * K is an exact integer i, the ends equal the stored
         level i under == (a stored -0.0 can come back as 0.0); elsewhere
-        they are linearly interpolated between the neighbouring nodes.  A
-        grid alpha i / K as np.linspace rounds it need not give i back:
-        there the ends are interpolated, a few ulps off the stored ones.
-        An alpha outside [0, 1] or NaN raises ValueError, as does a level
-        whose interpolated ends are not finite or out of order.
+        they are linearly interpolated, and each lies between the stored
+        ends of the two neighbouring nodes, so every cut is finite and
+        ordered.  A grid alpha i / K as np.linspace rounds it need not give
+        i back: there the ends are interpolated, a few ulps off the stored
+        ones.  An alpha outside [0, 1] or NaN raises ValueError.
         """
         alphas = np.asarray(alphas, dtype=float)
         bad = ~((0.0 <= alphas) & (alphas <= 1.0))
@@ -172,17 +172,12 @@ class FuzzyNumber:
         pos = alphas * k
         top = pos >= k
         i = np.where(top, k - 1, pos.astype(np.intp))
-        t = pos - i
+        # at alpha = 1, whose end np.where takes from the stored level, the
+        # weight is 0, so that the discarded interpolation stays finite
+        t = np.where(top, 0.0, pos - i)
         los, his = self.los, self.his
-        # at alpha = 1 the discarded interpolation can round past the float
-        # max, as a shape's side can; np.where takes the stored end there
-        with np.errstate(over="ignore"):
-            lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
-            hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
-        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
-        if bad.any():
-            j = int(np.argmax(bad))
-            Interval(float(lo.flat[j]), float(hi.flat[j]))  # raises the Interval's own error
+        lo = np.where(top, los[k], los[i] + t * (los[i + 1] - los[i]))
+        hi = np.where(top, his[k], his[i] + t * (his[i + 1] - his[i]))
         return lo, hi
 
     def membership(self, x):
@@ -405,15 +400,14 @@ def _sides(a: float, b: float, c: float, d: float,
     """The side lines a + alpha*(b - a) and d - alpha*(d - c) at the grid
     nodes, for parameters that _shape_parameters has passed.  The
     parameters are taken as Python floats, so that a numpy float32 one is
-    not worked in float32.  The alpha = 1 ends are b and c themselves,
-    which a + 1*(b - a) and d - 1*(d - c) can miss by rounding."""
+    not worked in float32.  Only the K nodes below alpha = 1 are shifted:
+    the alpha = 1 ends are b and c themselves, which a + 1*(b - a) and
+    d - 1*(d - c) can miss by rounding, even past the float range."""
     al = _grid(_grid_size(grid))
     a, b, c, d = float(a), float(b), float(c), float(d)
-    # a side can round past the float range only at alpha = 1, whose end is
-    # set to b or c below
-    with np.errstate(over="ignore"):
-        lo = a + al * (b - a)
-        hi = d - al * (d - c)
+    lo, hi = al * (b - a), al * (d - c)
+    lo[:-1] += a
+    hi[:-1] = d - hi[:-1]
     lo[-1], hi[-1] = b, c
     return lo, hi
 

@@ -271,8 +271,8 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     """Run the engine, by ``method``, and the brute-force oracle side by
     side on a's grid (resample a first for another K).
 
-    The acceptance tolerance is 5 * support_width / n, from the halved ends
-    where 5 * support_width passes the float range; the report records
+    The acceptance tolerance is 5 * support_width / n, or 5 * (support_width
+    / n) where 5 * support_width passes the float range; the report records
     per-level Hausdorff distances and whether they all fit.  For sums of
     reciprocal-shaped correlations the report also carries the termwise
     interval reading of each level, where its ends stay inside the float
@@ -289,7 +289,7 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     lo, hi = a.support
     tolerance = 5.0 * (hi - lo) / n
     if not np.isfinite(tolerance):
-        tolerance = 10.0 * ((0.5 * hi - 0.5 * lo) / n)
+        tolerance = 5.0 * ((hi - lo) / n)
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
                         method="numeric" if _route(f, op, a.support, method)[2] is None

@@ -1404,3 +1404,84 @@ def test_a_zero_cut_without_its_f_of_zero_test_fails_the_dense_scan_property():
         mutant = correlated_product(a, f)
     with pytest.raises(AssertionError):
         assert_levels_match_scan(mutant, a, _product_scan(fn), n=401)
+
+
+def _mirror(x):
+    """-x: the number whose levels are the levels of x negated."""
+    return FuzzyNumber(-x.his, -x.los)
+
+
+def _cubic(x):
+    return x**3 + x
+
+
+# Each correlation f, from q and r, with its mirror f', f'(-x) = -f(x): for a
+# custom fn that is lambda y: -fn(-y), with the same direction.
+_MIRRORED = {
+    "linear": lambda q, r: (linear(q, r), linear(q, -r)),
+    "hyperbolic": lambda q, r: (hyperbolic(q, r), hyperbolic(q, -r)),
+    "identity": lambda q, r: (identity(), identity()),
+    "negation": lambda q, r: (negation(), negation()),
+    "reciprocal": lambda q, r: (reciprocal(), reciprocal()),
+    "custom": lambda q, r: (custom(_cubic, "increasing"),
+                            custom(lambda y: -_cubic(-y), "increasing")),
+}
+
+# A scan's samples and its golden section are not symmetric about 0, so a
+# scanned end and its mirror may differ by this many ulps of the largest |end|.
+MIRROR_SCAN_ULPS = 8
+
+
+def _shape(draw, lo, grid):
+    """A triangle or trapezoid whose support starts in [lo, 5]; each side
+    or plateau is flat or at least 0.05 wide, so that the check of a custom
+    f takes 257 distinct samples of any support that is not a point."""
+    gaps = draw(st.lists(st.just(0.0) | st.floats(0.05, 3.0), min_size=2, max_size=3))
+    params = np.cumsum([draw(st.floats(lo, 5.0)), *gaps]).tolist()
+    return (triangular if len(params) == 3 else trapezoidal)(*params, grid=grid)
+
+
+@st.composite
+def mirror_cases(draw):
+    """An operand, a correlation f and its mirror f'; the operand keeps to
+    one sign where f is reciprocal-shaped."""
+    name = draw(st.sampled_from(sorted(_MIRRORED)))
+    q = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    r = draw(st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0))
+    f, mirrored = _MIRRORED[name](q, r)
+    one_signed = name in ("hyperbolic", "reciprocal")
+    a = _shape(draw, 0.25 if one_signed else -5.0, draw(st.sampled_from([1, 2, 7, 100])))
+    if one_signed and draw(st.booleans()):
+        a = _mirror(a)
+    return a, f, mirrored
+
+
+@settings(max_examples=300, deadline=None)
+@given(mirror_cases(), st.sampled_from(["sum", "product"]), st.booleans())
+def test_mirroring_the_operand_and_f_negates_a_correlated_sum_and_keeps_a_product(case, op, scan):
+    """-x + f'(-x) = -(x + f(x)) and -x * f'(-x) = x * f(x).  Rounding to
+    nearest is symmetric about 0, so every no-scan route obeys this bit for
+    bit (== counts -0.0 as 0.0); a scan is held to MIRROR_SCAN_ULPS."""
+    a, f, mirrored = case
+    run = correlated_sum if op == "sum" else correlated_product
+    method = RangeMethod() if scan else None
+    got, want = run(_mirror(a), mirrored, method), run(a, f, method)
+    if op == "sum":
+        want = _mirror(want)
+    if not scan:
+        assert got == want
+        return
+    big = max(float(np.abs(want.los).max()), float(np.abs(want.his).max()))
+    tol = MIRROR_SCAN_ULPS * math.ulp(big)
+    assert np.abs(got.los - want.los).max() <= tol and np.abs(got.his - want.his).max() <= tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirror_cases(), st.data())
+def test_mirroring_negates_a_standard_sum_and_an_induced_number_and_keeps_a_standard_product(
+        case, data):
+    a, f, mirrored = case
+    b = _shape(data.draw, -5.0, a.k)
+    assert standard_sum(_mirror(a), _mirror(b)) == _mirror(standard_sum(a, b))
+    assert standard_product(_mirror(a), _mirror(b)) == standard_product(a, b)
+    assert induced_number(_mirror(a), mirrored) == _mirror(induced_number(a, f))

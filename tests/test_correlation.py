@@ -114,11 +114,17 @@ def test_custom_takes_a_domain_as_an_interval_or_a_pair(domain):
         correlated_sum(triangular(-1.0, 2.0, 3.0, grid=4), f)
 
 
+# finite and ordered, but wider than the float range
+_WIDE_DOMAIN = (-1.5e308, 1.6e308)
+
+
 @pytest.mark.parametrize("domain", [(5.0, 0.0), (math.nan, 1.0), (0.0, math.inf), [0.0, 1.0, 2.0],
-                                    3.0, (0.0,), "ab", (None, 1.0)])
+                                    3.0, (0.0,), "ab", (None, 1.0), _WIDE_DOMAIN])
 def test_custom_rejects_a_domain_it_cannot_use(domain):
     message = (f"custom correlation domain must be None or a finite (lo, hi) pair with "
                f"lo <= hi, got {domain!r}")
+    if domain is _WIDE_DOMAIN:
+        message = "custom correlation domain [-1.5e+308, 1.6e+308] is wider than the float range"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         custom(math.exp, "increasing", domain=domain)
 

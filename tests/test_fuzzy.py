@@ -506,7 +506,7 @@ def test_alpha_cuts_reject_what_alpha_cut_rejects():
         FuzzyNumber([-1.5e308, 1.5e308], [1.6e308, 1.6e308])
 
 
-def test_levels_more_than_the_float_range_apart_build_without_warnings():
+def test_a_support_wider_than_the_float_range_is_refused_without_warnings():
     # no errstate here: the suite turns a RuntimeWarning into an error.  A
     # support wider than the float range is refused, after the order and
     # nesting tests; one as wide as it builds.
@@ -517,14 +517,14 @@ def test_levels_more_than_the_float_range_apart_build_without_warnings():
     assert _WIDEST.level(0) == Interval(-_HALF, _HALF)
 
 
-def test_grid_nodes_keep_their_stored_level_across_a_step_wider_than_floats():
+def test_grid_nodes_keep_their_stored_level_across_a_step_as_wide_as_the_float_range():
     # the widest step a number can hold: as wide as the float range
     assert _WIDEST.alpha_cut(0.0) == _WIDEST.level(0)
     los, his = _WIDEST.alpha_cuts([0.0, 1.0])
     assert los.tolist() == [-_HALF, _HALF] and his.tolist() == [_HALF, _HALF]
 
 
-def test_membership_across_a_step_wider_than_floats():
+def test_membership_across_a_step_as_wide_as_the_float_range():
     # no errstate: the suite turns a RuntimeWarning into an error.  The
     # widest step a number can hold is as wide as the float range.
     pts = np.array([0.0, _HALF / 2, -_HALF, _HALF])
@@ -712,6 +712,61 @@ def test_alpha_cuts_read_the_stored_level_where_alpha_times_k_is_an_integer(a):
     assert (lo == a.los[i]).all() and (hi == a.his[i]).all()
 
 
+_FAR_ENDS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 3 * 2.0**970,
+                              -3 * 2.0**970, _HALF, -_HALF, _MAX, -_MAX])
+             | st.floats(-_MAX, _MAX) | st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _far_families(draw):
+    """Triangular and trapezoidal numbers and raw nested families whose ends
+    reach the float max, are subnormal or are -0.0; every end of one draw
+    may be made to take one sign, so that many draws are narrower than the
+    float range.  A draw wider than that is the constructor's error
+    message, and the property below stops at it."""
+    kind = draw(st.sampled_from(["tri", "trap", "levels"]))
+    grid = draw(st.sampled_from([1, 2, 3, 7, 100]))
+    count = {"tri": 3, "trap": 4, "levels": 2 * grid + 2}[kind]
+    ends = draw(st.lists(_FAR_ENDS, min_size=count, max_size=count))
+    sign = draw(st.sampled_from([None, 1.0, -1.0]))
+    ends = sorted(ends if sign is None else [sign * abs(end) for end in ends])
+    if kind == "levels":
+        return _outcome(lambda: FuzzyNumber(ends[:grid + 1], ends[grid + 1:][::-1]))
+    return _outcome(lambda: (triangular if kind == "tri" else trapezoidal)(*ends, grid=grid))
+
+
+_CUT_ALPHAS = st.lists(st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53, 2.0**-53, 5e-324, 0.5])
+                       | st.floats(0.0, 1.0), min_size=1, max_size=20)
+
+
+@settings(max_examples=300)
+@given(_far_families(), _CUT_ALPHAS)
+@example(triangular(3 * 2.0**970, _MAX, _MAX, grid=1), [1.0 - 2.0**-53, 1.0])
+@example(triangular(-_MAX, -_MAX, -3 * 2.0**970, grid=3), [1.0 - 2.0**-53, 0.5, 1.0])
+@example(_WIDEST, [1.0 - 2.0**-53, 2.0**-53, 0.5])
+@example(_WIDEST_UPPER, [1.0 - 2.0**-53, 2.0**-53, 0.5])
+@example(crisp(-0.0, grid=3), [0.0, 1.0 / 3.0, 1.0])
+def test_alpha_cuts_lie_between_the_neighbouring_stored_ends(a, alphas):
+    """Every cut of a number at an alpha in [0, 1] is finite and ordered,
+    with no warning (the suite turns a RuntimeWarning into an error).
+    Where alpha * K >= K it is the stored alpha = 1 level; elsewhere, with
+    i = int(alpha * K) as alpha_cuts takes it, each end lies between the
+    stored ends of nodes i and i + 1."""
+    if not isinstance(a, FuzzyNumber):
+        return
+    alphas = np.array(alphas)
+    lo, hi = a.alpha_cuts(alphas)
+    assert np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()
+    k = a.k
+    pos = alphas * k
+    top = pos >= k
+    assert (lo[top] == a.los[k]).all() and (hi[top] == a.his[k]).all()
+    i = pos[~top].astype(np.intp)
+    lo, hi = lo[~top], hi[~top]
+    assert (a.los[i] <= lo).all() and (lo <= a.los[i + 1]).all()
+    assert (a.his[i + 1] <= hi).all() and (hi <= a.his[i]).all()
+
+
 def test_alpha_cuts_take_alphas_of_any_shape():
     a = triangular(-1.3, 0.7, 2.9, grid=7)
     alphas = np.array([[0.0, 0.3], [0.55, 1.0]])
@@ -762,7 +817,7 @@ def test_crossed_ends_near_the_float_max_repair_to_a_finite_midpoint():
     assert b.core == Interval(1.5201935638894034e308, 1.5201935638894034e308)
 
 
-def test_a_halved_side_ends_at_its_parameter():
+def test_a_side_as_wide_as_the_float_range_ends_at_its_parameter():
     # the upper side is as wide as the float range, and its alpha = 1 end
     # is the peak, not d - 1*(d - c), which rounds to 0.0, 3.4e16 past it
     with mock.patch.object(fuzzy, "_checked_and_repaired",

@@ -94,7 +94,7 @@ def test_build_joint_names_a_support_too_narrow_for_n_distinct_samples():
         build_joint(a, linear(2.0, 1.0))
 
 
-def test_a_support_wider_than_the_float_range_is_sampled_without_nan():
+def test_a_support_near_the_float_max_is_sampled_without_nan():
     # no errstate: the suite turns a RuntimeWarning into an error.  A
     # support wider than the float range is refused; one 1.65e308 wide, near
     # the float max, is sampled without NaN
@@ -668,9 +668,9 @@ def test_oracle_check_labels_a_built_in_family_asked_to_scan_numeric(f, op):
     assert oracle_check(a, f, op, n=501).method == "analytic"
 
 
-def test_oracle_tolerance_stays_finite_past_the_float_range():
+def test_oracle_tolerance_stays_finite_where_five_widths_pass_the_float_range():
     # 5 * width / n passes the float max for this support, whose width does
-    # not; the halved ends give it
+    # not; 5 * (width / n) gives it
     f = custom(lambda x: -x / 4, "decreasing")
     lo, hi = -8e307, 8e307
     report = oracle_check(triangular(lo, 0.0, hi, grid=4), f, "sum")
