@@ -547,13 +547,20 @@ def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: n
             gc.enable()
 
 
+def _hausdorff(x: FuzzyNumber, y: FuzzyNumber) -> np.ndarray:
+    """Per-level Hausdorff distance between the levels of x and y."""
+    # ends near the float limits give an inf distance, as Python floats do
+    with np.errstate(over="ignore"):
+        return np.maximum(np.abs(x.los - y.los), np.abs(x.his - y.his))
+
+
 def _compared(x: FuzzyNumber, y: FuzzyNumber, tol: float):
     """Per-level Hausdorff distance between x and y, and whether each level
     of x lies in (subset) and equals (equal) that of y within tol, as
     three arrays."""
-    # ends near the float limits give an inf distance or bound, as Python floats do
+    h = _hausdorff(x, y)
+    # a bound widened by tol near the float limits is inf, as with Python floats
     with np.errstate(over="ignore"):
-        h = np.maximum(np.abs(x.los - y.los), np.abs(x.his - y.his))
         subset = (x.los >= y.los - tol) & (x.his <= y.his + tol)
     return h, subset, h <= tol
 

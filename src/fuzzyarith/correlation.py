@@ -244,7 +244,9 @@ def check_monotone(f: CorrelationFunction, iv: Interval, *, _samples: bool = Fal
     """Verify strict monotonicity of f on an interval by sampling it at
     MONOTONE_CHECK_SAMPLES equispaced points.
 
-    Returns the detected direction.  Raises MonotonicityError when the
+    Returns the detected direction.  Only distinct samples are compared: on
+    a support too narrow for MONOTONE_CHECK_SAMPLES distinct floats the
+    repeated points are dropped.  Raises MonotonicityError when the
     sampled values are not strictly ordered, and DomainError when the
     interval leaves the function's domain or a sampled value is not finite.
     CorrelationFunction.check_on passes _samples=True and takes the
@@ -261,16 +263,24 @@ def check_monotone(f: CorrelationFunction, iv: Interval, *, _samples: bool = Fal
         raise DomainError(
             f"{f!r} gives {ys[i]} at x = {xs[i]:.12g}, the first non-finite "
             f"sample on [{iv.lo:g}, {iv.hi:g}]")
-    # comparing neighbours, not their differences, which can overflow
-    if np.all(ys[1:] > ys[:-1]):
-        found = INCREASING
-    elif np.all(ys[1:] < ys[:-1]):
-        found = DECREASING
-    else:
+    found = _strict_direction(ys)
+    if found is None:  # a support too narrow for distinct samples repeats them
+        found = _strict_direction(ys[np.concatenate(([True], xs[1:] != xs[:-1]))])
+    if found is None:
         raise MonotonicityError(
             f"{f!r} is not strictly monotone on [{iv.lo:g}, {iv.hi:g}] "
             f"({MONOTONE_CHECK_SAMPLES} samples)")
     return (found, (xs, ys)) if _samples else found
+
+
+def _strict_direction(ys: np.ndarray) -> str | None:
+    """INCREASING or DECREASING where ys is strictly ordered that way, else None."""
+    # comparing neighbours, not their differences, which can overflow
+    if np.all(ys[1:] > ys[:-1]):
+        return INCREASING
+    if np.all(ys[1:] < ys[:-1]):
+        return DECREASING
+    return None
 
 
 def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:

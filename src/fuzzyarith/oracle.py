@@ -10,12 +10,13 @@ oracle usable as an independent check of the range engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _compared, _nan_error, _route,
+from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_error, _route,
                          compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
 from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer
@@ -71,6 +72,16 @@ class SampledMembership:
         _float_fields(self)
 
 
+def _record(cls, **fields):
+    """A cls record holding the fields as given, without the checks of its
+    constructor: for the fresh 1-d float arrays of one length that
+    build_joint and extend have just made and checked themselves."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 def _check_op(op: str) -> None:
     if op not in BINARY_OPS:
         raise ValueError(f"op must be one of {BINARY_OPS}, got {op!r}")
@@ -99,10 +110,12 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
+    # the record's own checks would repeat the order test above, and
+    # membership keeps every mu in [0, 1]
     mu = a.membership(xs)
     f.require_finite_on(sup)
     ys = f.values(xs)
-    return JointDistribution(xs=xs, mu=mu, ys=ys)
+    return _record(JointDistribution, xs=xs, mu=mu, ys=ys)
 
 
 def extend(joint: JointDistribution, op: str) -> SampledMembership:
@@ -120,9 +133,9 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     if z.size > 1:  # a NaN fails both tests
         steps = z[1:] - z[:-1]
         if (steps > MERGE_WINDOW).all():
-            return SampledMembership(zs=z, mus=joint.mu)
+            return _record(SampledMembership, zs=z, mus=joint.mu)
         if (steps < -MERGE_WINDOW).all():
-            return SampledMembership(zs=z[::-1], mus=joint.mu[::-1])
+            return _record(SampledMembership, zs=z[::-1], mus=joint.mu[::-1])
         del steps
     # each n-length array is dropped once it is read for the last time
     order = np.argsort(z, kind="stable")
@@ -134,9 +147,9 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     del order
     apart = zs[1:] - zs[:-1] > MERGE_WINDOW
     if apart.all():
-        return SampledMembership(zs=zs, mus=mus)
+        return _record(SampledMembership, zs=zs, mus=mus)
     first = np.flatnonzero(np.concatenate(([True], apart)))
-    return SampledMembership(zs=zs[first], mus=np.maximum.reduceat(mus, first))
+    return _record(SampledMembership, zs=zs[first], mus=np.maximum.reduceat(mus, first))
 
 
 def levels_from_membership(s: SampledMembership, grid: int | None = None,
@@ -284,11 +297,11 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     engine = engine_op(a, f, method)  # checks f on the support, as build_joint would
     joint = build_joint(a, f, n, _checked=True)
     approx = levels_from_membership(extend(joint, op), a.k, _auto_delta(joint))
-    h = _compared(engine, approx, 0.0)[0]
+    h = _hausdorff(engine, approx)
     max_h = float(h.max())
     lo, hi = a.support
     tolerance = 5.0 * (hi - lo) / n
-    if not np.isfinite(tolerance):
+    if not math.isfinite(tolerance):
         tolerance = 5.0 * ((hi - lo) / n)
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,

@@ -9,6 +9,7 @@ from fuzzyarith import (
     DomainError,
     Interval,
     MonotonicityError,
+    RangeMethod,
     check_monotone,
     compare_levels,
     correlated_product,
@@ -163,6 +164,30 @@ def test_check_monotone_compares_samples_whose_differences_overflow():
 
 def test_check_monotone_degenerate_interval():
     assert check_monotone(linear(2.0), Interval(1.0, 1.0)) == "increasing"
+
+
+@pytest.mark.parametrize("lo, hi, levels", [
+    # sum, RangeMethod() product and induced number, as (los, his) lists
+    (1.0, 1.0000000000000002, (([3.0, 3.0], [3.000000000000001, 3.0]),
+                               ([2.0, 2.0], [2.0000000000000013, 2.0]),
+                               ([2.0, 2.0], [2.000000000000001, 2.0]))),
+    (0.0, 5e-324, (([0.0, 0.0], [1e-323, 0.0]),
+                   ([0.0, 0.0], [0.0, 0.0]),
+                   ([0.0, 0.0], [5e-324, 0.0]))),
+])
+def test_check_monotone_compares_the_distinct_samples_of_a_narrow_support(lo, hi, levels):
+    # the support holds two floats, so the 257 equispaced samples repeat them
+    a = triangular(lo, lo, hi, grid=1)
+    f = custom(lambda x: x**3 + x, "increasing")
+    assert check_monotone(f, a.support) == "increasing"
+    got = (correlated_sum(a, f), correlated_product(a, f, RangeMethod()), induced_number(a, f))
+    assert [(b.los.tolist(), b.his.tolist()) for b in got] == list(levels)
+    wrong = custom(lambda x: x**3 + x, "decreasing")
+    with pytest.raises(MonotonicityError, match="declared decreasing but samples increasing"):
+        correlated_sum(a, wrong)
+    flat = custom(lambda x: 1.0, "increasing")
+    with pytest.raises(MonotonicityError, match=r"not strictly monotone on .* \(257 samples\)"):
+        check_monotone(flat, a.support)
 
 
 def test_custom_declared_direction_must_match():

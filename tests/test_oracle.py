@@ -28,14 +28,17 @@ from fuzzyarith import (
     oracle_check,
     reciprocal,
     identity,
+    trapezoidal,
     triangular,
 )
 
+from fuzzyarith.arithmetic import _compared
 from fuzzyarith.correlation import MONOTONE_CHECK_SAMPLES
 from fuzzyarith.oracle import MERGE_WINDOW, MIN_SAMPLES, _auto_delta
 
 from helpers import (dense_levels_from_membership, grid_builds, random_shape, reference_extend,
                      reference_levels_from_membership, wider_than_floats)
+from test_arithmetic import monotone_compositions
 
 
 def test_build_joint_enforces_sample_floor():
@@ -203,6 +206,55 @@ def test_joint_distribution_rejects_unsorted_xs_and_memberships_off_the_unit_int
         assert got == "membership values must lie in [0, 1]"
     else:
         assert isinstance(got, JointDistribution)
+
+
+_ORACLE_ENDS = (st.sampled_from([-0.0, 0.0, 1.0, -1e300, 1e300]) | st.floats(-10.0, 10.0)
+                | st.floats(-1e300, 1e300))
+
+
+@st.composite
+def oracle_inputs(draw):
+    """An operand, a built-in or custom f, a sample count and an op for
+    build_joint, extend and oracle_check."""
+    k = draw(st.sampled_from([1, 2, 7, 100]))
+    if draw(st.booleans()):
+        a, fn, direction = draw(monotone_compositions())
+        a, f = a.resample(k), custom(fn, direction)
+    else:
+        make, count = draw(st.sampled_from([(crisp, 1), (triangular, 3), (trapezoidal, 4)]))
+        ends = sorted(draw(st.lists(_ORACLE_ENDS, min_size=count, max_size=count)))
+        a = make(*ends, grid=k)
+        f = draw(st.sampled_from([linear(2.0, 1.0), linear(-0.5, 3.0), hyperbolic(4.0),
+                                  hyperbolic(-1.0, 2.0), identity(), negation(), reciprocal()]))
+    return a, f, draw(st.sampled_from([101, 2001])), draw(st.sampled_from(["sum", "product"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_inputs())
+@example((triangular(1.0, 1.0, 1.0000000000000016, grid=2), linear(2.0, 1.0), 2001, "sum"))
+@example((trapezoidal(-1e300, -0.0, 0.0, 1e300, grid=7), identity(), 101, "product"))
+def test_the_oracle_records_pass_the_checks_their_constructors_would_make(case):
+    # build_joint and extend store their arrays unchecked; the public
+    # constructors must accept every record they make, and keep its arrays
+    a, f, n, op = case
+    # a product near 1e300 passes the float range; the records hold all the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            joint = build_joint(a, f, n)
+            s = extend(joint, op)
+        except ValueError:  # a support across zero, too narrow for n, a NaN z
+            return
+        again = JointDistribution(xs=joint.xs, mu=joint.mu, ys=joint.ys)
+        assert again.xs is joint.xs and again.mu is joint.mu and again.ys is joint.ys
+        assert ((0.0 <= joint.mu) & (joint.mu <= 1.0)).all()
+        again = SampledMembership(zs=s.zs, mus=s.mus)
+        assert again.zs is s.zs and again.mus is s.mus
+        assert (s.zs[1:] > s.zs[:-1]).all()
+        try:
+            report = oracle_check(a, f, op, n)
+        except ValueError:  # a level past the float range
+            return
+    assert report.hausdorff.tobytes() == _compared(report.engine, report.oracle, 0.0)[0].tobytes()
 
 
 def test_extend_product_identity_squares():
