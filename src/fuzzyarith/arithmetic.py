@@ -209,8 +209,10 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
             j = np.minimum(np.searchsorted(los, x, side="right"),
                            np.searchsorted(neg_his, -x, side="right")) - 1
             fold.at(slot, j, sign * v)
-    return (np.minimum.accumulate(lows[::-1])[::-1],
-            np.maximum.accumulate(highs[::-1])[::-1])
+    # in place, so that lows and highs stay contiguous
+    np.minimum.accumulate(lows[::-1], out=lows[::-1])
+    np.maximum.accumulate(highs[::-1], out=highs[::-1])
+    return lows, highs
 
 
 def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> Interval:
@@ -246,14 +248,18 @@ def standard_sum(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     operands on different grids raise ValueError (a.resample(K) changes
     the grid)."""
     _same_grid(a, b)
-    return FuzzyNumber(a.los + b.los, a.his + b.his)
+    # rounding is monotone: sums of non-decreasing arrays do not decrease
+    return FuzzyNumber._made(a.los + b.los, a.his + b.his, nested=True)
 
 
 def standard_product(a: FuzzyNumber, b: FuzzyNumber) -> FuzzyNumber:
     """Levelwise interval product (extrema over the four endpoint products)
     of two fuzzy numbers on the same grid, as standard_sum."""
     _same_grid(a, b)
-    return FuzzyNumber(*_envelope(a.los * b.los, a.los * b.his, a.his * b.los, a.his * b.his))
+    # rounding is monotone: each corner of level i lies in the exact product
+    # of level i - 1, so its rounded value lies between that level's ends
+    return FuzzyNumber._made(*_envelope(a.los * b.los, a.los * b.his, a.his * b.los,
+                                        a.his * b.his), nested=True)
 
 
 # -- correlated operations -------------------------------------------------------
@@ -355,11 +361,18 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
     return g, g, None if numeric else (minima, maxima), None
 
 
+# The (family, op) pairs of a built-in f whose g is affine: c*x + r for a
+# linear sum, r*x + q for a hyperbolic product.
+_AFFINE = (("linear", "sum"), ("hyperbolic", "product"))
+
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
     sup = a.support
     plan = _route(f, op, sup, method, f.check_on(sup))
-    return FuzzyNumber(*_range_levels(plan, a.los, a.his, method))
+    # a scan's reverse running min and max nest the levels, and so does an
+    # affine g, which rounds monotonically, taken at the level ends
+    nested = plan[2] is None or (f.family, op) in _AFFINE
+    return FuzzyNumber._made(*_range_levels(plan, a.los, a.his, method), nested=nested)
 
 
 def correlated_sum(a: FuzzyNumber, f: CorrelationFunction,
@@ -446,10 +459,10 @@ def closed_form(kind: str, a: FuzzyNumber, q: float, r: float) -> FuzzyNumber:
     else:
         bound = (1.0 + abs(q)) * big * big + abs(r) * big
     if math.isfinite(2.0 * bound):
-        return FuzzyNumber(*_closed_levels(kind, los, his, q, r))
+        return FuzzyNumber._made(*_closed_levels(kind, los, his, q, r))
     with np.errstate(all="ignore"):  # an end past the float range is reported by the constructor
         levels = _closed_levels(kind, los, his, q, r)
-    return FuzzyNumber(*levels)
+    return FuzzyNumber._made(*levels)
 
 
 def _closed_levels(kind: str, los: np.ndarray, his: np.ndarray, q: float, r: float):

@@ -296,4 +296,6 @@ def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:
     hi_img = f.values(a.his)
     if f.direction == DECREASING:
         lo_img, hi_img = hi_img, lo_img
-    return FuzzyNumber(lo_img, hi_img)
+    # a built-in f, q*x + r, or q/x + r on a one-signed support, rounds
+    # monotonically, so the images of nested levels nest
+    return FuzzyNumber._made(lo_img, hi_img, nested=f.family != "custom")

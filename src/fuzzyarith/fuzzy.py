@@ -78,7 +78,8 @@ class FuzzyNumber:
 
     It holds nothing but ``los`` and ``his``, the lower and upper ends at
     the grid nodes alpha_i = i / K, as read-only float arrays.  The
-    constructor copies the arrays it is given once.  It first checks in
+    constructor copies the arrays a caller gives it once; the results the
+    library computes are stored as made (see _made).  It first checks in
     O(K) comparisons whether they are exactly nested (lower endpoints
     non-decreasing in alpha, upper endpoints non-increasing, the core
     ordered, the support of finite width); such ends are stored as given.
@@ -100,17 +101,26 @@ class FuzzyNumber:
             raise ValueError("endpoint arrays must be 1-d and of equal length")
         if los.size < 2:
             raise ValueError("need at least two levels (grid size K >= 1)")
-        # Exactly nested input, checked in O(K): with neighbours ordered and
-        # the core ordered, every end lies between the two support ends, so
-        # a finite support width makes every end finite (a NaN fails a
-        # comparison; the width is taken on Python floats, which overflow
-        # without a warning).  Such a family needs neither checks nor
-        # repair, and its running extremes would be the arrays themselves,
-        # bit for bit (on a tie np.maximum returns its second argument, so
-        # -0.0 after 0.0 stays -0.0).
-        if not (los[-1] <= his[-1] and math.isfinite(float(his[0]) - float(los[0]))
-                and (los[1:] >= los[:-1]).all() and (his[1:] <= his[:-1]).all()):
-            los, his = _checked_and_repaired(los, his)
+        self._hold(*_nested(los, his))
+
+    @classmethod
+    def _made(cls, los: np.ndarray, his: np.ndarray, *, nested: bool = False) -> "FuzzyNumber":
+        """A number holding los and his themselves, with no copy and no
+        shape test: for the fresh 1-d float arrays, of one length of two or
+        more, that an operation of the library has just made and no caller
+        holds.  They pass the constructor's nest test and repair; with
+        ``nested``, for an operation whose levels are exactly nested by
+        construction, only the support width is tested, and a support whose
+        width is not finite takes the full path, so every error is the
+        constructor's."""
+        if not (nested and math.isfinite(float(his[0]) - float(los[0]))):
+            los, his = _nested(los, his)
+        made = object.__new__(cls)
+        made._hold(los, his)
+        return made
+
+    def _hold(self, los: np.ndarray, his: np.ndarray) -> None:
+        """Store los and his, made read-only."""
         los.flags.writeable = False
         his.flags.writeable = False
         object.__setattr__(self, "los", los)
@@ -234,7 +244,7 @@ class FuzzyNumber:
         k = _grid_size(grid)
         if k == self.k:
             return self
-        return FuzzyNumber(*self.alpha_cuts(_grid(k)))
+        return FuzzyNumber._made(*self.alpha_cuts(_grid(k)))
 
     def to_json(self) -> dict:
         """Plain-object form: {"K": K, "levels": [[lo, hi], ...]}."""
@@ -251,6 +261,23 @@ class FuzzyNumber:
     def __repr__(self) -> str:
         return (f"FuzzyNumber(K={self.k}, support=[{self.los[0]:g}, {self.his[0]:g}], "
                 f"core=[{self.los[-1]:g}, {self.his[-1]:g}])")
+
+
+def _nested(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """los and his where they are exactly nested, else the arrays that
+    _checked_and_repaired makes of them.
+
+    The test takes O(K) comparisons: with neighbours ordered and the core
+    ordered, every end lies between the two support ends, so a finite
+    support width makes every end finite (a NaN fails a comparison; the
+    width is taken on Python floats, which overflow without a warning).
+    Such a family needs neither checks nor repair, and its running extremes
+    would be the arrays themselves, bit for bit (on a tie np.maximum
+    returns its second argument, so -0.0 after 0.0 stays -0.0)."""
+    if (los[-1] <= his[-1] and math.isfinite(float(his[0]) - float(los[0]))
+            and (los[1:] >= los[:-1]).all() and (his[1:] <= his[:-1]).all()):
+        return los, his
+    return _checked_and_repaired(los, his)
 
 
 def _checked_and_repaired(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,9 +313,10 @@ def _checked_and_repaired(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray,
         his[crossed] = mid
         # A midpoint can fall below an earlier lower end (or above an
         # earlier upper end); widening the outer levels to it keeps
-        # every level ordered and the family nested.
-        los = np.minimum.accumulate(los[::-1])[::-1]
-        his = np.maximum.accumulate(his[::-1])[::-1]
+        # every level ordered and the family nested.  They accumulate in
+        # place, so the arrays stay contiguous.
+        np.minimum.accumulate(los[::-1], out=los[::-1])
+        np.maximum.accumulate(his[::-1], out=his[::-1])
     lo, hi = float(los[0]), float(his[0])
     if not math.isfinite(hi - lo):
         raise _width_error("support", lo, hi)
@@ -385,14 +413,14 @@ def triangular(a: float, b: float, c: float,
     Level endpoints are a + alpha*(b - a) and c - alpha*(c - b).
     """
     _shape_parameters("triangular", a=a, b=b, c=c)
-    return FuzzyNumber(*_sides(a, b, b, c, grid))
+    return FuzzyNumber._made(*_sides(a, b, b, c, grid))
 
 
 def trapezoidal(a: float, b: float, c: float, d: float,
                 grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Trapezoidal fuzzy number with support [a, d] and plateau [b, c]."""
     _shape_parameters("trapezoidal", a=a, b=b, c=c, d=d)
-    return FuzzyNumber(*_sides(a, b, c, d, grid))
+    return FuzzyNumber._made(*_sides(a, b, c, d, grid))
 
 
 def _sides(a: float, b: float, c: float, d: float,
@@ -416,7 +444,7 @@ def crisp(a: float, grid: int = DEFAULT_GRID_K) -> FuzzyNumber:
     """Degenerate fuzzy number concentrated at the single value a."""
     _shape_parameters("crisp", a=a)
     n = _grid_size(grid) + 1
-    return FuzzyNumber(np.full(n, float(a)), np.full(n, float(a)))
+    return FuzzyNumber._made(np.full(n, float(a)), np.full(n, float(a)))
 
 
 def from_levels(levels) -> FuzzyNumber:

@@ -203,7 +203,8 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
     fall = fall[::-1] if (fall[1:] <= fall[:-1]).all() else np.maximum.accumulate(fall[::-1])
     first = np.searchsorted(rise, thresholds)
     last = mus.size - 1 - np.searchsorted(fall, thresholds)
-    return FuzzyNumber(zs[first], zs[last])
+    # first rises, last falls and first[K] <= peak <= last[K], on strictly increasing zs
+    return FuzzyNumber._made(zs[first], zs[last], nested=True)
 
 
 @dataclass(frozen=True)
