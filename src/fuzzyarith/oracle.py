@@ -19,6 +19,7 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_error, _route,
                          compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
+from .errors import DomainError
 from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer
 
 DEFAULT_SAMPLES = 2001
@@ -96,7 +97,9 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     float array as returned.  f is first
     checked with f.check_on(a.support); oracle_check passes _checked=True,
     since its engine call has just made that check.  A support too narrow
-    to hold n distinct floats raises ValueError naming the support and n.
+    to hold n distinct floats raises ValueError naming the support and n,
+    and a linear or hyperbolic f that passes the float range at an end of
+    the support raises DomainError naming f and the support.
     """
     if _integer(n, "sample count") < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -113,7 +116,12 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     # the record's own checks would repeat the order test above, and
     # membership keeps every mu in [0, 1]
     mu = a.membership(xs)
-    f.require_finite_on(sup)
+    # a built-in f is monotone, so its ends decide whether f(xs) stays in the float
+    # range; on Python floats an overflow is inf with no warning.  A custom f's values
+    # are taken one Python float at a time
+    if f.family != "custom" and not (math.isfinite(f(sup.lo)) and math.isfinite(f(sup.hi))):
+        raise DomainError(f"{f.name or f.family} correlation leaves the float range "
+                          f"on [{sup.lo:g}, {sup.hi:g}]")
     ys = f.values(xs)
     return _record(JointDistribution, xs=xs, mu=mu, ys=ys)
 
@@ -124,19 +132,34 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     Outputs are sorted by z; samples whose z values collide within
     MERGE_WINDOW are collapsed, keeping the largest membership.  A z that
     rises (or falls) by more than MERGE_WINDOW at every step is returned as
-    it is (or reversed), with no sort and no merge; any other z is sorted
-    once, stably, and merged only where two neighbours collide.  A NaN z
-    raises DomainError naming the x of the first NaN sample.
+    it is (or reversed), with no sort and no merge; one that moves by at
+    most MERGE_WINDOW at every step is one sample, its first minimum with
+    the largest membership, found with no sort either.  These cost O(n);
+    any other z is sorted once, stably, in O(n log n), and merged only
+    where two neighbours collide.  A NaN z raises DomainError naming the x
+    of the first NaN sample.
     """
     _check_op(op)
     z = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
-    if z.size > 1:  # a NaN fails both tests
+    if z.size > 1:  # a NaN fails every test
         steps = z[1:] - z[:-1]
-        if (steps > MERGE_WINDOW).all():
+        least = steps.min()
+        if least > MERGE_WINDOW:
             return _record(SampledMembership, zs=z, mus=joint.mu)
-        if (steps < -MERGE_WINDOW).all():
-            return _record(SampledMembership, zs=z[::-1], mus=joint.mu[::-1])
+        most = steps.max()
         del steps
+        if most < -MERGE_WINDOW:
+            return _record(SampledMembership, zs=z[::-1], mus=joint.mu[::-1])
+        # a z that moves by at most MERGE_WINDOW at every step is one group: between
+        # sorted neighbours a < b some step goes from a or below to b or above, so no
+        # sorted step passes the window either, as rounding is monotone.  The stable
+        # sort's first sample is the first minimum, signed zero and all.  A largest
+        # membership of ±0.0 is left to the sort, as reduceat takes it in sorted order
+        if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:
+            top = joint.mu.max()
+            if top > 0.0:
+                return _record(SampledMembership, zs=np.array([z[z.argmin()]]),
+                               mus=np.array([top]))
     # each n-length array is dropped once it is read for the last time
     order = np.argsort(z, kind="stable")
     zs = z[order]

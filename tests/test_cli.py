@@ -270,6 +270,18 @@ def test_check_requires_correlated_expression(capsys):
     assert "corr_sum" in err or "correlated" in err
 
 
+def test_check_refuses_an_f_past_the_float_range_that_the_engine_result_does_not_pass(capsys):
+    # eval prints the finite levels of g = -x; the oracle samples f = -2x itself
+    expr = "corr_sum(tri(1e308,1.2e308,1.5e308), linear(-2,0))"
+    assert main(["eval", "-e", expr, "--grid", "2", "--alphas", "0"]) == 0
+    assert capsys.readouterr().out == "alpha\tlevel\n0\t[-1.5e+308, -1e+308]\n"
+    assert main(["check", "-e", expr, "--grid", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("fuzzyarith: domain error: corr_sum: linear correlation leaves the float "
+                   "range on [1e+308, 1.5e+308]\n")
+
+
 def test_eval_sums_a_shape_that_rounds_at_its_core(capsys):
     assert main(["eval", "-e", "std_sum(tri(-100000, 50000.7, 100000), tri(1, 2, 3))",
                  "--alphas", "1"]) == 0
