@@ -93,11 +93,13 @@ class CorrelationFunction:
                 f"[{self.domain.lo:g}, {self.domain.hi:g}]")
 
     def require_finite_on(self, iv: Interval) -> None:
-        """Raise DomainError if a hyperbolic f passes the float range on iv, as
-        q/x does at a subnormal x; q/x is monotone there, so the ends decide.
-        Only evaluations of f check it: x * (q/x + r) is r*x + q, finite."""
-        if self.family == "hyperbolic" and not (math.isfinite(self(iv.lo))
-                                                and math.isfinite(self(iv.hi))):
+        """Raise DomainError if a built-in f passes the float range on iv, as
+        q/x does at a subnormal x or 2x past half the float max; f is monotone,
+        so the ends decide.  A custom f is not tested: check_monotone refuses
+        its non-finite samples.  Only evaluations of f check it: x * (q/x + r)
+        is r*x + q, finite."""
+        if self.family != "custom" and not (math.isfinite(self(iv.lo))
+                                            and math.isfinite(self(iv.hi))):
             raise DomainError(
                 f"{self.name or self.family} correlation leaves the float range "
                 f"on [{iv.lo:g}, {iv.hi:g}]")
@@ -291,7 +293,8 @@ def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:
     """
     sup = a.support
     f.check_on(sup)
-    f.require_finite_on(sup)
+    if f.family == "hyperbolic":
+        f.require_finite_on(sup)
     lo_img = f.values(a.los)
     hi_img = f.values(a.his)
     if f.direction == DECREASING:

@@ -19,7 +19,6 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_error, _route,
                          compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
-from .errors import DomainError
 from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer
 
 DEFAULT_SAMPLES = 2001
@@ -116,12 +115,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     # the record's own checks would repeat the order test above, and
     # membership keeps every mu in [0, 1]
     mu = a.membership(xs)
-    # a built-in f is monotone, so its ends decide whether f(xs) stays in the float
-    # range; on Python floats an overflow is inf with no warning.  A custom f's values
-    # are taken one Python float at a time
-    if f.family != "custom" and not (math.isfinite(f(sup.lo)) and math.isfinite(f(sup.hi))):
-        raise DomainError(f"{f.name or f.family} correlation leaves the float range "
-                          f"on [{sup.lo:g}, {sup.hi:g}]")
+    f.require_finite_on(sup)
     ys = f.values(xs)
     return _record(JointDistribution, xs=xs, mu=mu, ys=ys)
 

@@ -8,7 +8,7 @@ rewrites tests/byte_digests.json; tests/test_bytes.py then recomputes every
 digest and names each case whose bytes differ.  A change that means to
 change output bytes re-records the file and names every changed case.
 
-Three kinds of case are digested, each by a 16-hex-digit prefix of a
+Four kinds of case are digested, each by a 16-hex-digit prefix of a
 SHA-256:
 - every operation of the seed 1 and seed 2 pools of the benchmark's
   engine-analytic and oracle-check workloads (perfbench/workloads.py, read
@@ -16,7 +16,8 @@ SHA-256:
   comparison rows with their floats' exact bits, every report field and the
   report's JSON text, or the type and message of the error raised;
 - the stdout, stderr and exit code of every argument vector of
-  perfbench/cli_golden.json, run in-process through cli.main.
+  perfbench/cli_golden.json, run in-process through cli.main;
+- the same for every argument vector of CONSOLE below, keyed by its command line.
 The engine-numeric pools are left out: their custom functions call
 np.exp, np.log and np.arctan, whose last bits can differ between CPUs.
 """
@@ -27,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import sys
 from array import array
 from pathlib import Path
@@ -39,7 +41,34 @@ DIGESTS = Path(__file__).resolve().parent / "byte_digests.json"
 
 POOLS = [(workload, seed) for workload in ("engine-analytic", "oracle-check")
          for seed in (1, 2)]
-SECTIONS = [f"{workload}/{seed}" for workload, seed in POOLS] + ["cli"]
+SECTIONS = [f"{workload}/{seed}" for workload, seed in POOLS] + ["cli", "console"]
+CONSOLE = [
+    # the README rows
+    ["eval", "-e", "corr_sum(tri(1,2,3), negation)", "--alphas", "0,0.5,1"],
+    # the oracle's membership paths, merged and searched; a support too wide; a wide tolerance
+    ["check", "-e", "corr_sum(tri(1,2,3), linear(2,1))", "--grid", "4", "--oracle-n", "20001"],
+    ["check", "-e", "corr_prod(tri(1,2,3), hyperbolic(2,1))", "--grid", "1000"],
+    ["check", "-e", "corr_sum(tri(-1.5e308, 0, 1.6e308), linear(-0.25, 0))", "--grid", "4"],
+    ["check", "-e", "corr_sum(tri(-8e307, 0, 8e307), linear(-0.25, 0))", "--grid", "4"],
+    # extend's sort-and-merge, collapsed and falling paths
+    ["check", "-e", "corr_prod(tri(-2,0,2), identity)", "--grid", "1000", "--oracle-n", "20001"],
+    ["check", "-e", "corr_prod(tri(1,2,4), reciprocal)", "--grid", "1000", "--oracle-n", "20001"],
+    ["check", "-e", "corr_sum(tri(-1,2,4), negation)"],
+    ["check", "-e", "corr_sum(tri(1,2,3), linear(-2,1))", "--grid", "4"],
+    # the cuts of a side that ends at the float max
+    ["eval", "-e", "tri(2.9937604643020797e292, 1.7976931348623157e308, 1.7976931348623157e308)",
+     "--grid", "1", "--alphas", "0,0.5,0.9999999999999999,1", "--format", "json"],
+    # a parse error, a domain error and an alpha outside [0, 1]
+    ["eval", "-e", "corr_sum(tri(1,2,3) negation)"],
+    ["eval", "-e", "corr_sum(tri(-1,0,1), hyperbolic(4,0))"],
+    ["eval", "-e", "tri(1,2,3)", "--alphas", "1.5"],
+    # proved results past the float range
+    ["eval", "-e", "std_sum(crisp(1.7e308), crisp(1.7e308))", "--grid", "2"],
+    ["eval", "-e", "std_prod(tri(1e200,2e200,3e200), tri(1e200,2e200,3e200))", "--grid", "2"],
+    ["eval", "-e", "induced(tri(1e308,1.2e308,1.5e308), linear(2, 0))", "--grid", "2"],
+    # strict JSON where a termwise reading passes the float range
+    ["check", "-e", "corr_sum(tri(0.1, 1, 1e308), hyperbolic(1e307, 0))", "--grid", "2"],
+]
 
 
 def _workloads():
@@ -117,25 +146,26 @@ def pool_digests(workload: str, seed: int) -> dict[str, str]:
     return out
 
 
-def cli_digests() -> dict[str, str]:
-    """One digest of (exit code, stdout, stderr) per golden argument vector,
-    keyed by class and position."""
+def argv_digests(cases: dict[str, list[str]]) -> dict[str, str]:
+    """One digest of (exit code, stdout, stderr) per argv, run through cli.main."""
     from fuzzyarith.cli import main
 
-    golden = json.loads((PERFBENCH / "cli_golden.json").read_text())
     out = {}
-    for cls, cases in golden["classes"].items():
-        for j, case in enumerate(cases):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                rc = main(case["argv"])
-            out[f"{cls}/{j}"] = digest((rc, stdout.getvalue(), stderr.getvalue()))
+    for key, argv in cases.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+        out[key] = digest((rc, stdout.getvalue(), stderr.getvalue()))
     return out
 
 
 def section_digests(section: str) -> dict[str, str]:
     if section == "cli":
-        return cli_digests()
+        golden = json.loads((PERFBENCH / "cli_golden.json").read_text())["classes"]
+        return argv_digests({f"{cls}/{j}": case["argv"] for cls, cases in golden.items()
+                             for j, case in enumerate(cases)})
+    if section == "console":
+        return argv_digests({shlex.join(argv): argv for argv in CONSOLE})
     workload, seed = section.rsplit("/", 1)
     return pool_digests(workload, int(seed))
 

@@ -445,13 +445,14 @@ _POS, _NEG = triangular(1.0, 2.0, 3.0, grid=20), triangular(-3.0, -2.0, -1.0, gr
     (_NEG, -1.0, -4.0, False),  # x < 0, f < 0, decreasing
     (triangular(0.0, 1.0, 2.0, grid=20), 1.0, 0.0, True),  # x zero at an end
     (_POS, 1.0, -1.0, True),    # f zero at an end
+    (_POS, -1.0, 1.0, True),    # f zero at the lower end, negative above
     (_POS, 1.0, -3.0, False),   # f zero at the other end
     (_POS, 2.0, -3.0, False),   # f changes sign on the support
     (_POS, -1.0, 2.5, False),   # the same, decreasing, with a stationary point
     (triangular(-1.0, 0.0, 2.0, grid=20), 1.0, 3.0, False),  # support crosses zero
 ], ids=["++inc", "++dec", "+-inc", "+-dec", "-+inc", "-+dec", "--inc", "--dec",
-        "x-zero-end", "f-zero-end", "f-zero-other-end", "f-crosses-zero", "f-crosses-zero-dec",
-        "x-crosses-zero"])
+        "x-zero-end", "f-zero-end", "f-zero-end-negative", "f-zero-other-end", "f-crosses-zero",
+        "f-crosses-zero-dec", "x-crosses-zero"])
 def test_correlated_product_sign_table(a, c1, c0, monotone):
     direction = "increasing" if c1 > 0 else "decreasing"
     counted, calls = _counted(lambda x: c1 * x + c0)
@@ -509,6 +510,16 @@ def test_increasing_custom_sum_is_ranged_from_its_endpoints():
     num = correlated_sum(a, custom(counted, "increasing"), RangeMethod())
     assert calls[0] > 1025
     assert np.array_equal(res.los, num.los) and np.array_equal(res.his, num.his)
+
+
+def test_a_crisp_operand_is_not_scanned():
+    # g takes one value on a point support: the numeric method reads f at the
+    # 2(K + 1) level ends, and the direction check on a point makes no call
+    a = crisp(1.0, grid=10)
+    counted, calls = _counted(math.exp)
+    res = correlated_sum(a, custom(counted, "increasing"), RangeMethod())
+    assert calls[0] == 2 * (a.k + 1)
+    assert np.all(res.los == 1.0 + math.e) and np.all(res.his == 1.0 + math.e)
 
 
 @pytest.mark.parametrize("op", [correlated_sum, correlated_product])

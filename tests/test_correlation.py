@@ -105,6 +105,18 @@ def test_require_on_custom_domain():
         f.require_on(Interval(-1.0, 4.0))
 
 
+def test_require_finite_on_tests_every_built_in_f_at_the_support_ends():
+    big, tiny = Interval(1e308, 1.5e308), Interval(2.225073858507203e-309, 1.0)
+    for f, iv, name in ((linear(2.0, 0.0), big, "linear"), (hyperbolic(1.0), tiny, "hyperbolic"),
+                        (reciprocal(), tiny, "reciprocal")):
+        message = f"{name} correlation leaves the float range on [{iv.lo:g}, {iv.hi:g}]"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            f.require_finite_on(iv)
+    # f = -x + 1e308 stays finite on big, and a custom f is not evaluated here
+    linear(-1.0, 1e308).require_finite_on(big)
+    custom(lambda x: 2.0 * x, "increasing").require_finite_on(big)
+
+
 @pytest.mark.parametrize("domain", [(0, 5), [0.0, 5.0], Interval(0.0, 5.0), np.array([0.0, 5.0])])
 def test_custom_takes_a_domain_as_an_interval_or_a_pair(domain):
     f = custom(math.exp, "increasing", domain=domain)
