@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat, starmap
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class RangeMethod:
+class RangeMethod(namedtuple("RangeMethod", ("samples",))):
     """A request to scan the support when ranging a function over levels.
 
     A correlated operation takes one of two requests.  None takes the
@@ -60,16 +58,20 @@ class RangeMethod:
     bracket of 1e-10, or the float resolution where wider (_golden_min).
     """
 
-    samples: int = 1025
+    __slots__ = ()
     # a class constant, not a field, so it cannot be set; its one reader is
     # perfbench/tracing.py corr_span
     mode = "numeric"
 
-    def __post_init__(self) -> None:
-        samples = _integer(self.samples, "samples")
+    def __new__(cls, samples: int = 1025) -> "RangeMethod":
+        samples = _integer(samples, "samples")
         if samples < 65:
             raise ValueError(f"numeric range needs at least 65 samples, got {samples}")
-        object.__setattr__(self, "samples", samples)
+        return tuple.__new__(cls, (samples,))
+
+    @classmethod
+    def _make(cls, iterable) -> "RangeMethod":
+        return cls(*iterable)
 
 
 # -- range search ---------------------------------------------------------------
@@ -511,15 +513,11 @@ def _closed_levels(kind: str, los: np.ndarray, his: np.ndarray, q: float, r: flo
 # -- comparison -------------------------------------------------------------------
 
 
-class LevelResult(NamedTuple):
+class LevelResult(namedtuple("LevelResult",
+                             ("alpha", "left", "right", "hausdorff", "subset", "equal"))):
     """Per-alpha comparison of two level intervals."""
 
-    alpha: float
-    left: Interval
-    right: Interval
-    hausdorff: float
-    subset: bool
-    equal: bool
+    __slots__ = ()
 
 
 def _level_rows(x: FuzzyNumber, y: FuzzyNumber, hausdorff: np.ndarray, subset: np.ndarray,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,9 @@ DECREASING = "decreasing"
 MONOTONE_CHECK_SAMPLES = 257
 
 
-@dataclass(frozen=True)
-class CorrelationFunction:
+class CorrelationFunction(namedtuple(
+        "CorrelationFunction", ("family", "q", "r", "fn", "direction", "domain", "name"),
+        defaults=(0.0, 0.0, None, INCREASING, None, None))):
     """A strictly monotone function of one real variable.
 
     ``family`` is one of three kinds:
@@ -50,13 +51,7 @@ class CorrelationFunction:
     directly.
     """
 
-    family: str
-    q: float = 0.0
-    r: float = 0.0
-    fn: Callable[[float], float] | None = None
-    direction: str = INCREASING
-    domain: Interval | None = None
-    name: str | None = None
+    __slots__ = ()
 
     def __call__(self, x):
         """Evaluate pointwise; linear and hyperbolic functions accept arrays too."""
@@ -168,12 +163,12 @@ def hyperbolic(q: float, r: float = 0.0) -> CorrelationFunction:
 
 def identity() -> CorrelationFunction:
     """x: linear(1, 0) named ``identity``."""
-    return replace(linear(1.0), fn=operator.pos, name="identity")
+    return linear(1.0)._replace(fn=operator.pos, name="identity")
 
 
 def negation() -> CorrelationFunction:
     """-x: linear(-1, 0) named ``negation``."""
-    return replace(linear(-1.0), fn=operator.neg, name="negation")
+    return linear(-1.0)._replace(fn=operator.neg, name="negation")
 
 
 def _reciprocal(x):
@@ -182,7 +177,7 @@ def _reciprocal(x):
 
 def reciprocal() -> CorrelationFunction:
     """1/x: hyperbolic(1, 0) named ``reciprocal``."""
-    return replace(hyperbolic(1.0), fn=_reciprocal, name="reciprocal")
+    return hyperbolic(1.0)._replace(fn=_reciprocal, name="reciprocal")
 
 
 def custom(fn: Callable[[float], float], direction: str,

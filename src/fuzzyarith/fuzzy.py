@@ -482,19 +482,21 @@ def fuzzy_from_json(obj) -> FuzzyNumber:
     Accepts the full {"K": ..., "levels": [[lo, hi], ...]} form and the
     shorthands of SHAPES, {"tri": [a, b, c]}, {"trap": [a, b, c, d]} and
     {"crisp": [a]} or {"crisp": a}; shorthands honor an optional "K" key
-    (default 100).  A shorthand with a parameter list of the wrong length
-    raises ValueError.
+    (default 100).  An object with any key besides exactly one form and an
+    optional "K", and a shorthand with a parameter list of the wrong length,
+    raise ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object describing a fuzzy number, got {obj!r}")
-    grid = obj.get("K", DEFAULT_GRID_K)
-    for name, (make, count) in SHAPES.items():
-        if name in obj:
-            args = obj[name]
-            if count == 1 and not isinstance(args, (list, tuple)):
-                args = [args]
-            return make(*_parameters(name, args, count), grid=grid)
-    if "levels" in obj:
+    forms = obj.keys() - {"K"}
+    name = forms.pop() if len(forms) == 1 else None
+    if name in SHAPES:
+        make, count = SHAPES[name]
+        args = obj[name]
+        if count == 1 and not isinstance(args, (list, tuple)):
+            args = [args]
+        return make(*_parameters(name, args, count), grid=obj.get("K", DEFAULT_GRID_K))
+    if name == "levels":
         fn = from_levels(obj["levels"])
         if "K" in obj and fn.k != _grid_size(obj["K"]):
             raise ValueError(f"levels length {fn.k + 1} does not match K={obj['K']}")

@@ -11,7 +11,7 @@ oracle usable as an independent check of the range engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -29,57 +29,50 @@ MIN_SAMPLES = 101
 MERGE_WINDOW = 1e-12
 
 
-def _float_fields(record) -> None:
-    """Store each field of the frozen dataclass ``record`` as a float array
-    (np.asarray keeps a float array as it is); ValueError unless they are
-    1-d and of one length."""
-    names, shapes = list(record.__dataclass_fields__), set()
-    for name in names:
-        array = np.asarray(getattr(record, name), dtype=float)
-        object.__setattr__(record, name, array)
-        shapes.add(array.shape)
-    if len(shapes) > 1 or array.ndim != 1:
-        raise ValueError(f"{', '.join(names[:-1])} and {names[-1]} must be 1-d arrays "
-                         f"of one length")
+def _float_record(cls, fields):
+    """A cls record of the fields, each taken as a float array (np.asarray
+    keeps a float array as it is); ValueError unless they are 1-d and of one
+    length."""
+    arrays = [np.asarray(field, dtype=float) for field in fields]
+    if len({array.shape for array in arrays}) > 1 or arrays[0].ndim != 1:
+        raise ValueError(f"{', '.join(cls._fields[:-1])} and {cls._fields[-1]} must be 1-d "
+                         f"arrays of one length")
+    return tuple.__new__(cls, arrays)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(namedtuple("JointDistribution", ("xs", "mu", "ys"))):
     """Graph samples of the coupled pair: points (xs[i], ys[i]) with
-    possibility mu[i], ys = f(xs); each field is taken as a float array."""
+    possibility mu[i], ys = f(xs), each taken as a float array; every way
+    to make one, _make and _replace included, checks that xs increases
+    strictly and that every mu lies in [0, 1]."""
 
-    xs: np.ndarray
-    mu: np.ndarray
-    ys: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _float_fields(self)
+    def __new__(cls, xs, mu, ys) -> "JointDistribution":
+        self = _float_record(cls, (xs, mu, ys))
         if not (self.xs[1:] > self.xs[:-1]).all():  # a NaN fails the test
             raise ValueError("xs must be strictly increasing")
         if (self.mu < 0.0).any() or (self.mu > 1.0).any():
             raise ValueError("membership values must lie in [0, 1]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "JointDistribution":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SampledMembership:
-    """Output samples zs with their memberships, zs strictly increasing;
-    each field is taken as a float array."""
+class SampledMembership(namedtuple("SampledMembership", ("zs", "mus"))):
+    """Output samples zs with their memberships, each taken as a float
+    array; levels_from_membership checks that zs increases strictly."""
 
-    zs: np.ndarray
-    mus: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _float_fields(self)
+    def __new__(cls, zs, mus) -> "SampledMembership":
+        return _float_record(cls, (zs, mus))
 
-
-def _record(cls, **fields):
-    """A cls record holding the fields as given, without the checks of its
-    constructor: for the fresh 1-d float arrays of one length that
-    build_joint and extend have just made and checked themselves."""
-    record = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(record, name, value)
-    return record
+    @classmethod
+    def _make(cls, iterable) -> "SampledMembership":
+        return cls(*iterable)
 
 
 def _check_op(op: str) -> None:
@@ -112,12 +105,12 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
-    # the record's own checks would repeat the order test above, and
-    # membership keeps every mu in [0, 1]
     mu = a.membership(xs)
     f.require_finite_on(sup)
     ys = f.values(xs)
-    return _record(JointDistribution, xs=xs, mu=mu, ys=ys)
+    # tuple.__new__ skips the checks, which these 1-d float arrays of one length
+    # pass: xs was tested above, and membership keeps every mu in [0, 1]
+    return tuple.__new__(JointDistribution, (xs, mu, ys))
 
 
 def extend(joint: JointDistribution, op: str) -> SampledMembership:
@@ -134,16 +127,18 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     of the first NaN sample.
     """
     _check_op(op)
+    # tuple.__new__ skips the checks: each (zs, mus) below is two 1-d float arrays of one length
+    new = tuple.__new__
     z = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
     if z.size > 1:  # a NaN fails every test
         steps = z[1:] - z[:-1]
         least = steps.min()
         if least > MERGE_WINDOW:
-            return _record(SampledMembership, zs=z, mus=joint.mu)
+            return new(SampledMembership, (z, joint.mu))
         most = steps.max()
         del steps
         if most < -MERGE_WINDOW:
-            return _record(SampledMembership, zs=z[::-1], mus=joint.mu[::-1])
+            return new(SampledMembership, (z[::-1], joint.mu[::-1]))
         # a z that moves by at most MERGE_WINDOW at every step is one group: between
         # sorted neighbours a < b some step goes from a or below to b or above, so no
         # sorted step passes the window either, as rounding is monotone.  The stable
@@ -152,8 +147,7 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
         if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:
             top = joint.mu.max()
             if top > 0.0:
-                return _record(SampledMembership, zs=np.array([z[z.argmin()]]),
-                               mus=np.array([top]))
+                return new(SampledMembership, (np.array([z[z.argmin()]]), np.array([top])))
     # each n-length array is dropped once it is read for the last time
     order = np.argsort(z, kind="stable")
     zs = z[order]
@@ -164,9 +158,9 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     del order
     apart = zs[1:] - zs[:-1] > MERGE_WINDOW
     if apart.all():
-        return _record(SampledMembership, zs=zs, mus=mus)
+        return new(SampledMembership, (zs, mus))
     first = np.flatnonzero(np.concatenate(([True], apart)))
-    return _record(SampledMembership, zs=zs[first], mus=np.maximum.reduceat(mus, first))
+    return new(SampledMembership, (zs[first], np.maximum.reduceat(mus, first)))
 
 
 def levels_from_membership(s: SampledMembership, grid: int | None = None,
@@ -224,25 +218,21 @@ def levels_from_membership(s: SampledMembership, grid: int | None = None,
     return FuzzyNumber._made(zs[first], zs[last], nested=True)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport", ("op", "n", "tolerance", "max_hausdorff", "passed",
+                                               "engine", "oracle", "hausdorff", "method",
+                                               "termwise"), defaults=(None,))):
     """Engine-versus-oracle comparison across one full level family, as
     arrays; ``levels``, the rows of compare_levels(engine, oracle, tol=0.0),
-    are built on first access.  ``method`` labels the engine's route for
-    the whole report, "analytic" or "numeric" (a scan); the rows do not
-    repeat it.  ``termwise`` is None for products, non-hyperbolic f and
-    readings that pass the float range."""
+    are built on first access and kept in ``__dict__``, which takes nothing
+    else.  ``method`` labels the engine's route for the whole report,
+    "analytic" or "numeric" (a scan); the rows do not repeat it.
+    ``termwise`` is None for products, non-hyperbolic f and readings that
+    pass the float range."""
 
-    op: str
-    n: int
-    tolerance: float
-    max_hausdorff: float
-    passed: bool
-    engine: FuzzyNumber
-    oracle: FuzzyNumber
-    hausdorff: np.ndarray
-    method: str
-    termwise: tuple[np.ndarray, np.ndarray] | None = None
+    def __setattr__(self, name, value=None):
+        raise AttributeError("OracleReport instances are immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def levels(self) -> list[LevelResult]:

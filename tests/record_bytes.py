@@ -99,7 +99,7 @@ def _feed(h, value) -> None:
         h.update(value.tobytes())
     elif isinstance(value, OracleReport):
         h.update(b"OracleReport")
-        for name in value.__dataclass_fields__:
+        for name in value._fields:
             h.update(name.encode())
             _feed(h, getattr(value, name))
         _feed(h, value.levels)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import math
 import pickle
@@ -54,7 +53,7 @@ from helpers import (assert_levels_match_scan, collections_during, dense_range, 
 
 def test_range_method_validation():
     RangeMethod()
-    assert [field.name for field in dataclasses.fields(RangeMethod)] == ["samples"]
+    assert RangeMethod._fields == ("samples",)
     assert RangeMethod.mode == "numeric"
     with pytest.raises(TypeError):
         RangeMethod(mode="analytic")

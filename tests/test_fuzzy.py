@@ -349,6 +349,16 @@ def test_json_shorthands():
         fuzzy_from_json({"nope": [1]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"tri": [1, 2, 3], "trap": [0, 1, 2, 3]}, {"tri": [1, 2, 3], "foo": 1},
+    {"crisp": 1, "K": 3, "levels": [[0, 0], [0, 0]]}, {"levels": [[0, 1], [0, 1]], "K": 1, "k": 1},
+    {"K": 3}, {}])
+def test_json_takes_exactly_one_form_and_an_optional_k(obj):
+    with pytest.raises(ValueError, match=f"^unrecognized fuzzy number object: "
+                                         f"{re.escape(repr(obj))}$"):
+        fuzzy_from_json(obj)
+
+
 @pytest.mark.parametrize("obj, count", [({"tri": [1, 2]}, 3), ({"tri": 1}, 3),
                                         ({"trap": [1, 2, 3, 4, 5]}, 4), ({"crisp": [1, 2]}, 1),
                                         ({"crisp": []}, 1)])

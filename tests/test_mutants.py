@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 import test_arithmetic
+import test_fuzzy
 import test_oracle
-from fuzzyarith import arithmetic, fuzzy, oracle, triangular
+import test_records
+from fuzzyarith import FuzzyNumber, arithmetic, fuzzy, oracle, triangular
 from fuzzyarith.arithmetic import _nan_error
 from fuzzyarith.oracle import MERGE_WINDOW, JointDistribution, SampledMembership, _check_op
 
@@ -88,6 +90,9 @@ _REJECTS_UNSORTED = (
 _MATCHES_DENSE_MASK = test_oracle.test_levels_from_membership_matches_dense_mask
 _SIGN_TABLE = test_arithmetic.test_correlated_product_sign_table
 _FOUR_PRODUCTS = test_arithmetic.test_standard_product_reduces_its_four_products_in_order
+_FOUR_CANDIDATES = test_arithmetic.test_closed_form_std_prod_kinds_reduce_their_four_candidates
+_RESAMPLE = test_fuzzy.test_resample_reads_the_levels_through_alpha_cuts
+_LOCAL_MINIMA = test_arithmetic.test_local_minima_match_their_definition
 # standard_product's four corner products, in order and reversed
 _CORNERS = "a.los * b.los, a.los * b.his, a.his * b.los,\n" + " " * 40 + "a.his * b.his"
 _REVERSED = "a.his * b.his, a.his * b.los, a.los * b.his,\n" + " " * 40 + "a.los * b.los"
@@ -111,8 +116,8 @@ MUTANTS = [
      test_oracle.test_oracle_check_peaks_at_a_few_arrays_of_n_floats,
      (*test_oracle._LINEAR, "product", 7.5)),
     ("JointDistribution lets tied xs through",
-     lambda: _edited(JointDistribution.__post_init__, "self.xs[1:] > self.xs[:-1]",
-                     "self.xs[1:] >= self.xs[:-1]"), _patch(JointDistribution, "__post_init__"),
+     lambda: _edited(JointDistribution.__new__, "self.xs[1:] > self.xs[:-1]",
+                     "self.xs[1:] >= self.xs[:-1]"), _patch(JointDistribution, "__new__"),
      _REJECTS_UNSORTED.hypothesis.inner_test, ((np.array([0.0, 1.0, 1.0]), np.zeros(3)),)),
     ("the rise is searched without its running maximum",
      *_levels_from_membership("if not (rise[1:] >= rise[:-1]).all():", "if False:"),
@@ -133,6 +138,33 @@ MUTANTS = [
      lambda: _edited(arithmetic.standard_product, _CORNERS, _REVERSED),
      _patch(test_arithmetic, "standard_product"),
      _FOUR_PRODUCTS.hypothesis.inner_test, ([-1.0, -0.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 2)),
+    ("_envelope reduces its four arrays in reverse order",
+     *_in_arithmetic("_envelope", "(c0, c1, c2, c3):", "(c3, c2, c1, c0):"),
+     _FOUR_CANDIDATES.hypothesis.inner_test,
+     ([-1.0, -0.0, 0.0, 1.0], 2, "std-prod-linear", -1.0, 0.0)),
+    ("a run of local minima is not collapsed to its first index",
+     *_in_arithmetic("_local_min_indices", "low[1:] &= ~low[:-1]", "pass"),
+     _LOCAL_MINIMA, (np.random.default_rng(20250814),)),
+    ("a local minimum must lie below its left neighbour",
+     *_in_arithmetic("_local_min_indices", "mid <= padded[:-2]", "mid < padded[:-2]"),
+     _LOCAL_MINIMA, (np.random.default_rng(20250814),)),
+    ("resample interpolates the stored ends with np.interp",
+     lambda: _edited(FuzzyNumber.resample, "*self.alpha_cuts(_grid(k))",
+                     "*(np.interp(_grid(k), _grid(self.k), e) for e in (self.los, self.his))"),
+     _patch(FuzzyNumber, "resample"),
+     _RESAMPLE.hypothesis.inner_test, (triangular(-1.3, 0.7, 2.9, grid=7), 11)),
+    # the DeprecationWarning is attributed to fuzzyarith, which pyproject.toml's
+    # filters turn into an error
+    ("from_levels stacks its rows with the deprecated np.row_stack",
+     lambda: _edited(fuzzy.from_levels, "np.asarray(levels, dtype=float)",
+                     "np.row_stack(levels).astype(float)"),
+     _patch(test_fuzzy, "from_levels"), test_fuzzy.test_from_levels_round_trip, ()),
+    ("JointDistribution._make makes the tuple unchecked, as namedtuple's own does",
+     lambda: _edited(JointDistribution._make.__func__, "cls(*iterable)",
+                     "tuple.__new__(cls, iterable)"),
+     _patch(JointDistribution, "_make"),
+     test_records.test_every_construction_from_values_validates,
+     test_records.VALIDATING["JointDistribution"]),
 ]
 
 # Mutants that the suite leaves alive, each with the reason it need not fail:
@@ -160,7 +192,8 @@ def test_the_named_test_fails_on_the_mutant(name, make, patches, test, args):
     for patch in patches(mutant):
         patch.start()
     try:
-        with pytest.raises((AssertionError, pytest.fail.Exception)):
+        # a warning fails a test where pyproject.toml's filters make it an error
+        with pytest.raises((AssertionError, pytest.fail.Exception, Warning)):
             test(*args)
     finally:
         mock.patch.stopall()
