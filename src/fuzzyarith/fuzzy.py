@@ -131,6 +131,10 @@ class FuzzyNumber:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # a copy or a pickle is made through the validating constructor
+        return FuzzyNumber, (self.los, self.his)
+
     # -- basic accessors ----------------------------------------------------
 
     @property

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_error, _route,
-                         compare_levels, correlated_product, correlated_sum)
+                         closed_form, compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
 from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer
 
@@ -226,8 +226,8 @@ class OracleReport(namedtuple("OracleReport", ("op", "n", "tolerance", "max_haus
     are built on first access and kept in ``__dict__``, which takes nothing
     else.  ``method`` labels the engine's route for the whole report,
     "analytic" or "numeric" (a scan); the rows do not repeat it.
-    ``termwise`` is None for products, non-hyperbolic f and readings that
-    pass the float range."""
+    ``termwise`` holds the ends of the standard sum A + f(A) for a hyperbolic
+    f, and is None for products, other f and sums past the float range."""
 
     def __setattr__(self, name, value=None):
         raise AttributeError("OracleReport instances are immutable")
@@ -268,24 +268,6 @@ def _auto_delta(joint: JointDistribution) -> float:
     return max(0.5 * quantum, short + MERGE_WINDOW, MERGE_WINDOW)
 
 
-def _minkowski_sum_reading(a: FuzzyNumber, f: CorrelationFunction) -> tuple | None:
-    """The (lower, upper) ends of the level sums [A]^alpha + q*{1/x} + r for
-    reciprocal shapes.
-
-    This is the value a termwise interval evaluation of x + q/x + r would
-    give.  It can strictly contain the true correlated sum, which is why it
-    is reported for comparison only.  None unless every end is finite, since
-    an end past the float range has no JSON form.
-    """
-    if f.family != "hyperbolic":
-        return None
-    q, r = f.q, f.r
-    t1, t2 = q / a.his, q / a.los
-    with np.errstate(over="ignore"):
-        lo, hi = a.los + np.minimum(t1, t2) + r, a.his + np.maximum(t1, t2) + r
-    return (lo, hi) if np.isfinite(lo).all() and np.isfinite(hi).all() else None
-
-
 def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
                  n: int = DEFAULT_SAMPLES,
                  method: RangeMethod | None = None) -> OracleReport:
@@ -294,10 +276,10 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
 
     The acceptance tolerance is 5 * support_width / n, or 5 * (support_width
     / n) where 5 * support_width passes the float range; the report records
-    per-level Hausdorff distances and whether they all fit.  For sums of
-    reciprocal-shaped correlations the report also carries the termwise
-    interval reading of each level, where its ends stay inside the float
-    range.
+    per-level Hausdorff distances and whether they all fit.  A hyperbolic
+    f's sum also carries its termwise reading, A + f(A) as closed_form
+    ("std-sum-hyperbolic", ...) gives it, which contains the correlated sum;
+    None past the float range.  Every array the report holds is read-only.
     """
     _check_op(op)
     n = _integer(n, "sample count")
@@ -306,13 +288,21 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     joint = build_joint(a, f, n, _checked=True)
     approx = levels_from_membership(extend(joint, op), a.k, _auto_delta(joint))
     h = _hausdorff(engine, approx)
+    h.flags.writeable = False
     max_h = float(h.max())
     lo, hi = a.support
     tolerance = 5.0 * (hi - lo) / n
     if not math.isfinite(tolerance):
         tolerance = 5.0 * ((hi - lo) / n)
+    termwise = None
+    if op == "sum" and f.family == "hyperbolic":
+        try:
+            std = closed_form("std-sum-hyperbolic", a, f.q, f.r)
+            termwise = std.los, std.his
+        except ValueError:  # an end past the float range has no JSON form
+            pass
     return OracleReport(op=op, n=n, tolerance=tolerance, max_hausdorff=max_h,
                         passed=max_h <= tolerance, engine=engine, oracle=approx, hausdorff=h,
                         method="numeric" if _route(f, op, a.support, method)[2] is None
                         else "analytic",
-                        termwise=_minkowski_sum_reading(a, f) if op == "sum" else None)
+                        termwise=termwise)

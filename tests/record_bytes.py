@@ -146,8 +146,15 @@ def pool_digests(workload: str, seed: int) -> dict[str, str]:
     return out
 
 
-def argv_digests(cases: dict[str, list[str]]) -> dict[str, str]:
-    """One digest of (exit code, stdout, stderr) per argv, run through cli.main."""
+def golden_cases() -> dict[str, dict]:
+    """The records of perfbench/cli_golden.json, keyed by class and position."""
+    golden = json.loads((PERFBENCH / "cli_golden.json").read_text())["classes"]
+    return {f"{cls}/{j}": case for cls, cases in golden.items() for j, case in enumerate(cases)}
+
+
+def argv_digests(cases: dict[str, list[str]], check=None) -> dict[str, str]:
+    """One digest of (exit code, stdout, stderr) per argv, run through
+    cli.main; check(key, exit code, stdout), where given, sees every run."""
     from fuzzyarith.cli import main
 
     out = {}
@@ -155,15 +162,17 @@ def argv_digests(cases: dict[str, list[str]]) -> dict[str, str]:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = main(argv)
+        if check is not None:
+            check(key, rc, stdout.getvalue())
         out[key] = digest((rc, stdout.getvalue(), stderr.getvalue()))
     return out
 
 
-def section_digests(section: str) -> dict[str, str]:
+def section_digests(section: str, check=None) -> dict[str, str]:
+    """The digests of a section; check, for the cli section only, sees
+    every run of a golden argv (see argv_digests)."""
     if section == "cli":
-        golden = json.loads((PERFBENCH / "cli_golden.json").read_text())["classes"]
-        return argv_digests({f"{cls}/{j}": case["argv"] for cls, cases in golden.items()
-                             for j, case in enumerate(cases)})
+        return argv_digests({key: case["argv"] for key, case in golden_cases().items()}, check)
     if section == "console":
         return argv_digests({shlex.join(argv): argv for argv in CONSOLE})
     workload, seed = section.rsplit("/", 1)

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import re
@@ -454,26 +453,6 @@ def test_oracle_n_cap_is_checked_before_any_array(monkeypatch, capsys):
     assert grids == [] and len(calls) == 1
     assert capsys.readouterr().err == (
         f"fuzzyarith: --oracle-n {MAX_ORACLE_N + 1} exceeds the cap of {MAX_ORACLE_N}\n")
-
-
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_golden.json").read_text())
-
-
-@pytest.mark.parametrize("cls", sorted(GOLDEN["classes"]))
-def test_cli_output_matches_recorded_bytes(cls):
-    """Every recorded invocation prints the bytes recorded for it; a case
-    recorded without bytes keeps the exit code it was recorded with."""
-    for case in GOLDEN["classes"][cls]:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(case["argv"])
-        if case["sha256"] is None:
-            assert rc == case["recorded_rc"], case["argv"]
-        else:
-            assert rc == case["rc"], case["argv"]
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == case["sha256"], \
-                case["argv"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -12,6 +12,7 @@ leaves alive are listed in UNKILLED, each with the reason it need not fail.
 
 import inspect
 import textwrap
+import types
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ import test_arithmetic
 import test_fuzzy
 import test_oracle
 import test_records
-from fuzzyarith import FuzzyNumber, arithmetic, fuzzy, oracle, triangular
+from fuzzyarith import FuzzyNumber, arithmetic, cli, fuzzy, oracle, triangular
 from fuzzyarith.arithmetic import _nan_error
 from fuzzyarith.oracle import MERGE_WINDOW, JointDistribution, SampledMembership, _check_op
 
@@ -34,6 +35,12 @@ def _edited(function, old, new):
     namespace = dict(function.__globals__)
     exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
+
+
+def _in_module(mutant):
+    """mutant reading its module's own globals, not a copy, so that a name a
+    test patches in the module reaches it."""
+    return types.FunctionType(mutant.__code__, vars(inspect.getmodule(mutant)))
 
 
 def _extend_holding_every_array(joint, op):
@@ -93,6 +100,23 @@ _FOUR_PRODUCTS = test_arithmetic.test_standard_product_reduces_its_four_products
 _FOUR_CANDIDATES = test_arithmetic.test_closed_form_std_prod_kinds_reduce_their_four_candidates
 _RESAMPLE = test_fuzzy.test_resample_reads_the_levels_through_alpha_cuts
 _LOCAL_MINIMA = test_arithmetic.test_local_minima_match_their_definition
+_TERMWISE = test_oracle.test_the_termwise_reading_is_the_standard_sum_closed_form
+_CACHED = "@lru_cache(maxsize=GRID_CACHE_SIZE)\n"
+
+
+def _uncached_grids():
+    return (_edited(fuzzy._grid.__wrapped__, _CACHED, ""),
+            _in_module(_edited(fuzzy._grid_floats.__wrapped__, _CACHED, "")))
+
+
+def _patch_grids(mutants):
+    # every module that imported _grid or _grid_floats looks it up in its own globals
+    grid, floats = mutants
+    return [mock.patch.object(module, name, mutant)
+            for name, mutant in (("_grid", grid), ("_grid_floats", floats))
+            for module in (fuzzy, arithmetic, oracle, cli) if hasattr(module, name)]
+
+
 # standard_product's four corner products, in order and reversed
 _CORNERS = "a.los * b.los, a.los * b.his, a.his * b.los,\n" + " " * 40 + "a.his * b.his"
 _REVERSED = "a.his * b.his, a.his * b.los, a.los * b.his,\n" + " " * 40 + "a.los * b.los"
@@ -165,6 +189,23 @@ MUTANTS = [
      _patch(JointDistribution, "_make"),
      test_records.test_every_construction_from_values_validates,
      test_records.VALIDATING["JointDistribution"]),
+    ("oracle_check reads the standard product as its termwise reading",
+     lambda: _edited(oracle.oracle_check, '"std-sum-hyperbolic", a', '"std-prod-hyperbolic", a'),
+     _patch(test_oracle, "oracle_check"), _TERMWISE.hypothesis.inner_test,
+     test_oracle.TERMWISE_CASE),
+    ("the constructor checks and repairs every family",
+     lambda: _in_module(_edited(fuzzy._nested, "return los, his",
+                                "return _checked_and_repaired(los, his)")),
+     _patch(fuzzy, "_nested"),
+     test_fuzzy.test_a_side_as_wide_as_the_float_range_ends_at_its_parameter, ()),
+    ("the grid and its floats are built on every call", _uncached_grids, _patch_grids,
+     test_arithmetic.test_compare_levels_reads_its_alphas_from_the_grid_built_once, (7,)),
+    ("the slot table alone is built on every call",
+     lambda: _edited(fuzzy._slot_steps.__wrapped__, _CACHED, ""), _patch(fuzzy, "_slot_steps"),
+     test_fuzzy.test_each_grid_is_built_once_per_k, (3,)),
+    ("membership reads 0.5 off the support",
+     lambda: _edited(FuzzyNumber.membership, "off[undone] = 0.0", "off[undone] = 0.5"),
+     _patch(FuzzyNumber, "membership"), test_fuzzy.test_membership_of_nan_raises, ()),
 ]
 
 # Mutants that the suite leaves alive, each with the reason it need not fail:

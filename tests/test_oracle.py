@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import (
@@ -19,6 +19,7 @@ from fuzzyarith import (
     SampledMembership,
     build_joint,
     check_monotone,
+    closed_form,
     compare_levels,
     correlated_sum,
     crisp,
@@ -41,7 +42,7 @@ from fuzzyarith.oracle import MERGE_WINDOW, MIN_SAMPLES, _auto_delta
 
 from helpers import (dense_levels_from_membership, grid_builds, random_shape, reference_extend,
                      reference_levels_from_membership, wider_than_floats)
-from test_arithmetic import monotone_compositions
+from test_arithmetic import _MAX, monotone_compositions
 
 
 def test_build_joint_enforces_sample_floor():
@@ -739,6 +740,46 @@ def test_a_termwise_reading_past_the_float_range_is_not_reported():
     report = oracle_check(triangular(0.1, 1.0, 1e308, grid=2), hyperbolic(1e307, 0.0), "sum")
     assert report.termwise is None
     assert not any("minkowski" in row for row in report.to_json()["levels"])
+
+
+# one-signed magnitudes from subnormal to the float max
+_POSITIVE = (st.sampled_from([5e-324, 2.2e-308, 1e-300, 0.1, 1.0, 2.0, 1e154, 1e300, 1e307,
+                              1e308, _MAX])
+             | st.floats(min_value=5e-324, max_value=_MAX))
+_HYPERBOLIC = st.just(reciprocal()) | st.builds(
+    hyperbolic, _POSITIVE | _POSITIVE.map(lambda q: -q),
+    st.sampled_from([0.0, -0.0, 1.0, -1e308]) | st.floats(-_MAX, _MAX))
+TERMWISE_CASE = ([1.0, 2.0, 3.0], -1.0, 7, hyperbolic(4.0, -0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_POSITIVE, min_size=3, max_size=3), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([1, 2, 7]), _HYPERBOLIC)
+@example([0.1, 1.0, 1e308], 1.0, 2, hyperbolic(1e307, 0.0))
+@example(*TERMWISE_CASE)
+@example([1e-300, 1.0, 1e300], 1.0, 2, reciprocal())
+def test_the_termwise_reading_is_the_standard_sum_closed_form(magnitudes, sign, grid, f):
+    # no errstate: the suite turns a RuntimeWarning into an error
+    a = triangular(*sorted(sign * m for m in magnitudes), grid=grid)
+    try:
+        std = closed_form("std-sum-hyperbolic", a, f.q, f.r)
+    except ValueError:
+        std = None
+    try:
+        report = oracle_check(a, f, "sum", MIN_SAMPLES)
+    except ValueError:  # DomainError included: the support or f is refused
+        reject()
+    except RuntimeWarning:
+        # a report past the float range can warn before the reading is taken:
+        # the engine's x + q/x + r (ROADMAP item 14) and build_joint's
+        # np.linspace on a support that ends near the float max
+        reject()
+    if std is None:
+        assert report.termwise is None
+        return
+    los, his = report.termwise
+    assert los.tobytes() == std.los.tobytes() and his.tobytes() == std.his.tobytes()
+    assert (los <= report.engine.los).all() and (report.engine.his <= his).all()
 
 
 def test_oracle_check_negation_sum_exact():

@@ -1,6 +1,7 @@
 """The library's records are named tuples: every way to make one from values
 validates it, as Interval's constructor does, and none of them can be changed
-once made."""
+once made.  A fuzzy number, and a report that holds two, copies and pickles
+through the validating constructor."""
 
 import copy
 import pickle
@@ -8,9 +9,12 @@ import pickle
 import numpy as np
 import pytest
 
-from fuzzyarith import (JointDistribution, RangeMethod, SampledMembership, linear, oracle_check,
-                        triangular)
+from fuzzyarith import (FuzzyNumber, JointDistribution, OracleReport, RangeMethod,
+                        SampledMembership, hyperbolic, linear, oracle_check, triangular)
 from fuzzyarith.arithmetic import compare_levels
+
+COPIES = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
 
 # (a valid record, a field change that its checks refuse, the same change as
 # an unchecked tuple, the refusal)
@@ -40,7 +44,7 @@ def test_every_construction_from_values_validates(good, change, raw, refusal):
         type(good)._make(raw)
     assert _same(good._replace(), good) and _same(type(good)._make(good), good)
     # pickle and copy rebuild through __new__, so an unchecked tuple does not survive them
-    for rebuild in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+    for rebuild in COPIES.values():
         assert _same(rebuild(good), good)
         with pytest.raises(ValueError, match=refusal):
             rebuild(raw)
@@ -80,6 +84,41 @@ def test_report_rows_are_built_once_and_cannot_be_replaced():
     with pytest.raises(AttributeError):
         REPORT.levels = []
     assert REPORT.levels is rows
+
+
+TERMWISE_REPORT = oracle_check(triangular(1.0, 2.0, 3.0, grid=4), hyperbolic(4.0), "sum", 101)
+
+
+def _equal(x, y):
+    """x == y, read through the tuples and arrays that a report holds."""
+    if isinstance(x, np.ndarray):
+        return type(y) is np.ndarray and x.tobytes() == y.tobytes()
+    if type(x) is tuple:
+        return type(y) is tuple and len(x) == len(y) and all(map(_equal, x, y))
+    return type(x) is type(y) and x == y
+
+
+def _read_only(number):
+    return not (number.los.flags.writeable or number.his.flags.writeable)
+
+
+@pytest.mark.parametrize("rebuild", COPIES.values(), ids=COPIES)
+def test_a_number_and_a_report_copy_and_pickle_through_the_constructor(rebuild):
+    number = triangular(1.0, 2.0, 3.0, grid=4)
+    got = rebuild(number)
+    assert type(got) is FuzzyNumber and got == number and _read_only(got)
+    rows = TERMWISE_REPORT.levels  # cached before the copy, and copied with it
+    got = rebuild(TERMWISE_REPORT)
+    assert type(got) is OracleReport and all(map(_equal, got, TERMWISE_REPORT))
+    assert got.__dict__ == {"levels": rows}
+    assert _read_only(got.engine) and _read_only(got.oracle)
+
+
+def test_every_array_of_an_oracle_report_is_read_only():
+    r = TERMWISE_REPORT
+    for array in (r.engine.los, r.oracle.his, r.hausdorff, *r.termwise):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99.0
 
 
 def test_records_are_tuples():
