@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import INCREASING, CorrelationFunction, _coefficients
 from .errors import DomainError
-from .fuzzy import FuzzyNumber, _grid_floats, _integer
+from .fuzzy import FuzzyNumber, _grid_floats, _integer, _linspace
 from .interval import Interval
 
 BINARY_OPS = ("sum", "product")
@@ -191,7 +191,7 @@ def _range_levels(plan, los: np.ndarray, his: np.ndarray,
         return lows, highs
     method = method or RangeMethod()
     if his[0] > los[0]:
-        xs = np.linspace(los[0], his[0], method.samples)
+        xs = _linspace(float(los[0]), float(his[0]), method.samples)
         ys = _scan_values(values, xs, known)
         if np.isnan(ys).any():
             raise _nan_error(xs, ys, "scan sample", (los[0], his[0]))
@@ -363,17 +363,13 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
     return g, g, None if numeric else (minima, maxima), None
 
 
-# The (family, op) pairs of a built-in f whose g is affine: c*x + r for a
-# linear sum, r*x + q for a hyperbolic product.
-_AFFINE = (("linear", "sum"), ("hyperbolic", "product"))
-
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
     sup = a.support
     plan = _route(f, op, sup, method, f.check_on(sup))
-    # a scan's reverse running min and max nest the levels, and so does an
-    # affine g, which rounds monotonically, taken at the level ends
-    nested = plan[2] is None or (f.family, op) in _AFFINE
+    # a scan's reverse running min and max nest the levels, and so does a built-in g
+    # that states no extrema: it is monotone on the support and rounds monotonically
+    nested = plan[2] is None or (f.family != "custom" and plan[2] == ((), ()))
     return FuzzyNumber._made(*_range_levels(plan, a.los, a.his, method), nested=nested)
 
 

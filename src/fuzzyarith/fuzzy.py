@@ -73,6 +73,18 @@ def _slot_steps(k: int) -> np.ndarray:
     return seg
 
 
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n) on Python floats, bit for bit, with no warning
+    where its last sample passes the float range before it is set to hi: then
+    the halved ends' samples doubled, exact at that magnitude, with the ends
+    set as np.linspace sets them (halving a subnormal end rounds)."""
+    if math.isfinite(lo + (n - 1) * ((hi - lo) / (n - 1))):
+        return np.linspace(lo, hi, n)
+    xs = 2.0 * np.linspace(0.5 * lo, 0.5 * hi, n)
+    xs[0], xs[-1] = 0.0 + lo, hi
+    return xs
+
+
 class FuzzyNumber:
     """A fuzzy quantity described by K + 1 nested alpha-level intervals.
 

@@ -19,7 +19,8 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_error, _route,
                          closed_form, compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
-from .fuzzy import DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer
+from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer,
+                    _linspace)
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -101,7 +102,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     if sup.width == 0.0:
         xs = np.array([sup.lo])
     else:
-        xs = np.linspace(sup.lo, sup.hi, n)
+        xs = _linspace(sup.lo, sup.hi, n)
         if not (xs[1:] > xs[:-1]).all():
             raise ValueError(f"support [{sup.lo!r}, {sup.hi!r}] is too narrow for "
                              f"n = {n} distinct samples")
@@ -227,7 +228,18 @@ class OracleReport(namedtuple("OracleReport", ("op", "n", "tolerance", "max_haus
     else.  ``method`` labels the engine's route for the whole report,
     "analytic" or "numeric" (a scan); the rows do not repeat it.
     ``termwise`` holds the ends of the standard sum A + f(A) for a hyperbolic
-    f, and is None for products, other f and sums past the float range."""
+    f, and is None for products, other f and sums past the float range.
+    Every way to make one makes ``hausdorff`` and ``termwise`` read-only."""
+
+    def __new__(cls, *fields, **named) -> "OracleReport":
+        self = super().__new__(cls, *fields, **named)
+        for array in (self.hausdorff, *(self.termwise or ())):
+            array.flags.writeable = False
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "OracleReport":
+        return cls(*iterable)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("OracleReport instances are immutable")
@@ -288,7 +300,6 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     joint = build_joint(a, f, n, _checked=True)
     approx = levels_from_membership(extend(joint, op), a.k, _auto_delta(joint))
     h = _hausdorff(engine, approx)
-    h.flags.writeable = False
     max_h = float(h.max())
     lo, hi = a.support
     tolerance = 5.0 * (hi - lo) / n

@@ -379,8 +379,14 @@ def monotone_compositions(draw):
     return a, f, "increasing" if increasing else "decreasing"
 
 
+# every level holds 0 and f(0) = atan(-0.5) is not 0: a product read as
+# having its minimum g(0) = 0 there misses the negative g on (0, 0.5)
+ZERO_CUT_CASE = (triangular(-1.0, 0.0, 2.0, grid=20), lambda x: np.arctan(x - 0.5), "increasing")
+
+
 @settings(max_examples=30, deadline=None)
 @given(monotone_compositions())
+@example(ZERO_CUT_CASE)
 def test_numeric_engine_on_random_monotone_compositions(case):
     a, fn, direction = case
     f = custom(fn, direction)
@@ -989,9 +995,9 @@ def test_rows_are_built_without_running_interval_validation():
         assert type(row.left) is type(row.right) is Interval
 
 
-def _assert_rows_start_no_collection():
-    """compare_levels and OracleReport.levels at K = 5000 build 15003 tracked
-    tuples each and start no collection while they do."""
+def test_rows_are_built_with_the_collector_paused():
+    # compare_levels and OracleReport.levels at K = 5000 build 15003 tracked
+    # tuples each and start no collection while they do
     a = triangular(1.0, 2.0, 3.0, grid=5000)
     corr = correlated_sum(a, hyperbolic(4.0))
     std = standard_sum(a, induced_number(a, hyperbolic(4.0)))
@@ -1000,17 +1006,6 @@ def _assert_rows_start_no_collection():
     assert len(rows) == 5001 and started == 0
     levels, started = collections_during(lambda: report.levels)
     assert len(levels) == 5001 and started == 0
-
-
-def test_rows_are_built_with_the_collector_paused():
-    _assert_rows_start_no_collection()
-
-
-def test_a_collector_left_running_fails_the_no_collection_check():
-    running = types.SimpleNamespace(isenabled=gc.isenabled, disable=lambda: None,
-                                    enable=gc.enable)
-    with mock.patch.object(arithmetic, "gc", running), pytest.raises(AssertionError):
-        _assert_rows_start_no_collection()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1395,25 +1390,6 @@ def test_products_across_zero_with_f_of_zero_zero_hold_a_dense_scan(name, c, s, 
     assert held
     assert all(end == at_zero and math.copysign(1.0, end) == math.copysign(1.0, at_zero)
                for end in held)
-
-
-def test_a_zero_cut_without_its_f_of_zero_test_fails_the_dense_scan_property():
-    route = arithmetic._route
-
-    def stated_zero(f, op, support, method, checked=None):
-        values, point, _, _ = route(f, op, support, method, checked)
-        zero = ((0.0, 0.0),)
-        return values, point, (zero, ()) if f.direction == "increasing" else ((), zero), None
-
-    # every level holds 0, so the mutant's levels still nest
-    a = triangular(-1.0, 0.0, 2.0, grid=30)
-    fn = lambda x: math.atan(x - 0.5)
-    f = custom(fn, "increasing")
-    assert_levels_match_scan(correlated_product(a, f), a, _product_scan(fn), n=401)
-    with mock.patch.object(arithmetic, "_route", stated_zero):
-        mutant = correlated_product(a, f)
-    with pytest.raises(AssertionError):
-        assert_levels_match_scan(mutant, a, _product_scan(fn), n=401)
 
 
 def _mirror(x):

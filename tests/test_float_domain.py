@@ -6,14 +6,20 @@ RuntimeWarning into an error)."""
 import contextlib
 import io
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fuzzyarith import (FuzzyNumber, Interval, check_monotone, closed_form, correlated_product,
-                        correlated_sum, from_levels, fuzzy_from_json, identity, induced_number,
-                        linear, range_over_interval, standard_product, standard_sum, trapezoidal,
-                        triangular)
+from fuzzyarith import (FuzzyNumber, Interval, RangeMethod, build_joint, check_monotone,
+                        closed_form, correlated_product, correlated_sum, from_levels,
+                        fuzzy_from_json, identity, induced_number, linear, oracle_check,
+                        range_over_interval, reciprocal, standard_product, standard_sum,
+                        trapezoidal, triangular)
 from fuzzyarith.cli import main
+from fuzzyarith.fuzzy import _linspace
 
 from helpers import wider_than_floats
 
@@ -49,6 +55,42 @@ def test_sampling_an_interval_wider_than_the_float_range_is_refused(check):
     # the interval is refused when it is made, before any sample is taken
     with wider_than_floats("interval", LO, HI):
         check(Interval(LO, HI))
+
+
+# A support of finite width that ends at the float max: np.linspace's last
+# sample, lo + (n - 1) * step, passes the float range before it is set to hi
+NEAR_MAX = triangular(1.7607016862307155e307, 1.7607016862307155e307, sys.float_info.max, grid=1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: oracle_check(NEAR_MAX, reciprocal(), "sum", 101),
+    lambda: build_joint(NEAR_MAX, identity(), 101),
+    lambda: check_monotone(identity(), NEAR_MAX.support),
+    lambda: correlated_sum(NEAR_MAX, linear(-0.5, 0.0), RangeMethod()),
+], ids=["oracle_check", "build_joint", "check_monotone", "scan"])
+def test_sampling_a_support_that_ends_at_the_float_max_does_not_warn(run):
+    run()
+
+
+@st.composite
+def _near_the_float_max(draw):
+    """(lo, hi, n): a support of finite width with one end within 3 ulps of
+    the float max, of either sign."""
+    end = sys.float_info.max
+    for _ in range(draw(st.integers(0, 3))):
+        end = math.nextafter(end, 0.0)
+    other = draw(st.floats(end - sys.float_info.max, end, exclude_max=True))
+    lo, hi = (other, end) if draw(st.booleans()) else (-end, -other)
+    return lo, hi, draw(st.sampled_from([101, 257, 1025, 2001]))
+
+
+@given(_near_the_float_max())
+@example((1.7607016862307155e307, sys.float_info.max, 101))
+@example((-sys.float_info.max, 5e-324, 7))  # a subnormal end, which halving rounds
+def test_linspace_is_np_linspace_with_no_warning(support):
+    with np.errstate(over="ignore"):
+        want = np.linspace(*support)
+    assert _linspace(*support).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("run, lo, hi", [

@@ -282,10 +282,18 @@ def _nested_arrays(draw):
     return np.array(pts[:k + 1]), np.array(pts[k + 1:][::-1])
 
 
-def _assert_stored_apart_from_the_caller(los, his):
-    """FuzzyNumber(los, his) stores the running extremes of exactly nested
-    ends, sign bits included, and keeps them when the caller's arrays change
-    afterwards; those stay the caller's, writeable."""
+SIGNED_ZERO_ENDS = ([0.0, -0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0, -0.0])
+
+
+@settings(max_examples=150)
+@given(_nested_arrays())
+@example(SIGNED_ZERO_ENDS)
+def test_exactly_nested_ends_are_stored_as_copies(ends):
+    # FuzzyNumber(los, his) stores the running extremes of exactly nested
+    # ends, sign bits included, and keeps them when the caller's arrays change
+    # afterwards; those stay the caller's, writeable.  The arrays are fresh on
+    # every run, as the test writes into them
+    los, his = (np.array(e) for e in ends)
     a = FuzzyNumber(los, his)
     want = np.maximum.accumulate(los).tobytes(), np.minimum.accumulate(his).tobytes()
     assert (a.los.tobytes(), a.his.tobytes()) == want
@@ -293,19 +301,6 @@ def _assert_stored_apart_from_the_caller(los, his):
     los[:] = -7.0
     his[:] = 7.0
     assert (a.los.tobytes(), a.his.tobytes()) == want
-
-
-@settings(max_examples=150)
-@given(_nested_arrays())
-@example((np.array([0.0, -0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0, -0.0])))
-def test_exactly_nested_ends_are_stored_as_copies(ends):
-    _assert_stored_apart_from_the_caller(*ends)
-
-
-def test_a_constructor_that_stores_the_callers_array_fails_the_copy_check():
-    aliased = lambda a, dtype=None: np.asarray(a, dtype=dtype).view()
-    with mock.patch.object(fuzzy.np, "array", aliased), pytest.raises(AssertionError):
-        _assert_stored_apart_from_the_caller(np.array([0.0, 1.0]), np.array([3.0, 2.0]))
 
 
 def _outcome(fn):

@@ -1,13 +1,14 @@
 """Mutants that the suite must catch: each case patches one target with a
 deliberately broken copy and asserts that the test it names then fails.
 
-A mutant is the target's own source with one textual edit, and the edit must
-apply exactly once, so a case whose target has been rewritten fails until it is
-brought up to date instead of passing on code it no longer describes.  A
-Hypothesis test is run through its inner test on an ``@example`` the mutant
-fails, so that no case depends on the search or on shrinking.  Each case first
-runs the same test on the code as it is, which must pass.  The mutants the suite
-leaves alive are listed in UNKILLED, each with the reason it need not fail.
+A mutant is the target's own source, as it is, with one or more textual edits,
+and each edit must apply exactly once, so a case whose target has been rewritten
+fails until it is brought up to date instead of passing on code it no longer
+describes.  A Hypothesis test is run through its inner test on an ``@example``
+the mutant fails, so that no case depends on the search or on shrinking.  Each
+case first runs the same test on the code as it is, which must pass.  The
+mutants the suite leaves alive are listed in UNKILLED, each with the reason it
+need not fail.
 """
 
 import inspect
@@ -23,17 +24,19 @@ import test_fuzzy
 import test_oracle
 import test_records
 from fuzzyarith import FuzzyNumber, arithmetic, cli, fuzzy, oracle, triangular
-from fuzzyarith.arithmetic import _nan_error
-from fuzzyarith.oracle import MERGE_WINDOW, JointDistribution, SampledMembership, _check_op
+from fuzzyarith.oracle import JointDistribution
 
 
-def _edited(function, old, new):
-    """function rebuilt from its source with old replaced by new, in the
-    globals of its module."""
+def _edited(function, *edits):
+    """function rebuilt from its source with each (old, new) of edits
+    applied, in the globals of its module."""
     source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, f"{old!r} is not in {function.__qualname__} exactly once"
+    for old, _ in edits:
+        assert source.count(old) == 1, f"{old!r} is not in {function.__qualname__} exactly once"
+    for old, new in edits:
+        source = source.replace(old, new)
     namespace = dict(function.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    exec(compile(source, inspect.getsourcefile(function), "exec"), namespace)
     return namespace[function.__name__]
 
 
@@ -43,31 +46,8 @@ def _in_module(mutant):
     return types.FunctionType(mutant.__code__, vars(inspect.getmodule(mutant)))
 
 
-def _extend_holding_every_array(joint, op):
-    """extend as it was before it dropped each array of n floats after its
-    last read: z, the order and the sorted arrays all live to the end."""
-    _check_op(op)
-    z = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
-    if z.size > 1:
-        steps = np.diff(z)
-        if (steps > MERGE_WINDOW).all():
-            return SampledMembership(zs=z, mus=joint.mu)
-        if (steps < -MERGE_WINDOW).all():
-            return SampledMembership(zs=z[::-1], mus=joint.mu[::-1])
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    mus = joint.mu[order]
-    if np.isnan(zs[-1:]).any():
-        raise _nan_error(joint.xs, z, "oracle sample", (joint.xs[0], joint.xs[-1]))
-    apart = np.diff(zs) > MERGE_WINDOW
-    if apart.all():
-        return SampledMembership(zs=zs, mus=mus)
-    first = np.flatnonzero(np.concatenate(([True], apart)))
-    return SampledMembership(zs=zs[first], mus=np.maximum.reduceat(mus, first))
-
-
-def _extend(old, new):
-    return lambda: _edited(oracle.extend, old, new)
+def _extend(*edits):
+    return lambda: _edited(oracle.extend, *edits)
 
 
 def _patch_extend(mutant):
@@ -81,13 +61,13 @@ def _patch(owner, name):
     return lambda mutant: [mock.patch.object(owner, name, mutant)]
 
 
-def _in_arithmetic(name, old, new):
+def _in_arithmetic(name, *edits):
     # the tests reach these through the public operations
-    return lambda: _edited(getattr(arithmetic, name), old, new), _patch(arithmetic, name)
+    return lambda: _edited(getattr(arithmetic, name), *edits), _patch(arithmetic, name)
 
 
-def _levels_from_membership(old, new):
-    return (lambda: _edited(oracle.levels_from_membership, old, new),
+def _levels_from_membership(*edits):
+    return (lambda: _edited(oracle.levels_from_membership, *edits),
             _patch(test_oracle, "levels_from_membership"))
 
 
@@ -101,12 +81,14 @@ _FOUR_CANDIDATES = test_arithmetic.test_closed_form_std_prod_kinds_reduce_their_
 _RESAMPLE = test_fuzzy.test_resample_reads_the_levels_through_alpha_cuts
 _LOCAL_MINIMA = test_arithmetic.test_local_minima_match_their_definition
 _TERMWISE = test_oracle.test_the_termwise_reading_is_the_standard_sum_closed_form
+_MONOTONE_COMPOSITIONS = test_arithmetic.test_numeric_engine_on_random_monotone_compositions
 _CACHED = "@lru_cache(maxsize=GRID_CACHE_SIZE)\n"
+_ZERO_CUT = ("if y0 == 0.0:", "if True:")
 
 
 def _uncached_grids():
-    return (_edited(fuzzy._grid.__wrapped__, _CACHED, ""),
-            _in_module(_edited(fuzzy._grid_floats.__wrapped__, _CACHED, "")))
+    return (_edited(fuzzy._grid.__wrapped__, (_CACHED, "")),
+            _in_module(_edited(fuzzy._grid_floats.__wrapped__, (_CACHED, ""))))
 
 
 def _patch_grids(mutants):
@@ -124,87 +106,106 @@ _REVERSED = "a.his * b.his, a.his * b.los, a.los * b.his,\n" + " " * 40 + "a.los
 # (name, the mutant, how it is patched in, the test it must fail, that test's arguments)
 MUTANTS = [
     ("the one sample is z.min(), not the first minimum",
-     _extend("z[z.argmin()]", "z.min()"), _patch_extend,
+     _extend(("z[z.argmin()]", "z.min()")), _patch_extend,
      _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.SIGNED_ZERO_CASE,)),
     ("a step of exactly MERGE_WINDOW is sorted",
-     _extend("most <= MERGE_WINDOW", "most < MERGE_WINDOW"), _patch_extend,
+     _extend(("most <= MERGE_WINDOW", "most < MERGE_WINDOW")), _patch_extend,
      _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.EXACT_WINDOW_CASE,)),
     ("every z that is not monotone is one group",
-     _extend("if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:", "if True:"), _patch_extend,
+     _extend(("if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:", "if True:")), _patch_extend,
      _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.JITTER_CASE,)),
     ("a largest membership of a zero is not left to the sort",
-     _extend("if top > 0.0:", "if True:"), _patch_extend,
+     _extend(("if top > 0.0:", "if True:")), _patch_extend,
      _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.ZERO_MEMBERSHIP_CASE,)),
     ("extend holds every array of n floats to the end",
-     lambda: _extend_holding_every_array, _patch_extend,
+     _extend(("del steps", "pass"), ("del z", "pass"), ("del order", "pass")), _patch_extend,
      test_oracle.test_oracle_check_peaks_at_a_few_arrays_of_n_floats,
      (*test_oracle._LINEAR, "product", 7.5)),
+    ("the slack is MERGE_WINDOW below the shortfall, not above it",
+     lambda: _edited(oracle._auto_delta, ("short + MERGE_WINDOW", "short - MERGE_WINDOW")),
+     _patch(oracle, "_auto_delta"),
+     test_oracle.test_a_core_midway_between_two_samples_keeps_both_in_the_top_level,
+     test_oracle.MIDWAY_CASES[0]),
     ("JointDistribution lets tied xs through",
-     lambda: _edited(JointDistribution.__new__, "self.xs[1:] > self.xs[:-1]",
-                     "self.xs[1:] >= self.xs[:-1]"), _patch(JointDistribution, "__new__"),
+     lambda: _edited(JointDistribution.__new__,
+                     ("self.xs[1:] > self.xs[:-1]", "self.xs[1:] >= self.xs[:-1]")),
+     _patch(JointDistribution, "__new__"),
      _REJECTS_UNSORTED.hypothesis.inner_test, ((np.array([0.0, 1.0, 1.0]), np.zeros(3)),)),
     ("the rise is searched without its running maximum",
-     *_levels_from_membership("if not (rise[1:] >= rise[:-1]).all():", "if False:"),
+     *_levels_from_membership(("if not (rise[1:] >= rise[:-1]).all():", "if False:")),
      _MATCHES_DENSE_MASK.hypothesis.inner_test, (test_oracle.SORTED_RUN_CASES[1],)),
     ("the fall is searched without its running maximum",
-     *_levels_from_membership("if (fall[1:] <= fall[:-1]).all() else", "if True else"),
+     *_levels_from_membership(("if (fall[1:] <= fall[:-1]).all() else", "if True else")),
      _MATCHES_DENSE_MASK.hypothesis.inner_test, (test_oracle.SORTED_RUN_CASES[2],)),
     ("a product across zero states g(0) whatever f(0) is",
-     *_in_arithmetic("_route", "if y0 == 0.0:", "if True:"),
-     _SIGN_TABLE, (triangular(-1.0, 0.0, 2.0, grid=20), 1.0, 3.0, False)),
+     *_in_arithmetic("_route", _ZERO_CUT), _SIGN_TABLE,
+     (triangular(-1.0, 0.0, 2.0, grid=20), 1.0, 3.0, False)),
+    ("a product across zero states g(0) whatever f(0) is, against the scan",
+     *_in_arithmetic("_route", _ZERO_CUT), _MONOTONE_COMPOSITIONS.hypothesis.inner_test,
+     (test_arithmetic.ZERO_CUT_CASE,)),
     ("an f that is zero at one end and negative at the other has no sign",
-     *_in_arithmetic("_one_sign", "u <= 0.0", "u < 0.0"),
+     *_in_arithmetic("_one_sign", ("u <= 0.0", "u < 0.0")),
      _SIGN_TABLE, (test_arithmetic._POS, -1.0, 1.0, True)),
     ("a point support is scanned",
-     *_in_arithmetic("_range_levels", "his[0] > los[0]", "his[0] >= los[0]"),
+     *_in_arithmetic("_range_levels", ("his[0] > los[0]", "his[0] >= los[0]")),
      test_arithmetic.test_a_crisp_operand_is_not_scanned, ()),
     ("standard_product reduces its four products in reverse order",
-     lambda: _edited(arithmetic.standard_product, _CORNERS, _REVERSED),
+     lambda: _edited(arithmetic.standard_product, (_CORNERS, _REVERSED)),
      _patch(test_arithmetic, "standard_product"),
      _FOUR_PRODUCTS.hypothesis.inner_test, ([-1.0, -0.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 2)),
     ("_envelope reduces its four arrays in reverse order",
-     *_in_arithmetic("_envelope", "(c0, c1, c2, c3):", "(c3, c2, c1, c0):"),
+     *_in_arithmetic("_envelope", ("(c0, c1, c2, c3):", "(c3, c2, c1, c0):")),
      _FOUR_CANDIDATES.hypothesis.inner_test,
      ([-1.0, -0.0, 0.0, 1.0], 2, "std-prod-linear", -1.0, 0.0)),
     ("a run of local minima is not collapsed to its first index",
-     *_in_arithmetic("_local_min_indices", "low[1:] &= ~low[:-1]", "pass"),
+     *_in_arithmetic("_local_min_indices", ("low[1:] &= ~low[:-1]", "pass")),
      _LOCAL_MINIMA, (np.random.default_rng(20250814),)),
     ("a local minimum must lie below its left neighbour",
-     *_in_arithmetic("_local_min_indices", "mid <= padded[:-2]", "mid < padded[:-2]"),
+     *_in_arithmetic("_local_min_indices", ("mid <= padded[:-2]", "mid < padded[:-2]")),
      _LOCAL_MINIMA, (np.random.default_rng(20250814),)),
+    ("rows are built with the collector running",
+     *_in_arithmetic("_level_rows", ("    gc.disable()\n", "")),
+     test_arithmetic.test_rows_are_built_with_the_collector_paused, ()),
     ("resample interpolates the stored ends with np.interp",
-     lambda: _edited(FuzzyNumber.resample, "*self.alpha_cuts(_grid(k))",
-                     "*(np.interp(_grid(k), _grid(self.k), e) for e in (self.los, self.his))"),
+     lambda: _edited(FuzzyNumber.resample, (
+         "*self.alpha_cuts(_grid(k))",
+         "*(np.interp(_grid(k), _grid(self.k), e) for e in (self.los, self.his))")),
      _patch(FuzzyNumber, "resample"),
      _RESAMPLE.hypothesis.inner_test, (triangular(-1.3, 0.7, 2.9, grid=7), 11)),
+    ("the constructor stores the caller's array of lower ends",
+     lambda: _edited(FuzzyNumber.__init__, ("np.array(los, ", "np.asarray(los, ")),
+     _patch(FuzzyNumber, "__init__"),
+     test_fuzzy.test_exactly_nested_ends_are_stored_as_copies.hypothesis.inner_test,
+     (test_fuzzy.SIGNED_ZERO_ENDS,)),
     # the DeprecationWarning is attributed to fuzzyarith, which pyproject.toml's
     # filters turn into an error
     ("from_levels stacks its rows with the deprecated np.row_stack",
-     lambda: _edited(fuzzy.from_levels, "np.asarray(levels, dtype=float)",
-                     "np.row_stack(levels).astype(float)"),
+     lambda: _edited(fuzzy.from_levels, ("np.asarray(levels, dtype=float)",
+                                         "np.row_stack(levels).astype(float)")),
      _patch(test_fuzzy, "from_levels"), test_fuzzy.test_from_levels_round_trip, ()),
     ("JointDistribution._make makes the tuple unchecked, as namedtuple's own does",
-     lambda: _edited(JointDistribution._make.__func__, "cls(*iterable)",
-                     "tuple.__new__(cls, iterable)"),
+     lambda: _edited(JointDistribution._make.__func__,
+                     ("cls(*iterable)", "tuple.__new__(cls, iterable)")),
      _patch(JointDistribution, "_make"),
      test_records.test_every_construction_from_values_validates,
      test_records.VALIDATING["JointDistribution"]),
     ("oracle_check reads the standard product as its termwise reading",
-     lambda: _edited(oracle.oracle_check, '"std-sum-hyperbolic", a', '"std-prod-hyperbolic", a'),
+     lambda: _edited(oracle.oracle_check,
+                     ('"std-sum-hyperbolic", a', '"std-prod-hyperbolic", a')),
      _patch(test_oracle, "oracle_check"), _TERMWISE.hypothesis.inner_test,
      test_oracle.TERMWISE_CASE),
     ("the constructor checks and repairs every family",
-     lambda: _in_module(_edited(fuzzy._nested, "return los, his",
-                                "return _checked_and_repaired(los, his)")),
+     lambda: _in_module(_edited(fuzzy._nested, ("return los, his",
+                                                "return _checked_and_repaired(los, his)"))),
      _patch(fuzzy, "_nested"),
      test_fuzzy.test_a_side_as_wide_as_the_float_range_ends_at_its_parameter, ()),
     ("the grid and its floats are built on every call", _uncached_grids, _patch_grids,
      test_arithmetic.test_compare_levels_reads_its_alphas_from_the_grid_built_once, (7,)),
     ("the slot table alone is built on every call",
-     lambda: _edited(fuzzy._slot_steps.__wrapped__, _CACHED, ""), _patch(fuzzy, "_slot_steps"),
+     lambda: _edited(fuzzy._slot_steps.__wrapped__, (_CACHED, "")), _patch(fuzzy, "_slot_steps"),
      test_fuzzy.test_each_grid_is_built_once_per_k, (3,)),
     ("membership reads 0.5 off the support",
-     lambda: _edited(FuzzyNumber.membership, "off[undone] = 0.0", "off[undone] = 0.5"),
+     lambda: _edited(FuzzyNumber.membership, ("off[undone] = 0.0", "off[undone] = 0.5")),
      _patch(FuzzyNumber, "membership"), test_fuzzy.test_membership_of_nan_raises, ()),
 ]
 
@@ -243,4 +244,4 @@ def test_the_named_test_fails_on_the_mutant(name, make, patches, test, args):
 @pytest.mark.parametrize("target, old, new, reason", UNKILLED,
                          ids=[f"{m[0].__name__}: {m[1]}" for m in UNKILLED])
 def test_each_unkilled_mutant_still_applies_to_its_target(target, old, new, reason):
-    _edited(target, old, new)
+    _edited(target, (old, new))

@@ -490,6 +490,21 @@ def test_auto_delta_stays_in_the_unit_interval(seed, K, n):
     assert 0.0 <= _auto_delta(build_joint(a, linear(2.0, 1.0), n)) < 1.0
 
 
+# The core 0.5 falls midway between two of an even number of samples, where
+# the shortfall 1 - max(mu) and half the largest membership step agree but
+# for rounding, which also leaves the two samples' memberships apart
+MIDWAY_CASES = [(triangular(0.0, 0.5, 1.0, grid=50), 2000),
+                (triangular(0.0, 0.5, 1.0, grid=20), 1202)]
+
+
+@pytest.mark.parametrize("a, n", MIDWAY_CASES, ids=["K50-n2000", "K20-n1202"])
+def test_a_core_midway_between_two_samples_keeps_both_in_the_top_level(a, n):
+    # the slack's MERGE_WINDOW over the shortfall keeps A + A, like its
+    # samples, symmetric about 1
+    oracle = oracle_check(a, identity(), "sum", n).oracle
+    assert np.allclose(oracle.los, 2.0 - oracle.his, rtol=0.0, atol=1e-12)
+
+
 def test_levels_from_membership_thresholds():
     s = SampledMembership(zs=np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
                           mus=np.array([0.0, 0.5, 1.0, 0.5, 0.0]))
@@ -770,9 +785,8 @@ def test_the_termwise_reading_is_the_standard_sum_closed_form(magnitudes, sign, 
     except ValueError:  # DomainError included: the support or f is refused
         reject()
     except RuntimeWarning:
-        # a report past the float range can warn before the reading is taken:
-        # the engine's x + q/x + r (ROADMAP item 14) and build_joint's
-        # np.linspace on a support that ends near the float max
+        # a report past the float range can warn before the reading is taken,
+        # in the engine's x + q/x + r (ROADMAP item 14)
         reject()
     if std is None:
         assert report.termwise is None

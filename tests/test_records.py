@@ -98,25 +98,34 @@ def _equal(x, y):
     return type(x) is type(y) and x == y
 
 
-def _read_only(number):
-    return not (number.los.flags.writeable or number.his.flags.writeable)
+def _read_only(*arrays):
+    return not any(array.flags.writeable for array in arrays)
+
+
+def _arrays(report):
+    """The arrays that a report with a termwise reading holds."""
+    e, o = report.engine, report.oracle
+    return e.los, e.his, o.los, o.his, report.hausdorff, *report.termwise
 
 
 @pytest.mark.parametrize("rebuild", COPIES.values(), ids=COPIES)
 def test_a_number_and_a_report_copy_and_pickle_through_the_constructor(rebuild):
     number = triangular(1.0, 2.0, 3.0, grid=4)
     got = rebuild(number)
-    assert type(got) is FuzzyNumber and got == number and _read_only(got)
+    assert type(got) is FuzzyNumber and got == number and _read_only(got.los, got.his)
     rows = TERMWISE_REPORT.levels  # cached before the copy, and copied with it
     got = rebuild(TERMWISE_REPORT)
     assert type(got) is OracleReport and all(map(_equal, got, TERMWISE_REPORT))
     assert got.__dict__ == {"levels": rows}
-    assert _read_only(got.engine) and _read_only(got.oracle)
+    assert _read_only(*_arrays(got))
+    k = TERMWISE_REPORT.engine.k
+    got = TERMWISE_REPORT._replace(hausdorff=np.zeros(k + 1),
+                                   termwise=(np.zeros(k + 1), np.ones(k + 1)))
+    assert _read_only(*_arrays(got))
 
 
 def test_every_array_of_an_oracle_report_is_read_only():
-    r = TERMWISE_REPORT
-    for array in (r.engine.los, r.oracle.his, r.hausdorff, *r.termwise):
+    for array in _arrays(TERMWISE_REPORT):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 99.0
 

@@ -130,6 +130,10 @@ SITES = {
     "corr_sum-linear": (lambda x, y, f: correlated_sum(x, f),
                         st.builds(linear, _COEFFICIENTS, _OFFSETS)
                         | st.sampled_from([identity(), negation()])),
+    # q < 0: f = q/x + r rises on a one-signed support
+    "corr_sum-hyperbolic-rising-f": (lambda x, y, f: correlated_sum(x, f),
+                                     st.builds(hyperbolic, _COEFFICIENTS.map(lambda q: -abs(q)),
+                                               _OFFSETS)),
     "corr_prod-hyperbolic": (lambda x, y, f: correlated_product(x, f),
                              st.builds(hyperbolic, _COEFFICIENTS, _OFFSETS)
                              | st.just(reciprocal())),
