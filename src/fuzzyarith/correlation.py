@@ -57,9 +57,9 @@ class CorrelationFunction(namedtuple(
         """Evaluate pointwise; linear and hyperbolic functions accept arrays too."""
         if self.fn is not None:
             return self.fn(x)
-        if self.family == "linear":
-            return self.q * x + self.r
-        return self.q / x + self.r
+        y = self.q * x if self.family == "linear" else self.q / x
+        y += self.r  # the bits of q*x + r, with no second array
+        return y
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """f at every point of xs as a float array.
@@ -290,8 +290,14 @@ def induced_number(a: FuzzyNumber, f: CorrelationFunction) -> FuzzyNumber:
     f.check_on(sup)
     if f.family == "hyperbolic":
         f.require_finite_on(sup)
-    lo_img = f.values(a.los)
-    hi_img = f.values(a.his)
+    if f.family == "linear" and not (math.isfinite(f.q * sup.lo + f.r)
+                                     and math.isfinite(f.q * sup.hi + f.r)):
+        # f is monotone, so its ends bound it: past the float range its images
+        # are taken with numpy's warning off, and the constructor names the level
+        with np.errstate(over="ignore"):
+            lo_img, hi_img = f.values(a.los), f.values(a.his)
+    else:
+        lo_img, hi_img = f.values(a.los), f.values(a.his)
     if f.direction == DECREASING:
         lo_img, hi_img = hi_img, lo_img
     # a built-in f, q*x + r, or q/x + r on a one-signed support, rounds

@@ -19,6 +19,7 @@ import numpy as np
 from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_error, _route,
                          closed_form, compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
+from .errors import DomainError
 from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer,
                     _linspace)
 
@@ -87,12 +88,15 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
 
     A crisp operand collapses to the single sample it carries.  The sample
     points are always a 1-d array, so their memberships are a.membership's
-    float array as returned.  f is first
-    checked with f.check_on(a.support); oracle_check passes _checked=True,
-    since its engine call has just made that check.  A support too narrow
-    to hold n distinct floats raises ValueError naming the support and n,
-    and a linear or hyperbolic f that passes the float range at an end of
-    the support raises DomainError naming f and the support.
+    float array as returned.  xs and ys are writeable arrays of their own,
+    which extend(_spend=True) may write: f.values makes a fresh array for
+    every f, q*x + r, q/x + r, a named alias's +x, -x or 1/x, or a custom
+    f's values.  f is first checked with f.check_on(a.support);
+    oracle_check passes _checked=True, since its engine call has just made
+    that check.  A support too narrow to hold n distinct floats raises
+    ValueError naming the support and n, and a linear or hyperbolic f that
+    passes the float range at an end of the support raises DomainError
+    naming f and the support.
     """
     if _integer(n, "sample count") < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -114,7 +118,7 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
     return tuple.__new__(JointDistribution, (xs, mu, ys))
 
 
-def extend(joint: JointDistribution, op: str) -> SampledMembership:
+def extend(joint: JointDistribution, op: str, *, _spend: bool = False) -> SampledMembership:
     """Push the joint samples through the operation.
 
     Outputs are sorted by z; samples whose z values collide within
@@ -124,44 +128,66 @@ def extend(joint: JointDistribution, op: str) -> SampledMembership:
     most MERGE_WINDOW at every step is one sample, its first minimum with
     the largest membership, found with no sort either.  These cost O(n);
     any other z is sorted once, stably, in O(n log n), and merged only
-    where two neighbours collide.  A NaN z raises DomainError naming the x
-    of the first NaN sample.
+    where two neighbours collide.  A z that is not finite raises
+    DomainError naming the x of its first NaN sample, or where it has none,
+    of its first infinite one, with no numpy warning.
+
+    The joint's arrays are left as they were.  oracle_check, whose joint
+    is its own, passes _spend=True, so that fewer arrays of n floats are
+    live at once: z is then formed in joint.ys, and its steps and its
+    sorted values are written into joint.xs, its sorted memberships into
+    z's buffer.  Only joint.mu is kept as it was.  xs and ys must then be
+    writeable arrays of their own, as build_joint makes them.
     """
     _check_op(op)
     # tuple.__new__ skips the checks: each (zs, mus) below is two 1-d float arrays of one length
     new = tuple.__new__
-    z = joint.xs + joint.ys if op == "sum" else joint.xs * joint.ys
-    if z.size > 1:  # a NaN fails every test
-        steps = z[1:] - z[:-1]
-        least = steps.min()
-        if least > MERGE_WINDOW:
-            return new(SampledMembership, (z, joint.mu))
-        most = steps.max()
-        del steps
-        if most < -MERGE_WINDOW:
-            return new(SampledMembership, (z[::-1], joint.mu[::-1]))
-        # a z that moves by at most MERGE_WINDOW at every step is one group: between
-        # sorted neighbours a < b some step goes from a or below to b or above, so no
-        # sorted step passes the window either, as rounding is monotone.  The stable
-        # sort's first sample is the first minimum, signed zero and all.  A largest
-        # membership of ±0.0 is left to the sort, as reduceat takes it in sorted order
-        if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:
-            top = joint.mu.max()
-            if top > 0.0:
-                return new(SampledMembership, (np.array([z[z.argmin()]]), np.array([top])))
-    # each n-length array is dropped once it is read for the last time
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    if np.isnan(zs[-1:]).any():  # a NaN sorts last
-        raise _nan_error(joint.xs, z, "oracle sample", (joint.xs[0], joint.xs[-1]))
-    del z
-    mus = joint.mu[order]
-    del order
-    apart = zs[1:] - zs[:-1] > MERGE_WINDOW
+    xs, mu, ys = joint
+    # z may pass the float range, refused below, and its steps may too:
+    # an overflowed step is ±inf, which compares right
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (np.add if op == "sum" else np.multiply)(xs, ys, out=ys if _spend else None)
+        if not np.isfinite(z).all():
+            raise _not_finite_error(xs, z)
+        # the steps of z and then its sorted values go into a spent xs, or into an array of their own
+        spare = xs if _spend else np.empty_like(z)
+        if z.size > 1:
+            steps = np.subtract(z[1:], z[:-1], out=spare[:-1])
+            least = steps.min()
+            if least > MERGE_WINDOW:
+                return new(SampledMembership, (z, mu))
+            most = steps.max()
+            if most < -MERGE_WINDOW:
+                return new(SampledMembership, (z[::-1], mu[::-1]))
+            # a z that moves by at most MERGE_WINDOW at every step is one group: between
+            # sorted neighbours a < b some step goes from a or below to b or above, so no
+            # sorted step passes the window either, as rounding is monotone.  The stable
+            # sort's first sample is the first minimum, signed zero and all.  A largest
+            # membership of ±0.0 is left to the sort, as reduceat takes it in sorted order
+            if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:
+                top = mu.max()
+                if top > 0.0:
+                    return new(SampledMembership, (np.array([z[z.argmin()]]), np.array([top])))
+        order = np.argsort(z, kind="stable")
+        # with the default mode="raise" take buffers its output; argsort's indices are in range
+        zs = z.take(order, out=spare, mode="clip")
+        mus = mu.take(order, out=z, mode="clip")  # z is read for the last time above
+        del order
+        apart = zs[1:] - zs[:-1] > MERGE_WINDOW
     if apart.all():
         return new(SampledMembership, (zs, mus))
     first = np.flatnonzero(np.concatenate(([True], apart)))
     return new(SampledMembership, (zs[first], np.maximum.reduceat(mus, first)))
+
+
+def _not_finite_error(xs: np.ndarray, z: np.ndarray) -> DomainError:
+    """The error naming the x of z's first NaN, or where it has none, of its first infinity."""
+    support = (xs[0], xs[-1])
+    if np.isnan(z).any():
+        return _nan_error(xs, z, "oracle sample", support)
+    i = int(np.argmax(np.isinf(z)))
+    return DomainError(f"g gives {float(z[i])} at x = {xs[i]:.12g}, the first infinite "
+                       f"oracle sample on [{support[0]:g}, {support[1]:g}]")
 
 
 def levels_from_membership(s: SampledMembership, grid: int | None = None,
@@ -260,8 +286,9 @@ class OracleReport(namedtuple("OracleReport", ("op", "n", "tolerance", "max_haus
                 "max_hausdorff": self.max_hausdorff, "passed": self.passed, "levels": rows}
 
 
-def _auto_delta(joint: JointDistribution) -> float:
-    """Threshold slack matched to the sampling resolution.
+def _auto_delta(mu: np.ndarray, spare: np.ndarray | None = None) -> float:
+    """Threshold slack for the sampled memberships mu, matched to the
+    sampling resolution.
 
     Half of the largest membership step keeps samples just outside a level
     from leaking in while tolerating float noise at the boundary; the
@@ -270,13 +297,15 @@ def _auto_delta(joint: JointDistribution) -> float:
     levels_from_membership requires: a half step of memberships in [0, 1]
     is at most 0.5, and the sample one spacing inside the support on the
     wider side of the core has membership at least 1/((n - 1)K), so the
-    second term stays below 1 while (n - 1)K < 1e12.
+    second term stays below 1 while (n - 1)K < 1e12.  The steps are written
+    into spare, an array of n floats whose values are spent, where one is
+    given.
     """
-    if joint.mu.size < 2:
+    if mu.size < 2:
         return MERGE_WINDOW
-    steps = joint.mu[1:] - joint.mu[:-1]
+    steps = np.subtract(mu[1:], mu[:-1], out=None if spare is None else spare[:-1])
     quantum = float(max(steps.max(), -steps.min()))  # the largest |step|; a NaN step gives NaN
-    short = 1.0 - float(joint.mu.max())
+    short = 1.0 - float(mu.max())
     return max(0.5 * quantum, short + MERGE_WINDOW, MERGE_WINDOW)
 
 
@@ -298,7 +327,11 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     engine_op = correlated_sum if op == "sum" else correlated_product
     engine = engine_op(a, f, method)  # checks f on the support, as build_joint would
     joint = build_joint(a, f, n, _checked=True)
-    approx = levels_from_membership(extend(joint, op), a.k, _auto_delta(joint))
+    s = extend(joint, op, _spend=True)
+    # the spent joint.xs is free unless it holds the sorted z
+    delta = _auto_delta(joint.mu, None if np.may_share_memory(s.zs, joint.xs) else joint.xs)
+    del joint  # only s is read from here on
+    approx = levels_from_membership(s, a.k, delta)
     h = _hausdorff(engine, approx)
     max_h = float(h.max())
     lo, hi = a.support

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuzzyarith import (
     DomainError,
@@ -87,6 +89,35 @@ def test_vectorized_values():
     assert np.allclose(hyperbolic(4.0, 1.0).values(xs), [5.0, 3.0, 2.0])
     f = custom(lambda x: x**3, "increasing")
     assert np.allclose(f.values(xs), [1.0, 8.0, 64.0])
+
+
+_POINT_KINDS = {
+    "float": lambda values: values[0],
+    "int": lambda values: int(values[0]),
+    "0-d": lambda values: np.array(values[0]),
+    "float64": lambda values: np.array(values),
+    "float32": lambda values: np.array(values, dtype=np.float32),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([linear, hyperbolic]), st.floats(-1e3, 1e3).filter(bool),
+       st.floats(-1e3, 1e3), st.sampled_from(sorted(_POINT_KINDS)),
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5), st.booleans())
+def test_a_built_in_f_gives_the_bits_of_its_formula_and_leaves_x_as_it_was(make, q, r, kind,
+                                                                            values, frozen):
+    f = make(q, r)
+    x = _POINT_KINDS[kind](values)
+    assume(f.family == "linear" or np.all(np.asarray(x) != 0))
+    before = np.asarray(x).tobytes()
+    if frozen and isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    with np.errstate(all="ignore"):  # a float32 quotient may pass its range
+        got = f(x)
+        want = f.q * x + f.r if f.family == "linear" else f.q / x + f.r
+    assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(x).tobytes() == before
 
 
 def test_require_on_hyperbolic_domain():
@@ -224,6 +255,15 @@ def test_induced_linear_levels():
     alphas = a.alphas
     assert np.allclose(b.los, 3.0 + 2.0 * alphas, atol=1e-12)
     assert np.allclose(b.his, 7.0 - 2.0 * alphas, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [crisp(1e308, grid=1),
+                               triangular(1e308, 1.2e308, 1.5e308, grid=2)])
+def test_induced_past_the_float_range_names_the_level_without_a_warning(a):
+    # no errstate: the suite turns a RuntimeWarning into an error
+    with pytest.raises(ValueError, match=r"^level endpoints must be finite; the level at "
+                                         r"alpha 0 is \[inf, inf\]$"):
+        induced_number(a, linear(2.0, 0.0))
 
 
 def test_induced_reciprocal_levels():

@@ -117,10 +117,18 @@ MUTANTS = [
     ("a largest membership of a zero is not left to the sort",
      _extend(("if top > 0.0:", "if True:")), _patch_extend,
      _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.ZERO_MEMBERSHIP_CASE,)),
-    ("extend holds every array of n floats to the end",
-     _extend(("del steps", "pass"), ("del z", "pass"), ("del order", "pass")), _patch_extend,
+    ("extend forms z in an array of its own, not in the spent ys",
+     _extend(("out=ys if _spend else None", "out=None")), _patch_extend,
      test_oracle.test_oracle_check_peaks_at_a_few_arrays_of_n_floats,
-     (*test_oracle._LINEAR, "product", 7.5)),
+     (*test_oracle._LINEAR, "sum", 3.7)),
+    ("extend spends every joint, a caller's too",
+     _extend(("_spend: bool = False", "_spend: bool = True")), _patch_extend,
+     test_oracle.test_extend_leaves_a_callers_joint_as_it_was, test_oracle.CALLER_JOINTS[0]),
+    ("oracle_check holds its joint while the levels are rebuilt",
+     lambda: _edited(oracle.oracle_check, ("    del joint  # only s is read from here on\n", "")),
+     _patch(test_oracle, "oracle_check"),
+     test_oracle.test_oracle_check_peaks_at_a_few_arrays_of_n_floats,
+     (*test_oracle._LINEAR, "product", 4.3)),
     ("the slack is MERGE_WINDOW below the shortfall, not above it",
      lambda: _edited(oracle._auto_delta, ("short + MERGE_WINDOW", "short - MERGE_WINDOW")),
      _patch(oracle, "_auto_delta"),

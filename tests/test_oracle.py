@@ -449,6 +449,76 @@ def test_oracle_check_raises_on_a_nan_z_the_engine_never_evaluates():
         oracle_check(triangular(0.0, 1.0, 2.0, grid=10), f, "sum")
 
 
+@pytest.mark.parametrize("joint, op, message", [
+    (JointDistribution(xs=[0.0, 1.0], mu=[1.0, 0.5], ys=[math.inf, math.inf]), "sum",
+     r"^g gives inf at x = 0, the first infinite oracle sample on \[0, 1\]$"),
+    (JointDistribution(xs=[1e200, 2e200], mu=[1.0, 0.5], ys=[1e200, 1e200]), "product",
+     r"^g gives inf at x = 1e\+200, the first infinite oracle sample on "
+     r"\[1e\+200, 2e\+200\]$"),
+    (JointDistribution(xs=[0.0, 1.0, 2.0], mu=[1.0, 0.5, 0.0], ys=[1.0, -math.inf, math.nan]),
+     "sum", r"^g gives nan at x = 2, the first NaN oracle sample on \[0, 2\]$"),
+    (JointDistribution(xs=[0.0, 1.0], mu=[1.0, 0.5], ys=[math.inf, 1.0]), "product",
+     r"^g gives nan at x = 0, the first NaN oracle sample on \[0, 1\]$"),
+], ids=["inf-sum", "overflowing-product", "nan-after-inf", "zero-times-inf"])
+def test_extend_refuses_a_z_that_is_not_finite_without_a_warning(joint, op, message):
+    # no errstate: the suite turns a RuntimeWarning into an error.  A NaN
+    # is named before an infinity
+    with pytest.raises(DomainError, match=message):
+        extend(joint, op)
+
+
+def test_extend_compares_steps_past_the_float_range():
+    # no errstate: the suite turns a RuntimeWarning into an error.  The
+    # finite z rises, then falls, by more than the float max
+    for xs, ys, op in (([1.0, 2.0], [-1e308, 1.7e308], "sum"),
+                       ([1.0, 2.0, 3.0], [-1e308, 1.7e308, 0.0], "sum"),
+                       ([1.0, 1.5], [1.7e308, -1e308], "product")):
+        joint = JointDistribution(xs=xs, mu=[1.0, 0.5, 0.25][:len(xs)], ys=ys)
+        got = extend(joint, op)
+        with np.errstate(over="ignore"):  # the reference takes its steps with np.diff
+            want = reference_extend(joint, op)
+        assert got.zs.tolist() == want.zs.tolist() and got.mus.tolist() == want.mus.tolist()
+
+
+# Joints of a caller whose z rises, falls, lies within MERGE_WINDOW, and is
+# sorted with merges, each made afresh
+CALLER_JOINTS = [
+    (lambda: build_joint(triangular(1.0, 2.0, 3.0, grid=10), linear(2.0, 1.0), 101), "sum", 101),
+    (lambda: build_joint(triangular(1.0, 2.0, 3.0, grid=10), linear(-2.0, 1.0), 101), "sum",
+     101),
+    (lambda: build_joint(triangular(1.0, 2.0, 3.0, grid=10), negation(), 101), "sum", 1),
+    (lambda: build_joint(triangular(-1.0, 0.0, 3.0, grid=10), negation(), 101), "product", 76),
+]
+
+
+@pytest.mark.parametrize("make, op, size", CALLER_JOINTS,
+                         ids=["rising", "falling", "collapsed", "sorted-and-merged"])
+def test_extend_leaves_a_callers_joint_as_it_was(make, op, size):
+    joint = make()
+    before = [v.tobytes() for v in joint]
+    s = extend(joint, op)
+    assert s.zs.size == size
+    assert [v.tobytes() for v in joint] == before
+    # read-only arrays are read, and the result is the same
+    for v in joint:
+        v.flags.writeable = False
+    again = extend(joint, op)
+    assert (again.zs.tobytes(), again.mus.tobytes()) == (s.zs.tobytes(), s.mus.tobytes())
+
+
+@pytest.mark.parametrize("f", [linear(2.0, 1.0), hyperbolic(4.0), identity(), negation(),
+                               reciprocal(), custom(math.exp, "increasing")],
+                         ids=lambda f: repr(f))
+def test_build_joint_makes_writeable_arrays_of_its_own(f):
+    # extend(_spend=True) writes xs and ys
+    for a in (triangular(1.0, 2.0, 3.0, grid=10), crisp(2.0, grid=10)):
+        joint = build_joint(a, f, 101)
+        assert all(v.flags.writeable for v in joint)
+        arrays = (*joint, a.los, a.his)
+        assert not any(np.shares_memory(u, v) for i, u in enumerate(arrays)
+                       for v in arrays[i + 1:])
+
+
 def test_oracle_check_checks_a_custom_function_once():
     calls = [0]
 
@@ -487,7 +557,7 @@ def test_auto_delta_stays_in_the_unit_interval(seed, K, n):
     a = random_shape(rng, grid=K) if seed % 2 else FuzzyNumber(
         np.sort(rng.uniform(-1.0, 0.0, K + 1)) * np.r_[1e6, np.ones(K)],
         np.sort(rng.uniform(0.0, 1.0, K + 1))[::-1] * np.r_[1e6, np.ones(K)])
-    assert 0.0 <= _auto_delta(build_joint(a, linear(2.0, 1.0), n)) < 1.0
+    assert 0.0 <= _auto_delta(build_joint(a, linear(2.0, 1.0), n).mu) < 1.0
 
 
 # The core 0.5 falls midway between two of an even number of samples, where
@@ -664,15 +734,21 @@ _LINEAR = triangular(-1.5, 0.5, 3.0, grid=1000), linear(2.0, 1.0)
 
 
 @pytest.mark.parametrize("a, f, op, arrays", [
-    (*_LINEAR, "sum", 5.5), (*_LINEAR, "product", 7.5),
-    (triangular(1.0, 2.0, 4.0, grid=1000), reciprocal(), "product", 5.5),
-], ids=["sum-5.5", "product-7.5", "reciprocal-product-5.5"])
+    (*_LINEAR, "sum", 3.7), (*_LINEAR, "product", 4.3),
+    (triangular(1.0, 2.0, 4.0, grid=1000), reciprocal(), "product", 3.7),
+    (_LINEAR[0], linear(-2.0, 1.0), "sum", 3.7),
+    (triangular(-2.0, 0.0, 2.0, grid=1000), identity(), "product", 4.8),
+], ids=["sum-3.7", "product-4.3", "reciprocal-product-3.7", "falling-sum-3.7",
+        "merging-product-4.8"])
 def test_oracle_check_peaks_at_a_few_arrays_of_n_floats(a, f, op, arrays):
-    # the joint's xs, mu and ys and z live through the call, and a product
-    # whose z is not monotone sorts: the order and the sorted z join them.
-    # A reciprocal product's z lies within MERGE_WINDOW and is not sorted.
-    # Any other array of n floats held past its last read shows here;
-    # tracemalloc counts numpy's buffers
+    # the joint's xs, mu and ys live through extend, which forms z in ys and
+    # writes its steps into xs; the membership's working arrays set the peak,
+    # at 3.6, of a z that rises, falls or lies within MERGE_WINDOW (the
+    # reciprocal product).  A z that is not monotone is sorted: the order
+    # joins the three, 4.2, and a merge's group starts and merged samples
+    # join them too, 4.7.  The joint is dropped before the levels are
+    # rebuilt.  Any other array of n floats held past its last read shows
+    # here; tracemalloc counts numpy's buffers
     n = 20001
     oracle_check(a, f, op, n=n)
     tracemalloc.start()
