@@ -19,8 +19,7 @@ from .errors import DomainError, MonotonicityError
 from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, crisp,
                     from_levels, fuzzy_from_json, trapezoidal, triangular)
 from .interval import Interval
-from .oracle import (JointDistribution, OracleReport, SampledMembership,
-                     build_joint, extend, levels_from_membership, oracle_check)
+from .oracle import OracleReport, oracle_check
 
 __version__ = "0.1.0"
 
@@ -31,13 +30,10 @@ __all__ = [
     "DomainError",
     "FuzzyNumber",
     "Interval",
-    "JointDistribution",
     "LevelResult",
     "MonotonicityError",
     "OracleReport",
     "RangeMethod",
-    "SampledMembership",
-    "build_joint",
     "check_monotone",
     "closed_form",
     "compare_levels",
@@ -46,13 +42,11 @@ __all__ = [
     "correlation_from_json",
     "crisp",
     "custom",
-    "extend",
     "from_levels",
     "fuzzy_from_json",
     "hyperbolic",
     "identity",
     "induced_number",
-    "levels_from_membership",
     "linear",
     "negation",
     "oracle_check",

@@ -48,7 +48,8 @@ class RangeMethod(namedtuple("RangeMethod", ("samples",))):
     correlation whose declared direction proves g monotone, or the zero
     cut of a custom product across zero with f(0) = 0, all with no scan,
     and scans any other custom correlation by RangeMethod() (the rules
-    are _route's).  A RangeMethod always scans.
+    are _route's).  A RangeMethod always scans.  Any other method, False,
+    0 or a tuple included, raises TypeError naming it before f is called.
     ``samples``: equispaced scan points across the support, an integer of
     at least 65; extrema closer together than the scan step can be missed.
     Where samples - 1 is a multiple of 256, as for the default 1025, the
@@ -72,6 +73,12 @@ class RangeMethod(namedtuple("RangeMethod", ("samples",))):
     @classmethod
     def _make(cls, iterable) -> "RangeMethod":
         return cls(*iterable)
+
+
+def _check_method(method) -> None:
+    """TypeError naming method unless it is None or a RangeMethod."""
+    if method is not None and not isinstance(method, RangeMethod):
+        raise TypeError(f"method must be None or a RangeMethod, got {method!r}")
 
 
 # -- range search ---------------------------------------------------------------
@@ -222,7 +229,8 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
 
     ``g`` is any real function of one variable, called on one float at a
     time.  It states no extrema, so it is scanned by ``method`` (default
-    RangeMethod()).
+    RangeMethod()); any other method raises TypeError naming it before g
+    is called.
 
     This is the one-level case of the correlated engine (see _range_levels):
     the values at the two ends plus the refined extrema of a
@@ -230,6 +238,7 @@ def range_over_interval(g, iv: Interval, method: RangeMethod | None = None) -> I
     iv.width / (samples - 1).  Both ends of the result are values g takes
     on iv.
     """
+    _check_method(method)
     values = lambda xs: np.fromiter(map(g, xs.tolist()), float, xs.size)
     lo, hi = _range_levels((values, g, None, None), np.array([iv.lo]), np.array([iv.hi]),
                            method)
@@ -365,6 +374,7 @@ def _route(f: CorrelationFunction, op: str, support: Interval, method: RangeMeth
 
 def _correlated(a: FuzzyNumber, f: CorrelationFunction, op: str,
                 method: RangeMethod | None) -> FuzzyNumber:
+    _check_method(method)
     sup = a.support
     plan = _route(f, op, sup, method, f.check_on(sup))
     # a scan's reverse running min and max nest the levels, and so does a built-in g

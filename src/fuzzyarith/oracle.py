@@ -20,8 +20,7 @@ from .arithmetic import (BINARY_OPS, LevelResult, RangeMethod, _hausdorff, _nan_
                          closed_form, compare_levels, correlated_product, correlated_sum)
 from .correlation import CorrelationFunction
 from .errors import DomainError
-from .fuzzy import (DEFAULT_GRID_K, FuzzyNumber, _grid, _grid_floats, _grid_size, _integer,
-                    _linspace)
+from .fuzzy import FuzzyNumber, _grid, _grid_floats, _integer, _linspace
 
 DEFAULT_SAMPLES = 2001
 MIN_SAMPLES = 101
@@ -31,78 +30,37 @@ MIN_SAMPLES = 101
 MERGE_WINDOW = 1e-12
 
 
-def _float_record(cls, fields):
-    """A cls record of the fields, each taken as a float array (np.asarray
-    keeps a float array as it is); ValueError unless they are 1-d and of one
-    length."""
-    arrays = [np.asarray(field, dtype=float) for field in fields]
-    if len({array.shape for array in arrays}) > 1 or arrays[0].ndim != 1:
-        raise ValueError(f"{', '.join(cls._fields[:-1])} and {cls._fields[-1]} must be 1-d "
-                         f"arrays of one length")
-    return tuple.__new__(cls, arrays)
-
-
 class JointDistribution(namedtuple("JointDistribution", ("xs", "mu", "ys"))):
-    """Graph samples of the coupled pair: points (xs[i], ys[i]) with
-    possibility mu[i], ys = f(xs), each taken as a float array; every way
-    to make one, _make and _replace included, checks that xs increases
-    strictly and that every mu lies in [0, 1]."""
+    """Graph samples of the coupled pair, as build_joint makes them: points
+    (xs[i], ys[i]) with possibility mu[i], ys = f(xs), xs strictly
+    increasing and every mu in [0, 1] with a positive peak."""
 
     __slots__ = ()
-
-    def __new__(cls, xs, mu, ys) -> "JointDistribution":
-        self = _float_record(cls, (xs, mu, ys))
-        if not (self.xs[1:] > self.xs[:-1]).all():  # a NaN fails the test
-            raise ValueError("xs must be strictly increasing")
-        if (self.mu < 0.0).any() or (self.mu > 1.0).any():
-            raise ValueError("membership values must lie in [0, 1]")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "JointDistribution":
-        return cls(*iterable)
 
 
 class SampledMembership(namedtuple("SampledMembership", ("zs", "mus"))):
-    """Output samples zs with their memberships, each taken as a float
-    array; levels_from_membership checks that zs increases strictly."""
+    """Output samples zs, strictly increasing, with their memberships, as
+    extend returns them."""
 
     __slots__ = ()
 
-    def __new__(cls, zs, mus) -> "SampledMembership":
-        return _float_record(cls, (zs, mus))
 
-    @classmethod
-    def _make(cls, iterable) -> "SampledMembership":
-        return cls(*iterable)
-
-
-def _check_op(op: str) -> None:
-    if op not in BINARY_OPS:
-        raise ValueError(f"op must be one of {BINARY_OPS}, got {op!r}")
-
-
-def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES, *,
-                _checked: bool = False) -> JointDistribution:
-    """Sample the graph coupling of (A, f(A)) at n equispaced support points.
+def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int) -> JointDistribution:
+    """Sample the graph coupling of (A, f(A)) at n equispaced support points,
+    for oracle_check, which has already checked n and, in its engine call,
+    f on the support.
 
     A crisp operand collapses to the single sample it carries.  The sample
     points are always a 1-d array, so their memberships are a.membership's
     float array as returned.  xs and ys are writeable arrays of their own,
-    which extend(_spend=True) may write: f.values makes a fresh array for
-    every f, q*x + r, q/x + r, a named alias's +x, -x or 1/x, or a custom
-    f's values.  f is first checked with f.check_on(a.support);
-    oracle_check passes _checked=True, since its engine call has just made
-    that check.  A support too narrow to hold n distinct floats raises
-    ValueError naming the support and n, and a linear or hyperbolic f that
-    passes the float range at an end of the support raises DomainError
-    naming f and the support.
+    which extend writes: f.values makes a fresh array for every f, q*x + r,
+    q/x + r, a named alias's +x, -x or 1/x, or a custom f's values.  A
+    support too narrow to hold n distinct floats raises ValueError naming
+    the support and n, and a linear or hyperbolic f that passes the float
+    range at an end of the support raises DomainError naming f and the
+    support.
     """
-    if _integer(n, "sample count") < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     sup = a.support
-    if not _checked:
-        f.check_on(sup)
     if sup.width == 0.0:
         xs = np.array([sup.lo])
     else:
@@ -112,72 +70,65 @@ def build_joint(a: FuzzyNumber, f: CorrelationFunction, n: int = DEFAULT_SAMPLES
                              f"n = {n} distinct samples")
     mu = a.membership(xs)
     f.require_finite_on(sup)
-    ys = f.values(xs)
-    # tuple.__new__ skips the checks, which these 1-d float arrays of one length
-    # pass: xs was tested above, and membership keeps every mu in [0, 1]
-    return tuple.__new__(JointDistribution, (xs, mu, ys))
+    return JointDistribution(xs, mu, f.values(xs))
 
 
-def extend(joint: JointDistribution, op: str, *, _spend: bool = False) -> SampledMembership:
-    """Push the joint samples through the operation.
+def extend(joint: JointDistribution, op: str) -> SampledMembership:
+    """Push the joint samples through the operation "sum" or "product",
+    spending the joint.
 
     Outputs are sorted by z; samples whose z values collide within
     MERGE_WINDOW are collapsed, keeping the largest membership.  A z that
     rises (or falls) by more than MERGE_WINDOW at every step is returned as
     it is (or reversed), with no sort and no merge; one that moves by at
     most MERGE_WINDOW at every step is one sample, its first minimum with
-    the largest membership, found with no sort either.  These cost O(n);
-    any other z is sorted once, stably, in O(n log n), and merged only
-    where two neighbours collide.  A z that is not finite raises
-    DomainError naming the x of its first NaN sample, or where it has none,
-    of its first infinite one, with no numpy warning.
+    the largest membership, found with no sort either.  That membership is
+    positive, so no tie of signed zeros is left for a sort to order: the
+    samples of a support of non-zero width include interior points, whose
+    membership is positive, and a crisp operand's one sample has
+    membership 1.  These cost O(n); any other z is sorted once, stably, in
+    O(n log n), and merged only where two neighbours collide.  A z that is
+    not finite raises DomainError naming the x of its first NaN sample, or
+    where it has none, of its first infinite one, with no numpy warning.
 
-    The joint's arrays are left as they were.  oracle_check, whose joint
-    is its own, passes _spend=True, so that fewer arrays of n floats are
-    live at once: z is then formed in joint.ys, and its steps and its
-    sorted values are written into joint.xs, its sorted memberships into
-    z's buffer.  Only joint.mu is kept as it was.  xs and ys must then be
-    writeable arrays of their own, as build_joint makes them.
+    So that fewer arrays of n floats are live at once, z is formed in
+    joint.ys, and its steps and its sorted values are written into
+    joint.xs, its sorted memberships into z's buffer; only joint.mu is kept
+    as it was.  xs and ys must be writeable arrays of their own, as
+    build_joint makes them.
     """
-    _check_op(op)
-    # tuple.__new__ skips the checks: each (zs, mus) below is two 1-d float arrays of one length
-    new = tuple.__new__
     xs, mu, ys = joint
     # z may pass the float range, refused below, and its steps may too:
     # an overflowed step is ±inf, which compares right
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (np.add if op == "sum" else np.multiply)(xs, ys, out=ys if _spend else None)
+        z = (np.add if op == "sum" else np.multiply)(xs, ys, out=ys)
         if not np.isfinite(z).all():
             raise _not_finite_error(xs, z)
-        # the steps of z and then its sorted values go into a spent xs, or into an array of their own
-        spare = xs if _spend else np.empty_like(z)
+        # the steps of z and then its sorted values go into the spent xs
         if z.size > 1:
-            steps = np.subtract(z[1:], z[:-1], out=spare[:-1])
+            steps = np.subtract(z[1:], z[:-1], out=xs[:-1])
             least = steps.min()
             if least > MERGE_WINDOW:
-                return new(SampledMembership, (z, mu))
+                return SampledMembership(z, mu)
             most = steps.max()
             if most < -MERGE_WINDOW:
-                return new(SampledMembership, (z[::-1], mu[::-1]))
+                return SampledMembership(z[::-1], mu[::-1])
             # a z that moves by at most MERGE_WINDOW at every step is one group: between
             # sorted neighbours a < b some step goes from a or below to b or above, so no
             # sorted step passes the window either, as rounding is monotone.  The stable
-            # sort's first sample is the first minimum, signed zero and all.  A largest
-            # membership of ±0.0 is left to the sort, as reduceat takes it in sorted order
+            # sort's first sample is the first minimum, signed zero and all
             if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:
-                top = mu.max()
-                if top > 0.0:
-                    return new(SampledMembership, (np.array([z[z.argmin()]]), np.array([top])))
+                return SampledMembership(np.array([z[z.argmin()]]), np.array([mu.max()]))
         order = np.argsort(z, kind="stable")
         # with the default mode="raise" take buffers its output; argsort's indices are in range
-        zs = z.take(order, out=spare, mode="clip")
+        zs = z.take(order, out=xs, mode="clip")
         mus = mu.take(order, out=z, mode="clip")  # z is read for the last time above
         del order
         apart = zs[1:] - zs[:-1] > MERGE_WINDOW
     if apart.all():
-        return new(SampledMembership, (zs, mus))
+        return SampledMembership(zs, mus)
     first = np.flatnonzero(np.concatenate(([True], apart)))
-    return new(SampledMembership, (zs[first], np.maximum.reduceat(mus, first)))
+    return SampledMembership(zs[first], np.maximum.reduceat(mus, first))
 
 
 def _not_finite_error(xs: np.ndarray, z: np.ndarray) -> DomainError:
@@ -190,50 +141,35 @@ def _not_finite_error(xs: np.ndarray, z: np.ndarray) -> DomainError:
                        f"oracle sample on [{support[0]:g}, {support[1]:g}]")
 
 
-def levels_from_membership(s: SampledMembership, grid: int | None = None,
-                           delta: float | None = None) -> FuzzyNumber:
-    """Rebuild a level family from sampled membership values on the grid of
-    K = grid steps (None: DEFAULT_GRID_K).
+def levels_from_membership(s: SampledMembership, grid: int, delta: float) -> FuzzyNumber:
+    """Rebuild a level family of K = grid steps from the samples extend
+    returns, strictly increasing in z.
 
     Level alpha collects the z samples with membership >= alpha - delta;
     delta absorbs the quantization of membership between neighbouring
-    samples (default 1/(2K)) and must lie in [0, 1) (ValueError otherwise),
-    and a NaN membership is read as -inf, below every threshold.  A peak
+    samples and must lie in [0, 1) (ValueError otherwise).  A peak
     membership below the top threshold 1 - delta raises ValueError; no
     level can come out empty past that one test.  The thresholds tighten
-    with alpha, so the levels nest.  The samples must come sorted by z,
-    strictly increasing, as extend returns them; its sort is the only one.
-    A level then runs from the first to the last sample that reaches its
-    threshold.  Every threshold is at most the peak membership, so each
-    level starts at or before the first maximal sample and ends at or
-    after it: the ends are found by K + 1 binary searches in the running
-    maximum of the memberships from the first sample up to that peak, and
-    in the one from the last sample back down to it, one pass over n + 1
-    samples in all, O(n + K log n) time and O(n + K) memory.  A run that
-    is already in order is its own running maximum, since only the
-    searches read it, and is searched as it stands.
+    with alpha, so the levels nest.  A level runs from the first to the
+    last sample that reaches its threshold.  Every threshold is at most the
+    peak membership, so each level starts at or before the first maximal
+    sample and ends at or after it: the ends are found by K + 1 binary
+    searches in the running maximum of the memberships from the first
+    sample up to that peak, and in the one from the last sample back down
+    to it, one pass over n + 1 samples in all, O(n + K log n) time and
+    O(n + K) memory.  A run that is already in order is its own running
+    maximum, since only the searches read it, and is searched as it stands.
     """
-    k = _grid_size(DEFAULT_GRID_K if grid is None else grid)
-    if delta is None:
-        delta = 1.0 / (2.0 * k)
-    elif not 0.0 <= delta < 1.0:
+    if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {float(delta)!r}")
-    zs, mus = s.zs, s.mus
-    if zs.size == 0:
-        raise ValueError("no samples to rebuild levels from")
-    if not (zs[1:] > zs[:-1]).all():
-        raise ValueError("z samples must be strictly increasing, as extend returns them")
+    zs, mus = s
     peak = int(mus.argmax())
-    if mus[peak] != mus[peak]:  # argmax stops at the first NaN
-        # a NaN fails every mu >= t, so it ranks below every threshold
-        mus = np.where(np.isnan(mus), -np.inf, mus)
-        peak = int(mus.argmax())
     top = float(mus[peak])
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
             f"{1.0 - delta:g}; sample more densely or widen delta")
-    thresholds = _grid(k) - delta
+    thresholds = _grid(grid) - delta
     rise, fall = mus[:peak + 1], mus[peak:]
     if not (rise[1:] >= rise[:-1]).all():
         rise = np.maximum.accumulate(rise)
@@ -313,7 +249,10 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
                  n: int = DEFAULT_SAMPLES,
                  method: RangeMethod | None = None) -> OracleReport:
     """Run the engine, by ``method``, and the brute-force oracle side by
-    side on a's grid (resample a first for another K).
+    side on a's grid (resample a first for another K), with n oracle
+    samples, an integer of at least MIN_SAMPLES (ValueError otherwise,
+    before the engine runs).  build_joint, extend and levels_from_membership
+    are its stages, and take only what it hands them.
 
     The acceptance tolerance is 5 * support_width / n, or 5 * (support_width
     / n) where 5 * support_width passes the float range; the report records
@@ -322,12 +261,15 @@ def oracle_check(a: FuzzyNumber, f: CorrelationFunction, op: str,
     ("std-sum-hyperbolic", ...) gives it, which contains the correlated sum;
     None past the float range.  Every array the report holds is read-only.
     """
-    _check_op(op)
+    if op not in BINARY_OPS:
+        raise ValueError(f"op must be one of {BINARY_OPS}, got {op!r}")
     n = _integer(n, "sample count")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     engine_op = correlated_sum if op == "sum" else correlated_product
-    engine = engine_op(a, f, method)  # checks f on the support, as build_joint would
-    joint = build_joint(a, f, n, _checked=True)
-    s = extend(joint, op, _spend=True)
+    engine = engine_op(a, f, method)  # checks method, and f on the support
+    joint = build_joint(a, f, n)
+    s = extend(joint, op)
     # the spent joint.xs is free unless it holds the sorted z
     delta = _auto_delta(joint.mu, None if np.may_share_memory(s.zs, joint.xs) else joint.xs)
     del joint  # only s is read from here on

@@ -9,10 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fuzzyarith import (CorrelationFunction, FuzzyNumber, Interval, LevelResult,
-                        SampledMembership, arithmetic, trapezoidal, triangular)
+from fuzzyarith import (CorrelationFunction, FuzzyNumber, Interval, LevelResult, arithmetic,
+                        trapezoidal, triangular)
 from fuzzyarith.fuzzy import NEST_TOL, _scaled_slack
-from fuzzyarith.oracle import MERGE_WINDOW
+from fuzzyarith.oracle import MERGE_WINDOW, SampledMembership
 
 
 def random_shape(rng, lo=-10.0, hi=10.0, grid=100, min_gap=0.0):
@@ -76,10 +76,7 @@ def dense_levels_from_membership(s, grid, delta):
     """Level ends (los, his) rebuilt through a (K+1) x n membership mask, the
     way ``levels_from_membership`` once did; raises its ValueErrors.
     Reference only; memory grows as K * n."""
-    if s.zs.size == 0:
-        raise ValueError("no samples to rebuild levels from")
-    # a NaN membership is below every threshold
-    top = float(np.where(np.isnan(s.mus), -np.inf, s.mus).max())
+    top = float(s.mus.max())
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "
@@ -95,10 +92,7 @@ def reference_levels_from_membership(s, grid, delta):
     falling membership, so each level set is a prefix of that order and its
     ends are a running min/max of z read at the prefix length.  Reference
     only; it sorts a second time."""
-    if s.zs.size == 0:
-        raise ValueError("no samples to rebuild levels from")
-    # a NaN membership is below every threshold
-    top = float(np.where(np.isnan(s.mus), -np.inf, s.mus).max())
+    top = float(s.mus.max())
     if top < 1.0 - delta:
         raise ValueError(
             f"sampled membership peaks at {top:g}, below the level threshold "

@@ -67,6 +67,29 @@ def test_range_method_validation():
     assert repr(method) == "RangeMethod(samples=100)"
 
 
+@pytest.mark.parametrize("method", [False, 0, True, "numeric", (1025,)], ids=repr)
+def test_a_method_that_is_neither_none_nor_a_range_method_is_a_type_error(method):
+    # refused before any call of f or g; oracle_check meets the check in its engine call
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return x ** 3 + x
+
+    a = triangular(1.0, 2.0, 3.0, grid=4)
+    runs = [lambda op=op, f=f: op(a, f, method)
+            for op in (correlated_sum, correlated_product)
+            for f in (custom(fn, "increasing"), linear(2.0, 1.0))]
+    runs += [lambda op=op: oracle_check(a, custom(fn, "increasing"), op, method=method)
+             for op in ("sum", "product")]
+    runs.append(lambda: range_over_interval(fn, Interval(1.0, 3.0), method))
+    message = f"^method must be None or a RangeMethod, got {re.escape(repr(method))}$"
+    for run in runs:
+        with pytest.raises(TypeError, match=message):
+            run()
+    assert calls[0] == 0
+
+
 def _one_level(op, f, lo, hi):
     """op(A, f) for A = [lo, hi] at every alpha, as the Interval of its
     one level."""

@@ -215,6 +215,19 @@ def test_eval_json_output_schema(capsys):
     assert body["levels"][-1] == {"alpha": 1.0, "lo": 5.0, "hi": 5.0}
 
 
+@pytest.mark.parametrize("fmt, lines", [
+    ("table", ["alpha\tlevel", "0\t[0.1, 0.3]", "1\t[0.2, 0.2]"]),
+    ("csv", ["alpha,lo,hi", "0,0.1,0.3", "1,0.2,0.2"]),
+    ("json", ['{"expr": "tri(0.1,0.2,0.30000000000000004)", "K": 1, "levels": '
+              '[{"alpha": 0.0, "lo": 0.1, "hi": 0.30000000000000004}, '
+              '{"alpha": 1.0, "lo": 0.2, "hi": 0.2}]}']),
+])
+def test_table_and_csv_print_12_digits_and_json_the_shortest_round_trip(capsys, fmt, lines):
+    assert main(["eval", "-e", "tri(0.1,0.2,0.30000000000000004)", "--grid", "1",
+                 "--format", fmt]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_eval_grid_controls_row_count(capsys):
     rc = main(["eval", "-e", "tri(1,2,3)", "--grid", "4"])
     out = capsys.readouterr().out
@@ -453,6 +466,14 @@ def test_oracle_n_cap_is_checked_before_any_array(monkeypatch, capsys):
     assert grids == [] and len(calls) == 1
     assert capsys.readouterr().err == (
         f"fuzzyarith: --oracle-n {MAX_ORACLE_N + 1} exceeds the cap of {MAX_ORACLE_N}\n")
+
+
+def test_the_oracle_sample_floor_is_checked_before_the_engine(capsys):
+    # the engine would refuse reciprocal across zero, a domain error (exit 2)
+    argv = ["check", "-e", "corr_prod(tri(-1,0,1), reciprocal)", "--oracle-n"]
+    assert main(argv + ["50"]) == 1
+    assert capsys.readouterr().err == "fuzzyarith: corr_prod: need at least 101 samples, got 50\n"
+    assert main(argv + ["101"]) == 2
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fuzzyarith import (FuzzyNumber, Interval, RangeMethod, build_joint, check_monotone,
-                        closed_form, correlated_product, correlated_sum, from_levels,
-                        fuzzy_from_json, identity, induced_number, linear, oracle_check,
-                        range_over_interval, reciprocal, standard_product, standard_sum,
-                        trapezoidal, triangular)
+from fuzzyarith import (FuzzyNumber, Interval, RangeMethod, check_monotone, closed_form,
+                        correlated_product, correlated_sum, from_levels, fuzzy_from_json,
+                        identity, induced_number, linear, oracle_check, range_over_interval,
+                        reciprocal, standard_product, standard_sum, trapezoidal, triangular)
 from fuzzyarith.cli import main
 from fuzzyarith.fuzzy import _linspace
+from fuzzyarith.oracle import build_joint
 
 from helpers import wider_than_floats
 

@@ -8,15 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyarith import (
-    DEFAULT_GRID_K,
     FuzzyNumber,
     Interval,
-    SampledMembership,
     compare_levels,
     crisp,
     from_levels,
     fuzzy_from_json,
-    levels_from_membership,
     trapezoidal,
     triangular,
 )
@@ -39,13 +36,10 @@ _WIDEST_UPPER = FuzzyNumber([-_HALF, -_HALF], [_HALF, -_HALF])
 def test_alpha_grid_levels():
     assert triangular(1.0, 2.0, 3.0, grid=4).alphas.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     # a grid is its K, an int of at least 1, wherever it enters
-    s = SampledMembership(zs=np.array([1.0, 2.0]), mus=np.array([1.0, 1.0]))
     enter = (lambda k: triangular(1.0, 2.0, 3.0, grid=k),
              lambda k: trapezoidal(1.0, 2.0, 3.0, 4.0, grid=k),
              lambda k: crisp(1.0, grid=k),
-             lambda k: crisp(1.0).resample(k),
-             lambda k: levels_from_membership(s, k))
-    assert levels_from_membership(s, None) == levels_from_membership(s, DEFAULT_GRID_K)
+             lambda k: crisp(1.0).resample(k))
     for k, message in ((0, "grid size must be at least 1, got 0"),
                        (2.0, "grid size must be an integer, got 2.0"),
                        (True, "grid size must be an integer, got True"),

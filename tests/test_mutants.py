@@ -12,6 +12,7 @@ need not fail.
 """
 
 import inspect
+import math
 import textwrap
 import types
 from unittest import mock
@@ -22,9 +23,7 @@ import pytest
 import test_arithmetic
 import test_fuzzy
 import test_oracle
-import test_records
-from fuzzyarith import FuzzyNumber, arithmetic, cli, fuzzy, oracle, triangular
-from fuzzyarith.oracle import JointDistribution
+from fuzzyarith import FuzzyNumber, arithmetic, cli, fuzzy, linear, oracle, triangular
 
 
 def _edited(function, *edits):
@@ -56,6 +55,13 @@ def _patch_extend(mutant):
             mock.patch.object(test_oracle, "extend", mutant)]
 
 
+def _build_joint(*edits):
+    # oracle_check looks build_joint up in its module, the tests in theirs
+    return (lambda: _edited(oracle.build_joint, *edits),
+            lambda mutant: [mock.patch.object(module, "build_joint", mutant)
+                            for module in (oracle, test_oracle)])
+
+
 def _patch(owner, name):
     """Patch the mutant in as owner.name, where the test looks it up."""
     return lambda mutant: [mock.patch.object(owner, name, mutant)]
@@ -72,8 +78,6 @@ def _levels_from_membership(*edits):
 
 
 _MATCHES_REFERENCE = test_oracle.test_extend_matches_the_sort_and_merge_reference
-_REJECTS_UNSORTED = (
-    test_oracle.test_joint_distribution_rejects_unsorted_xs_and_memberships_off_the_unit_interval)
 _MATCHES_DENSE_MASK = test_oracle.test_levels_from_membership_matches_dense_mask
 _SIGN_TABLE = test_arithmetic.test_correlated_product_sign_table
 _FOUR_PRODUCTS = test_arithmetic.test_standard_product_reduces_its_four_products_in_order
@@ -84,6 +88,10 @@ _TERMWISE = test_oracle.test_the_termwise_reading_is_the_standard_sum_closed_for
 _MONOTONE_COMPOSITIONS = test_arithmetic.test_numeric_engine_on_random_monotone_compositions
 _CACHED = "@lru_cache(maxsize=GRID_CACHE_SIZE)\n"
 _ZERO_CUT = ("if y0 == 0.0:", "if True:")
+_METHOD_CHECK = ("    _check_method(method)\n", "")
+_FLOOR = ("    if n < MIN_SAMPLES:\n"
+          '        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")\n')
+_BUILD = "    joint = build_joint(a, f, n)\n"
 
 
 def _uncached_grids():
@@ -114,16 +122,25 @@ MUTANTS = [
     ("every z that is not monotone is one group",
      _extend(("if -MERGE_WINDOW <= least and most <= MERGE_WINDOW:", "if True:")), _patch_extend,
      _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.JITTER_CASE,)),
-    ("a largest membership of a zero is not left to the sort",
-     _extend(("if top > 0.0:", "if True:")), _patch_extend,
-     _MATCHES_REFERENCE.hypothesis.inner_test, (test_oracle.ZERO_MEMBERSHIP_CASE,)),
     ("extend forms z in an array of its own, not in the spent ys",
-     _extend(("out=ys if _spend else None", "out=None")), _patch_extend,
+     _extend(("out=ys)", "out=None)")), _patch_extend,
      test_oracle.test_oracle_check_peaks_at_a_few_arrays_of_n_floats,
      (*test_oracle._LINEAR, "sum", 3.7)),
-    ("extend spends every joint, a caller's too",
-     _extend(("_spend: bool = False", "_spend: bool = True")), _patch_extend,
-     test_oracle.test_extend_leaves_a_callers_joint_as_it_was, test_oracle.CALLER_JOINTS[0]),
+    ("extend lets a z that is not finite through",
+     _extend(("if not np.isfinite(z).all():", "if False:")), _patch_extend,
+     test_oracle.test_extend_refuses_a_z_that_is_not_finite_without_a_warning,
+     (([0.0, 1.0], [1.0, 0.5], [math.inf, math.inf]), "sum", "^g gives inf at x = 0, ")),
+    ("build_joint lets a support too narrow for n distinct samples through",
+     *_build_joint(("if not (xs[1:] > xs[:-1]).all():", "if False:")),
+     test_oracle.test_build_joint_names_a_support_too_narrow_for_n_distinct_samples, ()),
+    ("build_joint leaves an f past the float range to its values",
+     *_build_joint(("    f.require_finite_on(sup)\n", "")),
+     test_oracle.test_an_f_past_the_float_range_is_a_domain_error_before_any_warning,
+     (triangular(1e308, 1.2e308, 1.5e308, grid=2), linear(-2.0, 0.0))),
+    ("oracle_check tests the sample floor after the engine runs",
+     lambda: _edited(oracle.oracle_check, (_FLOOR, ""), (_BUILD, _FLOOR + _BUILD)),
+     _patch(test_oracle, "oracle_check"),
+     test_oracle.test_oracle_check_enforces_the_sample_floor_before_the_engine_runs, ()),
     ("oracle_check holds its joint while the levels are rebuilt",
      lambda: _edited(oracle.oracle_check, ("    del joint  # only s is read from here on\n", "")),
      _patch(test_oracle, "oracle_check"),
@@ -134,17 +151,21 @@ MUTANTS = [
      _patch(oracle, "_auto_delta"),
      test_oracle.test_a_core_midway_between_two_samples_keeps_both_in_the_top_level,
      test_oracle.MIDWAY_CASES[0]),
-    ("JointDistribution lets tied xs through",
-     lambda: _edited(JointDistribution.__new__,
-                     ("self.xs[1:] > self.xs[:-1]", "self.xs[1:] >= self.xs[:-1]")),
-     _patch(JointDistribution, "__new__"),
-     _REJECTS_UNSORTED.hypothesis.inner_test, ((np.array([0.0, 1.0, 1.0]), np.zeros(3)),)),
     ("the rise is searched without its running maximum",
      *_levels_from_membership(("if not (rise[1:] >= rise[:-1]).all():", "if False:")),
      _MATCHES_DENSE_MASK.hypothesis.inner_test, (test_oracle.SORTED_RUN_CASES[1],)),
     ("the fall is searched without its running maximum",
      *_levels_from_membership(("if (fall[1:] <= fall[:-1]).all() else", "if True else")),
      _MATCHES_DENSE_MASK.hypothesis.inner_test, (test_oracle.SORTED_RUN_CASES[2],)),
+    ("the correlated operations take any method",
+     *_in_arithmetic("_correlated", _METHOD_CHECK),
+     test_arithmetic.test_a_method_that_is_neither_none_nor_a_range_method_is_a_type_error,
+     (False,)),
+    ("range_over_interval takes any method",
+     lambda: _edited(arithmetic.range_over_interval, _METHOD_CHECK),
+     _patch(test_arithmetic, "range_over_interval"),
+     test_arithmetic.test_a_method_that_is_neither_none_nor_a_range_method_is_a_type_error,
+     (0,)),
     ("a product across zero states g(0) whatever f(0) is",
      *_in_arithmetic("_route", _ZERO_CUT), _SIGN_TABLE,
      (triangular(-1.0, 0.0, 2.0, grid=20), 1.0, 3.0, False)),
@@ -191,12 +212,6 @@ MUTANTS = [
      lambda: _edited(fuzzy.from_levels, ("np.asarray(levels, dtype=float)",
                                          "np.row_stack(levels).astype(float)")),
      _patch(test_fuzzy, "from_levels"), test_fuzzy.test_from_levels_round_trip, ()),
-    ("JointDistribution._make makes the tuple unchecked, as namedtuple's own does",
-     lambda: _edited(JointDistribution._make.__func__,
-                     ("cls(*iterable)", "tuple.__new__(cls, iterable)")),
-     _patch(JointDistribution, "_make"),
-     test_records.test_every_construction_from_values_validates,
-     test_records.VALIDATING["JointDistribution"]),
     ("oracle_check reads the standard product as its termwise reading",
      lambda: _edited(oracle.oracle_check,
                      ('"std-sum-hyperbolic", a', '"std-prod-hyperbolic", a')),

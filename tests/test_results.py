@@ -64,7 +64,7 @@ RESULTS = {
         lambda: correlated_product(A, _custom_increasing(), RangeMethod()), (A,)),
     **{f"closed_form-{kind}": (lambda kind=kind: closed_form(kind, A, 2.0, 1.0), (A,))
        for kind in CLOSED_FORM_KINDS},
-    "levels_from_membership": (lambda: levels_from_membership(SAMPLES, grid=10),
+    "levels_from_membership": (lambda: levels_from_membership(SAMPLES, 10, 0.05),
                                (SAMPLES.zs, SAMPLES.mus)),
 }
 
@@ -118,7 +118,10 @@ def _scanned(op):
 
 
 def _oracle_levels(op):
-    return lambda x, y, f: levels_from_membership(extend(build_joint(x, f, 101), op), grid=x.k)
+    def levels(x, y, f):
+        f.check_on(x.support)  # as oracle_check's engine call does
+        return levels_from_membership(extend(build_joint(x, f, 101), op), x.k, 1.0 / (2 * x.k))
+    return levels
 
 
 # Each operation that stores its result with nested=True, and the

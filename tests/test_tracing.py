@@ -41,6 +41,16 @@ def test_benchmark_tracer_records_the_layers_and_restores_every_name():
         assert all(now[k] is v for k, v in saved.items()), owner
 
 
+def test_the_oracle_stages_are_internal_under_the_names_the_tracer_patches():
+    # the tracer rebinds oracle.build_joint, oracle.extend and
+    # oracle.levels_from_membership, and oracle_check looks them up in its module
+    stages = {"JointDistribution", "SampledMembership", "build_joint", "extend",
+              "levels_from_membership"}
+    assert not stages & set(fuzzyarith.__all__)
+    assert not stages & set(vars(fuzzyarith))
+    assert all(callable(getattr(oracle, name)) for name in stages)
+
+
 def test_benchmark_tracer_names_a_requested_scan_numeric():
     # corr_span reads RangeMethod.mode, a class constant kept for it
     tracing = _load_tracing()
